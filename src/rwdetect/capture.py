@@ -271,22 +271,49 @@ def _parse_packet_row(row: list[str], line: int) -> PacketRecord:
     )
 
 
+def _csv_rows(text, header: list[str], what: str):
+    """``(line, row)`` per data row of CSV text or a text file; checks the header."""
+    reader = csv.reader(io.StringIO(text) if isinstance(text, str) else text)
+    try:
+        found = next(reader)
+    except StopIteration:
+        raise SchemaMismatch(f"empty input, expected a {what} CSV header") from None
+    if found != header:
+        raise SchemaMismatch(
+            f"bad header {','.join(found)!r}, expected {','.join(header)!r}"
+        )
+    return enumerate(reader, start=2)
+
+
+def _csv_text(header: list[str], rows: Iterable[list]) -> str:
+    """CSV text of a header line and the given rows."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _read_packet_csv(text, strict: bool) -> tuple[list[PacketRecord], int]:
+    records = []
+    skipped = 0
+    for line, row in _csv_rows(text, PACKET_CSV_HEADER, "packet"):
+        try:
+            records.append(_parse_packet_row(row, line))
+        except RowError:
+            if strict:
+                raise
+            skipped += 1
+    return records, skipped
+
+
 def parse_packet_csv(text) -> list[PacketRecord]:
     """Parse packet CSV (header: timestamp,src_addr,...,wire_bytes).
 
     Raises SchemaMismatch for a wrong header and RowError (with line number)
     for any invalid data row.
     """
-    reader = csv.reader(io.StringIO(text) if isinstance(text, str) else text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaMismatch("empty input, expected a packet CSV header") from None
-    if header != PACKET_CSV_HEADER:
-        raise SchemaMismatch(
-            f"bad header {','.join(header)!r}, expected {','.join(PACKET_CSV_HEADER)!r}"
-        )
-    return [_parse_packet_row(row, line) for line, row in enumerate(reader, start=2)]
+    return _read_packet_csv(text, strict=True)[0]
 
 
 def parse_packet_csv_lenient(text) -> tuple[list[PacketRecord], int]:
@@ -295,33 +322,13 @@ def parse_packet_csv_lenient(text) -> tuple[list[PacketRecord], int]:
     The header must still match; a replay source with the wrong schema is a
     configuration error rather than noise.
     """
-    reader = csv.reader(io.StringIO(text) if isinstance(text, str) else text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaMismatch("empty input, expected a packet CSV header") from None
-    if header != PACKET_CSV_HEADER:
-        raise SchemaMismatch(
-            f"bad header {','.join(header)!r}, expected {','.join(PACKET_CSV_HEADER)!r}"
-        )
-    records = []
-    skipped = 0
-    for line, row in enumerate(reader, start=2):
-        try:
-            records.append(_parse_packet_row(row, line))
-        except RowError:
-            skipped += 1
-    return records, skipped
+    return _read_packet_csv(text, strict=False)
 
 
 def write_packet_csv(records: Iterable[PacketRecord]) -> str:
     """Serialize packet records; timestamps keep full float precision."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(PACKET_CSV_HEADER)
-    for r in records:
-        writer.writerow([
-            repr(r.timestamp), r.src_addr, r.src_port, r.dst_addr, r.dst_port,
-            r.protocol, r.wire_bytes,
-        ])
-    return out.getvalue()
+    return _csv_text(PACKET_CSV_HEADER, (
+        [repr(r.timestamp), r.src_addr, r.src_port, r.dst_addr, r.dst_port,
+         r.protocol, r.wire_bytes]
+        for r in records
+    ))

@@ -25,7 +25,6 @@ from ..errors import (
     SingleClassDataset,
 )
 from ..features import (
-    ADDRESS_FEATURE_INDICES,
     N_FEATURES,
     Dataset,
     Label,
@@ -34,6 +33,7 @@ from ..features import (
     dataset_fingerprint,
     fit_scaler,
     zero_address_columns,
+    zero_address_vector,
 )
 from . import bayes, forest, knn, mlp, svm, tree
 
@@ -47,133 +47,52 @@ class ClassifierKind(enum.Enum):
     BAYES = "BayesNetwork"
 
 
-#: Canonical ordering used by reports and the CLI.
-ALL_KINDS: tuple[ClassifierKind, ...] = (
-    ClassifierKind.KNN,
-    ClassifierKind.MLP,
-    ClassifierKind.J48,
-    ClassifierKind.RANDOM_FOREST,
-    ClassifierKind.SVM,
-    ClassifierKind.BAYES,
-)
+#: The one family table, in the canonical order of reports and the CLI.
+#: Each module follows the contract in the package docstring.
+FAMILIES = {
+    ClassifierKind.KNN: knn,
+    ClassifierKind.MLP: mlp,
+    ClassifierKind.J48: tree,
+    ClassifierKind.RANDOM_FOREST: forest,
+    ClassifierKind.SVM: svm,
+    ClassifierKind.BAYES: bayes,
+}
+
+ALL_KINDS: tuple[ClassifierKind, ...] = tuple(FAMILIES)
 
 #: Families whose geometry is distance- or gradient-based.
-SCALED_KINDS = frozenset(
-    {ClassifierKind.KNN, ClassifierKind.MLP, ClassifierKind.SVM}
-)
+SCALED_KINDS = frozenset(kind for kind, family in FAMILIES.items() if family.SCALED)
 
-KIND_ALIASES = {
-    "knn": ClassifierKind.KNN,
-    "mlp": ClassifierKind.MLP,
-    "j48": ClassifierKind.J48,
-    "forest": ClassifierKind.RANDOM_FOREST,
-    "svm": ClassifierKind.SVM,
-    "bayes": ClassifierKind.BAYES,
-}
+KIND_ALIASES = {family.ALIAS: kind for kind, family in FAMILIES.items()}
+
+Hyperparams = Union[tuple(family.Params for family in FAMILIES.values())]
 
 
 def kind_from_name(text: str) -> ClassifierKind:
     """Resolve a canonical kind name or short alias."""
-    if text in KIND_ALIASES:
-        return KIND_ALIASES[text]
-    for kind in ClassifierKind:
-        if kind.value == text:
-            return kind
-    raise InvalidHyperparams(f"unknown classifier kind: {text!r}")
+    try:
+        return KIND_ALIASES.get(text) or ClassifierKind(text)
+    except ValueError:
+        raise InvalidHyperparams(f"unknown classifier kind: {text!r}") from None
 
 
-_MAX_SEED = 2 ** 64 - 1
-
-
-@dataclass(frozen=True)
-class KnnParams:
-    k: int = 5
-    seed: int = 42
-
-
-@dataclass(frozen=True)
-class MlpParams:
-    hidden_units: int = 16
-    learning_rate: float = 0.1
-    epochs: int = 500
-    seed: int = 42
-
-
-@dataclass(frozen=True)
-class TreeParams:
-    min_leaf: int = 2
-    seed: int = 42
-
-
-@dataclass(frozen=True)
-class ForestParams:
-    trees: int = 100
-    bootstrap: bool = True
-    features_per_split: int = 4   # ceil(sqrt(13))
-    min_leaf: int = 2
-    seed: int = 42
-
-
-@dataclass(frozen=True)
-class SvmParams:
-    c: float = 1.0
-    iterations: int = 100_000
-    seed: int = 42
-
-
-@dataclass(frozen=True)
-class BayesParams:
-    var_smoothing: float = 1e-9
-    seed: int = 42
-
-
-Hyperparams = Union[KnnParams, MlpParams, TreeParams, ForestParams,
-                    SvmParams, BayesParams]
-
-HYPERPARAM_TYPES: dict[ClassifierKind, type] = {
-    ClassifierKind.KNN: KnnParams,
-    ClassifierKind.MLP: MlpParams,
-    ClassifierKind.J48: TreeParams,
-    ClassifierKind.RANDOM_FOREST: ForestParams,
-    ClassifierKind.SVM: SvmParams,
-    ClassifierKind.BAYES: BayesParams,
-}
+_SEED_CHECK = (lambda hp: 0 <= hp.seed <= 2 ** 64 - 1,
+               "seed must fit an unsigned 64-bit int")
 
 
 def default_hyperparams(kind: ClassifierKind, seed: int = 42) -> Hyperparams:
-    return HYPERPARAM_TYPES[kind](seed=seed)
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidHyperparams(message)
+    return FAMILIES[kind].Params(seed=seed)
 
 
 def validate_hyperparams(kind: ClassifierKind, hp: Hyperparams) -> None:
-    expected = HYPERPARAM_TYPES[kind]
-    if type(hp) is not expected:
+    family = FAMILIES[kind]
+    if type(hp) is not family.Params:
         raise InvalidHyperparams(
-            f"{kind.value} expects {expected.__name__}, got {type(hp).__name__}"
+            f"{kind.value} expects {family.Params.__name__}, got {type(hp).__name__}"
         )
-    _require(0 <= hp.seed <= _MAX_SEED, "seed must fit an unsigned 64-bit int")
-    if isinstance(hp, KnnParams):
-        _require(hp.k >= 1, "k must be at least 1")
-    elif isinstance(hp, MlpParams):
-        _require(hp.hidden_units >= 1, "hidden_units must be at least 1")
-        _require(hp.learning_rate > 0, "learning_rate must be positive")
-        _require(hp.epochs >= 1, "epochs must be at least 1")
-    elif isinstance(hp, TreeParams):
-        _require(hp.min_leaf >= 1, "min_leaf must be at least 1")
-    elif isinstance(hp, ForestParams):
-        _require(hp.trees >= 1, "trees must be at least 1")
-        _require(1 <= hp.features_per_split <= N_FEATURES,
-                 "features_per_split must be in [1, 13]")
-        _require(hp.min_leaf >= 1, "min_leaf must be at least 1")
-    elif isinstance(hp, SvmParams):
-        _require(hp.c > 0, "c must be positive")
-        _require(hp.iterations >= 1, "iterations must be at least 1")
-    elif isinstance(hp, BayesParams):
-        _require(hp.var_smoothing >= 0, "var_smoothing must be non-negative")
+    for holds, message in (_SEED_CHECK, *family.CHECKS):
+        if not holds(hp):
+            raise InvalidHyperparams(message)
 
 
 @dataclass(frozen=True)
@@ -191,16 +110,6 @@ class TrainedModel:
     training_time: float            # seconds; excluded from serialization
     train_fingerprint: str
     zero_addresses: bool = False
-
-
-_FITTERS = {
-    ClassifierKind.KNN: knn.fit,
-    ClassifierKind.MLP: mlp.fit,
-    ClassifierKind.J48: lambda x, y, hp: tree.build(x, y, min_leaf=hp.min_leaf),
-    ClassifierKind.RANDOM_FOREST: forest.fit,
-    ClassifierKind.SVM: svm.fit,
-    ClassifierKind.BAYES: bayes.fit,
-}
 
 
 def train(kind: ClassifierKind, dataset: Dataset,
@@ -227,8 +136,6 @@ def train(kind: ClassifierKind, dataset: Dataset,
         raise SingleClassDataset(
             f"need both classes, got {positives} positive / {negatives} negative"
         )
-    if kind is ClassifierKind.KNN and hp.k > len(dataset):
-        raise InvalidHyperparams("k cannot exceed the training-set size")
 
     scaler = None
     if kind in SCALED_KINDS:
@@ -236,26 +143,11 @@ def train(kind: ClassifierKind, dataset: Dataset,
         x = apply_scaler(scaler, x)
 
     started = time.perf_counter()
-    state = _FITTERS[kind](x, y, hp)
+    state = FAMILIES[kind].fit(x, y, hp)
     elapsed = time.perf_counter() - started
     return TrainedModel(kind=kind, hyperparams=hp, state=state, scaler=scaler,
                         training_time=elapsed, train_fingerprint=fingerprint,
                         zero_addresses=zero_addresses)
-
-
-def _score_queries(model: TrainedModel, queries: np.ndarray) -> np.ndarray:
-    kind = model.kind
-    if kind is ClassifierKind.KNN:
-        return knn.scores(model.state, model.hyperparams.k, queries)
-    if kind is ClassifierKind.MLP:
-        return mlp.scores(model.state, queries)
-    if kind is ClassifierKind.J48:
-        return tree.scores(model.state, queries)
-    if kind is ClassifierKind.RANDOM_FOREST:
-        return forest.scores(model.state, queries)
-    if kind is ClassifierKind.SVM:
-        return svm.scores(model.state, queries)
-    return bayes.scores(model.state, queries)
 
 
 def predict_many(model: TrainedModel,
@@ -269,11 +161,10 @@ def predict_many(model: TrainedModel,
     if not np.isfinite(queries).all():
         raise NonFiniteFeature("query features must be finite")
     if model.zero_addresses:
-        queries = queries.copy()
-        queries[:, list(ADDRESS_FEATURE_INDICES)] = 0.0
+        queries = zero_address_vector(queries)
     if model.scaler is not None:
         queries = apply_scaler(model.scaler, queries)
-    scores = _score_queries(model, queries)
+    scores = FAMILIES[model.kind].scores(model.state, queries)
     labels01 = (scores >= 0.5).astype(np.uint8)
     return labels01, scores
 

@@ -14,7 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import vector
+
+ALIAS = "bayes"
+SCALED = False
+
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+@dataclass(frozen=True)
+class BayesParams:
+    var_smoothing: float = 1e-9
+    seed: int = 42
+
+
+Params = BayesParams
+CHECKS = ((lambda hp: hp.var_smoothing >= 0, "var_smoothing must be non-negative"),)
 
 
 @dataclass
@@ -27,10 +42,10 @@ class BayesState:
     var_neg: np.ndarray
 
 
-def fit(x: np.ndarray, y: np.ndarray, hyperparams) -> BayesState:
+def fit(x: np.ndarray, y: np.ndarray, hp: BayesParams) -> BayesState:
     pos = x[y == 1]
     neg = x[y == 0]
-    epsilon = hyperparams.var_smoothing * float(x.var(axis=0).max())
+    epsilon = hp.var_smoothing * float(x.var(axis=0).max())
     if epsilon <= 0.0:
         epsilon = float(np.finfo(np.float64).tiny)
     n = len(y)
@@ -58,3 +73,21 @@ def scores(state: BayesState, queries: np.ndarray) -> np.ndarray:
     e_pos = np.exp(ll_pos - peak)
     e_neg = np.exp(ll_neg - peak)
     return e_pos / (e_pos + e_neg)
+
+
+def params_out(state: BayesState) -> dict:
+    return {"log_prior_pos": state.log_prior_pos,
+            "log_prior_neg": state.log_prior_neg,
+            "mean_pos": state.mean_pos.tolist(),
+            "var_pos": state.var_pos.tolist(),
+            "mean_neg": state.mean_neg.tolist(),
+            "var_neg": state.var_neg.tolist()}
+
+
+def params_in(obj: dict, hp: BayesParams) -> BayesState:
+    vectors = [vector(obj[key]) for key in
+               ("mean_pos", "var_pos", "mean_neg", "var_neg")]
+    if len({len(v) for v in vectors}) != 1:
+        raise ValueError("class statistic lengths disagree")
+    return BayesState(float(obj["log_prior_pos"]),
+                      float(obj["log_prior_neg"]), *vectors)

@@ -12,7 +12,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..features import N_FEATURES
 from . import tree
+
+ALIAS = "forest"
+SCALED = False
+
+
+@dataclass(frozen=True)
+class ForestParams:
+    trees: int = 100
+    bootstrap: bool = True
+    features_per_split: int = 4   # ceil(sqrt(13))
+    min_leaf: int = 2
+    seed: int = 42
+
+
+Params = ForestParams
+CHECKS = (
+    (lambda hp: hp.trees >= 1, "trees must be at least 1"),
+    (lambda hp: 1 <= hp.features_per_split <= N_FEATURES,
+     "features_per_split must be in [1, 13]"),
+    (lambda hp: hp.min_leaf >= 1, "min_leaf must be at least 1"),
+)
 
 
 @dataclass
@@ -21,22 +43,22 @@ class ForestState:
     features_used: list[tuple[int, ...]]  # per tree, ascending
 
 
-def fit(x: np.ndarray, y: np.ndarray, hyperparams) -> ForestState:
+def fit(x: np.ndarray, y: np.ndarray, hp: ForestParams) -> ForestState:
     n = len(y)
-    subset = hyperparams.features_per_split
+    subset = hp.features_per_split
     if subset >= x.shape[1]:
         subset = None  # full feature set: identical to a plain tree build
-    children = np.random.SeedSequence(hyperparams.seed).spawn(hyperparams.trees)
+    children = np.random.SeedSequence(hp.seed).spawn(hp.trees)
     trees = []
     used = []
     for child in children:
         rng = np.random.Generator(np.random.PCG64(child))
-        if hyperparams.bootstrap:
+        if hp.bootstrap:
             picks = rng.integers(0, n, size=n)
             xb, yb = x[picks], y[picks]
         else:
             xb, yb = x, y
-        nodes = tree.build(xb, yb, min_leaf=hyperparams.min_leaf,
+        nodes = tree.build(xb, yb, min_leaf=hp.min_leaf,
                            rng=rng, features_per_split=subset)
         trees.append(nodes)
         used.append(tree.features_used(nodes))
@@ -48,3 +70,16 @@ def scores(state: ForestState, queries: np.ndarray) -> np.ndarray:
     for nodes in state.trees:
         total += tree.scores(nodes, queries)
     return total / len(state.trees)
+
+
+def params_out(state: ForestState) -> dict:
+    return {"trees": [tree.nodes_out(t) for t in state.trees],
+            "features_used": [list(u) for u in state.features_used]}
+
+
+def params_in(obj: dict, hp: ForestParams) -> ForestState:
+    trees = [tree.nodes_in(t) for t in obj["trees"]]
+    used = [tuple(int(f) for f in u) for u in obj["features_used"]]
+    if len(used) != len(trees):
+        raise ValueError("features_used and trees disagree")
+    return ForestState(trees=trees, features_used=used)

@@ -14,6 +14,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+ALIAS = "mlp"
+SCALED = True
+
+
+@dataclass(frozen=True)
+class MlpParams:
+    hidden_units: int = 16
+    learning_rate: float = 0.1
+    epochs: int = 500
+    seed: int = 42
+
+
+Params = MlpParams
+CHECKS = (
+    (lambda hp: hp.hidden_units >= 1, "hidden_units must be at least 1"),
+    (lambda hp: hp.learning_rate > 0, "learning_rate must be positive"),
+    (lambda hp: hp.epochs >= 1, "epochs must be at least 1"),
+)
+
 
 @dataclass
 class MlpState:
@@ -62,10 +81,10 @@ def gradients(state: MlpState, x: np.ndarray, y: np.ndarray):
     return gw1, gb1, gw2, gb2
 
 
-def fit(x: np.ndarray, y: np.ndarray, hyperparams) -> MlpState:
-    state = init_state(x.shape[1], hyperparams.hidden_units, hyperparams.seed)
-    lr = hyperparams.learning_rate
-    for _ in range(hyperparams.epochs):
+def fit(x: np.ndarray, y: np.ndarray, hp: MlpParams) -> MlpState:
+    state = init_state(x.shape[1], hp.hidden_units, hp.seed)
+    lr = hp.learning_rate
+    for _ in range(hp.epochs):
         gw1, gb1, gw2, gb2 = gradients(state, x, y)
         state.w1 -= lr * gw1
         state.b1 -= lr * gb1
@@ -76,3 +95,17 @@ def fit(x: np.ndarray, y: np.ndarray, hyperparams) -> MlpState:
 
 def scores(state: MlpState, queries: np.ndarray) -> np.ndarray:
     return forward(state, queries)[1]
+
+
+def params_out(state: MlpState) -> dict:
+    return {"w1": state.w1.tolist(), "b1": state.b1.tolist(),
+            "w2": state.w2.tolist(), "b2": state.b2.tolist()}
+
+
+def params_in(obj: dict, hp: MlpParams) -> MlpState:
+    w1, b1, w2, b2 = (np.asarray(obj[key], dtype=np.float64)
+                      for key in ("w1", "b1", "w2", "b2"))
+    if w1.ndim != 2 or b1.shape != (w1.shape[1],) \
+            or w2.shape != (len(b1), 1) or b2.shape != (1,):
+        raise ValueError("layer shapes disagree")
+    return MlpState(w1=w1, b1=b1, w2=w2, b2=b2)

@@ -23,8 +23,6 @@ import struct
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from ..errors import (
     ChecksumFailure,
     InvalidHyperparams,
@@ -32,14 +30,8 @@ from ..errors import (
     VersionMismatch,
 )
 from ..features import ScalingParams
-from . import bayes, forest, knn, mlp, svm
-from .base import (
-    HYPERPARAM_TYPES,
-    ClassifierKind,
-    TrainedModel,
-    validate_hyperparams,
-)
-from .tree import TreeNode
+from ._arrays import vector
+from .base import FAMILIES, ClassifierKind, TrainedModel, validate_hyperparams
 
 MODEL_MAGIC = b"RWDMODEL"
 MODEL_FORMAT_VERSION = 1
@@ -48,106 +40,12 @@ _HEADER = struct.Struct(">HI")   # version, payload length
 _DIGEST_SIZE = 32
 
 
-def _nodes_out(nodes: list[TreeNode]) -> list[list]:
-    return [[n.feature, float(n.threshold), n.left, n.right, n.pos, n.total]
-            for n in nodes]
-
-
-def _nodes_in(obj) -> list[TreeNode]:
-    nodes = []
-    for row in obj:
-        feature, threshold, left, right, pos, total = row
-        nodes.append(TreeNode(int(feature), float(threshold), int(left),
-                              int(right), int(pos), int(total)))
-    if not nodes:
-        raise ValueError("empty tree")
-    return nodes
-
-
-def _params_out(model: TrainedModel) -> dict:
-    kind = model.kind
-    state = model.state
-    if kind is ClassifierKind.KNN:
-        return {"points": state.points.tolist(),
-                "labels": state.labels.tolist()}
-    if kind is ClassifierKind.MLP:
-        return {"w1": state.w1.tolist(), "b1": state.b1.tolist(),
-                "w2": state.w2.tolist(), "b2": state.b2.tolist()}
-    if kind is ClassifierKind.J48:
-        return {"nodes": _nodes_out(state)}
-    if kind is ClassifierKind.RANDOM_FOREST:
-        return {"trees": [_nodes_out(t) for t in state.trees],
-                "features_used": [list(u) for u in state.features_used]}
-    if kind is ClassifierKind.SVM:
-        return {"weights": state.weights.tolist(), "bias": state.bias}
-    return {"log_prior_pos": state.log_prior_pos,
-            "log_prior_neg": state.log_prior_neg,
-            "mean_pos": state.mean_pos.tolist(),
-            "var_pos": state.var_pos.tolist(),
-            "mean_neg": state.mean_neg.tolist(),
-            "var_neg": state.var_neg.tolist()}
-
-
-def _matrix(obj) -> np.ndarray:
-    arr = np.asarray(obj, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a matrix")
-    return arr
-
-
-def _vector(obj) -> np.ndarray:
-    arr = np.asarray(obj, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("expected a vector")
-    return arr
-
-
-def _params_in(kind: ClassifierKind, obj: dict):
-    if kind is ClassifierKind.KNN:
-        labels = np.asarray(obj["labels"], dtype=np.uint8)
-        points = _matrix(obj["points"])
-        if labels.ndim != 1 or len(labels) != len(points):
-            raise ValueError("labels and points disagree")
-        if not np.isin(labels, (0, 1)).all():
-            raise ValueError("labels must be 0 or 1")
-        return knn.KnnState(points=points, labels=labels)
-    if kind is ClassifierKind.MLP:
-        w1, b1 = _matrix(obj["w1"]), _vector(obj["b1"])
-        w2, b2 = _matrix(obj["w2"]), _vector(obj["b2"])
-        if w1.shape[1] != len(b1) or w2.shape != (len(b1), 1) or len(b2) != 1:
-            raise ValueError("layer shapes disagree")
-        return mlp.MlpState(w1=w1, b1=b1, w2=w2, b2=b2)
-    if kind is ClassifierKind.J48:
-        return _nodes_in(obj["nodes"])
-    if kind is ClassifierKind.RANDOM_FOREST:
-        trees = [_nodes_in(t) for t in obj["trees"]]
-        used = [tuple(int(f) for f in u) for u in obj["features_used"]]
-        if len(used) != len(trees):
-            raise ValueError("features_used and trees disagree")
-        return forest.ForestState(trees=trees, features_used=used)
-    if kind is ClassifierKind.SVM:
-        return svm.SvmState(weights=_vector(obj["weights"]),
-                            bias=float(obj["bias"]))
-    vectors = [_vector(obj[key]) for key in
-               ("mean_pos", "var_pos", "mean_neg", "var_neg")]
-    if len({len(v) for v in vectors}) != 1:
-        raise ValueError("class statistic lengths disagree")
-    return bayes.BayesState(
-        log_prior_pos=float(obj["log_prior_pos"]),
-        log_prior_neg=float(obj["log_prior_neg"]),
-        mean_pos=vectors[0],
-        var_pos=vectors[1],
-        mean_neg=vectors[2],
-        var_neg=vectors[3],
-    )
-
-
 def save_model(model: TrainedModel) -> bytes:
     """Serialize a trained model to the container format."""
     payload = {
         "kind": model.kind.value,
         "hyperparams": asdict(model.hyperparams),
-        "params": _params_out(model),
+        "params": FAMILIES[model.kind].params_out(model.state),
         "scaler": None if model.scaler is None else {
             "mins": model.scaler.mins.tolist(),
             "maxs": model.scaler.maxs.tolist(),
@@ -202,14 +100,15 @@ def load_model(data: bytes) -> TrainedModel:
         raise MalformedModel(f"model payload is not valid JSON: {exc}") from exc
     try:
         kind = ClassifierKind(payload["kind"])
-        hp = HYPERPARAM_TYPES[kind](**payload["hyperparams"])
+        family = FAMILIES[kind]
+        hp = family.Params(**payload["hyperparams"])
         validate_hyperparams(kind, hp)
-        state = _params_in(kind, payload["params"])
+        state = family.params_in(payload["params"], hp)
         scaler_obj = payload["scaler"]
         scaler = None
         if scaler_obj is not None:
-            scaler = ScalingParams(mins=_vector(scaler_obj["mins"]),
-                                   maxs=_vector(scaler_obj["maxs"]),
+            scaler = ScalingParams(mins=vector(scaler_obj["mins"]),
+                                   maxs=vector(scaler_obj["maxs"]),
                                    fitted_on=str(scaler_obj["fitted_on"]))
         fingerprint = str(payload["train_fingerprint"])
         zero_addresses = bool(payload["zero_addresses"])

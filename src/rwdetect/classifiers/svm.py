@@ -12,6 +12,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import vector
+
+ALIAS = "svm"
+SCALED = True
+
+
+@dataclass(frozen=True)
+class SvmParams:
+    c: float = 1.0
+    iterations: int = 100_000
+    seed: int = 42
+
+
+Params = SvmParams
+CHECKS = (
+    (lambda hp: hp.c > 0, "c must be positive"),
+    (lambda hp: hp.iterations >= 1, "iterations must be at least 1"),
+)
+
 
 @dataclass
 class SvmState:
@@ -19,13 +38,13 @@ class SvmState:
     bias: float
 
 
-def fit(x: np.ndarray, y: np.ndarray, hyperparams) -> SvmState:
+def fit(x: np.ndarray, y: np.ndarray, hp: SvmParams) -> SvmState:
     n = len(y)
     y_pm = y.astype(np.float64) * 2.0 - 1.0   # {0,1} -> {-1,+1}
-    lam = 1.0 / (hyperparams.c * n)
+    lam = 1.0 / (hp.c * n)
     w = np.zeros(x.shape[1])
     b = 0.0
-    for t in range(1, hyperparams.iterations + 1):
+    for t in range(1, hp.iterations + 1):
         margins = y_pm * (x @ w + b)
         active = np.where(margins < 1.0, y_pm, 0.0)
         grad_w = lam * w - (x.T @ active) / n
@@ -43,3 +62,11 @@ def decision(state: SvmState, queries: np.ndarray) -> np.ndarray:
 def scores(state: SvmState, queries: np.ndarray) -> np.ndarray:
     z = np.clip(decision(state, queries), -500.0, 500.0)
     return 1.0 / (1.0 + np.exp(-z))
+
+
+def params_out(state: SvmState) -> dict:
+    return {"weights": state.weights.tolist(), "bias": state.bias}
+
+
+def params_in(obj: dict, hp: SvmParams) -> SvmState:
+    return SvmState(weights=vector(obj["weights"]), bias=float(obj["bias"]))

@@ -13,6 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..features import N_FEATURES
+
+ALIAS = "j48"
+SCALED = False
+
+
+@dataclass(frozen=True)
+class TreeParams:
+    min_leaf: int = 2
+    seed: int = 42
+
+
+Params = TreeParams
+CHECKS = ((lambda hp: hp.min_leaf >= 1, "min_leaf must be at least 1"),)
+
 
 @dataclass(frozen=True)
 class TreeNode:
@@ -123,6 +138,10 @@ def build(x: np.ndarray, y: np.ndarray, min_leaf: int = 2,
     return [TreeNode(*row) for row in raw]
 
 
+def fit(x: np.ndarray, y: np.ndarray, hp: TreeParams) -> list[TreeNode]:
+    return build(x, y, min_leaf=hp.min_leaf)
+
+
 def scores(nodes: list[TreeNode], queries: np.ndarray) -> np.ndarray:
     """Positive-class fraction of the leaf each query routes to."""
     out = np.empty(len(queries))
@@ -137,3 +156,37 @@ def scores(nodes: list[TreeNode], queries: np.ndarray) -> np.ndarray:
 
 def features_used(nodes: list[TreeNode]) -> tuple[int, ...]:
     return tuple(sorted({n.feature for n in nodes if n.feature >= 0}))
+
+
+def nodes_out(nodes: list[TreeNode]) -> list[list]:
+    return [[n.feature, float(n.threshold), n.left, n.right, n.pos, n.total]
+            for n in nodes]
+
+
+def nodes_in(obj) -> list[TreeNode]:
+    """Preorder nodes from a model file; children follow their parent."""
+    count = len(obj)
+    nodes = []
+    for i, row in enumerate(obj):
+        feature, threshold, left, right, pos, total = row
+        feature, left, right = int(feature), int(left), int(right)
+        pos, total = int(pos), int(total)
+        if feature == -1:
+            if left != -1 or right != -1:
+                raise ValueError(f"leaf {i} has children")
+        elif not (0 <= feature < N_FEATURES and i < left < count and i < right < count):
+            raise ValueError(f"node {i} has a bad feature or child index")
+        if not 0 <= pos <= total or total < 1:
+            raise ValueError(f"node {i} has bad sample counts")
+        nodes.append(TreeNode(feature, float(threshold), left, right, pos, total))
+    if not nodes:
+        raise ValueError("empty tree")
+    return nodes
+
+
+def params_out(nodes: list[TreeNode]) -> dict:
+    return {"nodes": nodes_out(nodes)}
+
+
+def params_in(obj: dict, hp: TreeParams) -> list[TreeNode]:
+    return nodes_in(obj["nodes"])

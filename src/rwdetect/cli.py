@@ -20,6 +20,7 @@ from . import __version__
 from .capture import PCAP_MAGICS, parse_packet_csv, parse_packet_csv_lenient, parse_pcap
 from .classifiers import (
     ALL_KINDS,
+    KIND_ALIASES,
     MODEL_FORMAT_VERSION,
     ClassifierKind,
     default_hyperparams,
@@ -142,15 +143,12 @@ def _cmd_label(args) -> int:
                  benign=len(args.benign), lenient=args.lenient, seed=args.seed)
     if not args.ransomware and not args.benign:
         raise InvalidHyperparams("need at least one --ransomware or --benign file")
-    sets = []
-    for path in args.ransomware:
-        convs = csv_to_conversations(Path(path).read_text(),
-                                     strict=not args.lenient)
-        sets.append((convs, Label.RANSOMWARE))
-    for path in args.benign:
-        convs = csv_to_conversations(Path(path).read_text(),
-                                     strict=not args.lenient)
-        sets.append((convs, Label.BENIGN))
+    sets = [
+        (csv_to_conversations(Path(path).read_text(), strict=not args.lenient), label)
+        for paths, label in ((args.ransomware, Label.RANSOMWARE),
+                             (args.benign, Label.BENIGN))
+        for path in paths
+    ]
     _write_text(args.output, write_dataset_csv(sets))
     total = sum(len(convs) for convs, _ in sets)
     print(f"label: wrote {total} samples", file=sys.stderr)
@@ -338,7 +336,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="dataset CSV -> model file")
     p.add_argument("input", help="labeled dataset CSV")
     p.add_argument("--kind", required=True,
-                   help="classifier kind (knn, mlp, j48, forest, svm, bayes "
+                   help=f"classifier kind ({', '.join(KIND_ALIASES)} "
                         "or canonical name)")
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                    help="hyperparameter override (repeatable)")

@@ -14,14 +14,13 @@ export.
 
 from __future__ import annotations
 
-import csv
-import io
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .capture import SUPPORTED_PROTOCOLS, PacketRecord, ip_to_u32
-from .errors import ClockSkew, InvariantViolation, RowError, SchemaMismatch
+from .errors import ClockSkew, InvariantViolation, RowError
 from . import capture as _capture
 
 CONVERSATION_CSV_HEADER = [
@@ -181,12 +180,7 @@ def _format_row(c: Conversation) -> list:
 
 
 def conversations_to_csv(conversations: Iterable[Conversation]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CONVERSATION_CSV_HEADER)
-    for c in conversations:
-        writer.writerow(_format_row(c))
-    return out.getvalue()
+    return _capture._csv_text(CONVERSATION_CSV_HEADER, map(_format_row, conversations))
 
 
 def parse_conversation_fields(fields: Sequence[str], line: int,
@@ -215,6 +209,8 @@ def parse_conversation_fields(fields: Sequence[str], line: int,
         duration = float(fields[12])
     except ValueError:
         raise RowError(line, "rel_start/duration must be numbers") from None
+    if not (math.isfinite(rel_start) and math.isfinite(duration)):
+        raise RowError(line, "rel_start and duration must be finite")
     if rel_start < 0 or duration < 0:
         raise RowError(line, "rel_start and duration must be non-negative")
     if packets < 1:
@@ -248,17 +244,8 @@ def parse_conversation_fields(fields: Sequence[str], line: int,
 
 
 def csv_to_conversations(text, strict: bool = True) -> list[Conversation]:
-    reader = csv.reader(io.StringIO(text) if isinstance(text, str) else text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaMismatch("empty input, expected a conversation CSV header") from None
-    if header != CONVERSATION_CSV_HEADER:
-        raise SchemaMismatch(
-            f"bad header {','.join(header)!r}, "
-            f"expected {','.join(CONVERSATION_CSV_HEADER)!r}"
-        )
     return [
         parse_conversation_fields(row, line, strict=strict)
-        for line, row in enumerate(reader, start=2)
+        for line, row in _capture._csv_rows(text, CONVERSATION_CSV_HEADER,
+                                            "conversation")
     ]

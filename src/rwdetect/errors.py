@@ -97,10 +97,6 @@ class TooFewSamples(RwdetectError):
 
 # -- detection ----------------------------------------------------------------
 
-class ModelLoadFailure(RwdetectError):
-    """Model could not be loaded for detection."""
-
-
 class SinkFailure(RwdetectError):
     """Alert sink raised while consuming an alert."""
 

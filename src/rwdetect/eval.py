@@ -110,11 +110,9 @@ class MetricsReport:
     def from_values(cls, classifier: str, values: MetricValues,
                     training_time_s: float,
                     train_fingerprint: str | None = None) -> "MetricsReport":
-        return cls(classifier=classifier, tpr=values.tpr, fpr=values.fpr,
-                   precision=values.precision, recall=values.recall,
-                   f_measure=values.f_measure, accuracy=values.accuracy,
-                   training_time_s=training_time_s,
-                   train_fingerprint=train_fingerprint)
+        return cls(classifier=classifier, training_time_s=training_time_s,
+                   train_fingerprint=train_fingerprint,
+                   **{name: getattr(values, name) for name in _METRIC_FIELDS})
 
 
 @dataclass(frozen=True)
@@ -285,12 +283,7 @@ def render_report_json(rows: Sequence[MetricsReport]) -> str:
     for row in rows:
         entry = {
             "classifier": row.classifier,
-            "tpr": row.tpr,
-            "fpr": row.fpr,
-            "precision": row.precision,
-            "recall": row.recall,
-            "f_measure": row.f_measure,
-            "accuracy": row.accuracy,
+            **{name: getattr(row, name) for name in _METRIC_FIELDS},
             "training_time_s": row.training_time_s,
         }
         if row.train_fingerprint is not None:
@@ -304,10 +297,8 @@ def parse_report_json(text: str) -> list[MetricsReport]:
     for entry in json.loads(text):
         rows.append(MetricsReport(
             classifier=entry["classifier"],
-            tpr=entry["tpr"], fpr=entry["fpr"],
-            precision=entry["precision"], recall=entry["recall"],
-            f_measure=entry["f_measure"], accuracy=entry["accuracy"],
             training_time_s=entry["training_time_s"],
             train_fingerprint=entry.get("train_fingerprint"),
+            **{name: entry[name] for name in _METRIC_FIELDS},
         ))
     return rows

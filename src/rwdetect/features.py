@@ -8,23 +8,21 @@ a flag to zero the two address columns for generalization experiments.
 
 from __future__ import annotations
 
-import csv
 import enum
 import hashlib
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .capture import ip_to_u32
+from .capture import _csv_rows, _csv_text, ip_to_u32
 from .conversation import (
     CONVERSATION_CSV_HEADER,
     Conversation,
     parse_conversation_fields,
     _format_row,
 )
-from .errors import DimensionMismatch, EmptyDataset, EmptyInput, RowError, SchemaMismatch
+from .errors import DimensionMismatch, EmptyDataset, EmptyInput, RowError
 
 FEATURE_NAMES = tuple(CONVERSATION_CSV_HEADER)
 N_FEATURES = 13
@@ -176,19 +174,14 @@ def label_and_merge(conv_sets: Sequence[tuple[Sequence[Conversation], Label]],
 
 def zero_address_columns(dataset: Dataset) -> Dataset:
     """Copy of the dataset with both address features forced to 0."""
-    out = []
-    for s in dataset.samples:
-        vec = np.array(s.features, dtype=np.float64)
-        for i in ADDRESS_FEATURE_INDICES:
-            vec[i] = 0.0
-        out.append(LabeledSample(vec, s.label, s.origin))
+    out = [LabeledSample(zero_address_vector(s.features), s.label, s.origin)
+           for s in dataset.samples]
     return Dataset(out, dataset.feature_names)
 
 
 def zero_address_vector(vector: np.ndarray) -> np.ndarray:
     vec = np.array(vector, dtype=np.float64)
-    vec[..., ADDRESS_FEATURE_INDICES[0]] = 0.0
-    vec[..., ADDRESS_FEATURE_INDICES[1]] = 0.0
+    vec[..., list(ADDRESS_FEATURE_INDICES)] = 0.0
     return vec
 
 
@@ -196,27 +189,14 @@ def zero_address_vector(vector: np.ndarray) -> np.ndarray:
 
 def write_dataset_csv(conv_sets: Sequence[tuple[Sequence[Conversation], Label]]) -> str:
     """Conversation rows plus a final label column (ransomware | benign)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(DATASET_CSV_HEADER)
-    for convs, label in conv_sets:
-        for c in convs:
-            writer.writerow(_format_row(c) + [label.value])
-    return out.getvalue()
+    return _csv_text(DATASET_CSV_HEADER, (
+        _format_row(c) + [label.value] for convs, label in conv_sets for c in convs
+    ))
 
 
 def read_dataset_csv(text, strict: bool = True) -> Dataset:
-    reader = csv.reader(io.StringIO(text) if isinstance(text, str) else text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaMismatch("empty input, expected a dataset CSV header") from None
-    if header != DATASET_CSV_HEADER:
-        raise SchemaMismatch(
-            f"bad header {','.join(header)!r}, expected {','.join(DATASET_CSV_HEADER)!r}"
-        )
     samples = []
-    for line, row in enumerate(reader, start=2):
+    for line, row in _csv_rows(text, DATASET_CSV_HEADER, "dataset"):
         if len(row) != len(DATASET_CSV_HEADER):
             raise RowError(line, f"expected {len(DATASET_CSV_HEADER)} fields, got {len(row)}")
         conv = parse_conversation_fields(row[:-1], line, strict=strict)

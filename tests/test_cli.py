@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
+from pathlib import Path
 
 import pytest
 
 from rwdetect.capture import parse_packet_csv, write_packet_csv
 from rwdetect.cli import run
-from rwdetect.classifiers import read_model
+from rwdetect.classifiers import MODEL_MAGIC, read_model
 from rwdetect.conversation import aggregate, conversations_to_csv
 from rwdetect.eval import REPORT_CSV_HEADER
 
@@ -254,6 +257,20 @@ class TestDetect:
     def test_missing_model_exit_1(self, workspace):
         assert run(["detect", self.capture_csv(workspace),
                     "--model", str(workspace / "nope.bin")]) == 1
+
+    def test_resealed_bad_tree_exit_1(self, workspace):
+        blob = Path(trained_model_path(workspace)).read_bytes()
+        head = len(MODEL_MAGIC) + 6
+        payload = json.loads(blob[head:-32])
+        root = payload["params"]["nodes"][0]
+        assert root[0] >= 0                     # the root splits
+        root[0] = 40                            # no such feature
+        body = json.dumps(payload).encode()
+        resealed = blob[:head - 4] + struct.pack(">I", len(body)) + body
+        path = workspace / "resealed.bin"
+        path.write_bytes(resealed + hashlib.sha256(resealed).digest())
+        assert run(["detect", self.capture_csv(workspace),
+                    "--model", str(path)]) == 1
 
 
 class TestConfigFile:

@@ -251,6 +251,12 @@ class TestConversationCsv:
         with pytest.raises(RowError):
             csv_to_conversations(",".join(CONVERSATION_CSV_HEADER) + "\n" + row + "\n")
 
+    @pytest.mark.parametrize("times", ["nan,0.0", "inf,0.0", "0.0,nan", "0.0,inf"])
+    def test_non_finite_time_rejected(self, times):
+        row = "6,1.1.1.1,1,2.2.2.2,2,1,10,1,10,0,0," + times
+        with pytest.raises(RowError):
+            csv_to_conversations(",".join(CONVERSATION_CSV_HEADER) + "\n" + row + "\n")
+
     def test_unsupported_protocol_rejected(self):
         row = "99,1.1.1.1,1,2.2.2.2,2,1,10,1,10,0,0,0.0,0.0"
         with pytest.raises(RowError):

@@ -253,6 +253,16 @@ class TestDatasetCsv:
         with pytest.raises(SchemaMismatch):
             read_dataset_csv("a,b\n")
 
+    def test_non_finite_time(self):
+        text = write_dataset_csv(self.roundtrip_sets())
+        lines = text.splitlines()
+        fields = lines[1].split(",")
+        fields[12] = "nan"                      # duration
+        lines[1] = ",".join(fields)
+        with pytest.raises(RowError) as info:
+            read_dataset_csv("\n".join(lines) + "\n")
+        assert info.value.line == 2
+
     def test_strict_totals_enforced(self):
         text = write_dataset_csv(self.roundtrip_sets())
         lines = text.splitlines()

@@ -53,6 +53,15 @@ def valid_payload_dict(kind=ClassifierKind.KNN) -> dict:
     return json.loads(blob[start:start + length])
 
 
+TREE_KINDS = (ClassifierKind.J48, ClassifierKind.RANDOM_FOREST)
+
+
+def first_tree(payload: dict) -> list:
+    """The node rows of a J48 payload, or of a forest payload's first tree."""
+    params = payload["params"]
+    return params["nodes"] if "nodes" in params else params["trees"][0]
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_bytes_stable_and_predictions_exact(self, kind):
@@ -202,6 +211,44 @@ class TestTampering:
     def test_wrong_param_shape(self):
         payload = valid_payload_dict(ClassifierKind.KNN)
         payload["params"]["points"] = [[1.0, 2.0]]    # 2 columns, not 13
+        with pytest.raises(MalformedModel):
+            load_model(container(json.dumps(payload).encode()))
+
+    def test_knn_point_width_checked_when_labels_match(self):
+        payload = valid_payload_dict(ClassifierKind.KNN)
+        payload["hyperparams"]["k"] = 1
+        payload["params"]["points"] = [[1.0, 2.0]]    # 2 columns, not 13
+        payload["params"]["labels"] = [1]
+        with pytest.raises(MalformedModel):
+            load_model(container(json.dumps(payload).encode()))
+
+    def test_knn_fewer_points_than_k(self):
+        payload = valid_payload_dict(ClassifierKind.KNN)
+        payload["hyperparams"]["k"] = 3
+        payload["params"]["points"] = payload["params"]["points"][:2]
+        payload["params"]["labels"] = payload["params"]["labels"][:2]
+        with pytest.raises(MalformedModel):
+            load_model(container(json.dumps(payload).encode()))
+
+    @pytest.mark.parametrize("kind", TREE_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("column,value", [
+        (2, 0), (3, 0), (2, 10**6), (3, 10**6), (0, 40), (0, -1),
+    ], ids=["left-is-itself", "right-is-itself", "left-past-end", "right-past-end",
+            "feature-40", "leaf-with-children"])
+    def test_tree_root_fault(self, kind, column, value):
+        payload = valid_payload_dict(kind)
+        root = first_tree(payload)[0]
+        assert root[0] >= 0                     # the root splits
+        root[column] = value
+        with pytest.raises(MalformedModel):
+            load_model(container(json.dumps(payload).encode()))
+
+    @pytest.mark.parametrize("kind", TREE_KINDS, ids=lambda k: k.value)
+    def test_tree_leaf_with_no_samples(self, kind):
+        payload = valid_payload_dict(kind)
+        nodes = first_tree(payload)
+        leaf = next(row for row in nodes if row[0] == -1)
+        leaf[4] = leaf[5] = 0
         with pytest.raises(MalformedModel):
             load_model(container(json.dumps(payload).encode()))
 
