@@ -11,8 +11,9 @@ everywhere ``score >= 0.5 -> ransomware`` so exact ties fail safe.
 from __future__ import annotations
 
 import enum
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Union
 
 import numpy as np
@@ -76,8 +77,11 @@ def kind_from_name(text: str) -> ClassifierKind:
         raise InvalidHyperparams(f"unknown classifier kind: {text!r}") from None
 
 
-_SEED_CHECK = (lambda hp: 0 <= hp.seed <= 2 ** 64 - 1,
-               "seed must fit an unsigned 64-bit int")
+_GENERIC_CHECKS = (
+    (lambda hp: 0 <= hp.seed <= 2 ** 64 - 1, "seed must fit an unsigned 64-bit int"),
+    (lambda hp: all(math.isfinite(v) for v in astuple(hp) if isinstance(v, float)),
+     "hyperparameters must be finite"),
+)
 
 
 def default_hyperparams(kind: ClassifierKind, seed: int = 42) -> Hyperparams:
@@ -90,7 +94,7 @@ def validate_hyperparams(kind: ClassifierKind, hp: Hyperparams) -> None:
         raise InvalidHyperparams(
             f"{kind.value} expects {family.Params.__name__}, got {type(hp).__name__}"
         )
-    for holds, message in (_SEED_CHECK, *family.CHECKS):
+    for holds, message in (*_GENERIC_CHECKS, *family.CHECKS):
         if not holds(hp):
             raise InvalidHyperparams(message)
 

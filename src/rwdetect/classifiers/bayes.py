@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import vector
+from ..features import N_FEATURES
+from ._arrays import array, number
 
 ALIAS = "bayes"
 SCALED = False
@@ -85,9 +86,10 @@ def params_out(state: BayesState) -> dict:
 
 
 def params_in(obj: dict, hp: BayesParams) -> BayesState:
-    vectors = [vector(obj[key]) for key in
-               ("mean_pos", "var_pos", "mean_neg", "var_neg")]
-    if len({len(v) for v in vectors}) != 1:
-        raise ValueError("class statistic lengths disagree")
-    return BayesState(float(obj["log_prior_pos"]),
-                      float(obj["log_prior_neg"]), *vectors)
+    mean_pos, var_pos, mean_neg, var_neg = (
+        array(obj[key], (N_FEATURES,))
+        for key in ("mean_pos", "var_pos", "mean_neg", "var_neg"))
+    if (var_pos <= 0).any() or (var_neg <= 0).any():
+        raise ValueError("variances must be positive")
+    return BayesState(number(obj["log_prior_pos"]), number(obj["log_prior_neg"]),
+                      mean_pos, var_pos, mean_neg, var_neg)

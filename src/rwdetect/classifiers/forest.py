@@ -79,6 +79,8 @@ def params_out(state: ForestState) -> dict:
 
 def params_in(obj: dict, hp: ForestParams) -> ForestState:
     trees = [tree.nodes_in(t) for t in obj["trees"]]
+    if not trees:
+        raise ValueError("a forest needs at least one tree")
     used = [tuple(int(f) for f in u) for u in obj["features_used"]]
     if len(used) != len(trees):
         raise ValueError("features_used and trees disagree")

@@ -8,6 +8,7 @@ import numpy as np
 
 from ..errors import InvalidHyperparams
 from ..features import N_FEATURES
+from ._arrays import array
 
 ALIAS = "knn"
 SCALED = True
@@ -66,9 +67,7 @@ def params_out(state: KnnState) -> dict:
 
 def params_in(obj: dict, hp: KnnParams) -> KnnState:
     labels = np.asarray(obj["labels"], dtype=np.uint8)
-    points = np.asarray(obj["points"], dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != N_FEATURES:
-        raise ValueError(f"points must be (n, {N_FEATURES}), got {points.shape}")
+    points = array(obj["points"], (None, N_FEATURES))
     if labels.ndim != 1 or len(labels) != len(points):
         raise ValueError("labels and points disagree")
     if not np.isin(labels, (0, 1)).all():

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..features import N_FEATURES
+from ._arrays import array
+
 ALIAS = "mlp"
 SCALED = True
 
@@ -103,9 +106,7 @@ def params_out(state: MlpState) -> dict:
 
 
 def params_in(obj: dict, hp: MlpParams) -> MlpState:
-    w1, b1, w2, b2 = (np.asarray(obj[key], dtype=np.float64)
-                      for key in ("w1", "b1", "w2", "b2"))
-    if w1.ndim != 2 or b1.shape != (w1.shape[1],) \
-            or w2.shape != (len(b1), 1) or b2.shape != (1,):
-        raise ValueError("layer shapes disagree")
-    return MlpState(w1=w1, b1=b1, w2=w2, b2=b2)
+    w1 = array(obj["w1"], (N_FEATURES, None))
+    hidden = w1.shape[1]
+    return MlpState(w1=w1, b1=array(obj["b1"], (hidden,)),
+                    w2=array(obj["w2"], (hidden, 1)), b2=array(obj["b2"], (1,)))

@@ -29,8 +29,8 @@ from ..errors import (
     MalformedModel,
     VersionMismatch,
 )
-from ..features import ScalingParams
-from ._arrays import vector
+from ..features import N_FEATURES, ScalingParams
+from ._arrays import array
 from .base import FAMILIES, ClassifierKind, TrainedModel, validate_hyperparams
 
 MODEL_MAGIC = b"RWDMODEL"
@@ -107,12 +107,15 @@ def load_model(data: bytes) -> TrainedModel:
         scaler_obj = payload["scaler"]
         scaler = None
         if scaler_obj is not None:
-            scaler = ScalingParams(mins=vector(scaler_obj["mins"]),
-                                   maxs=vector(scaler_obj["maxs"]),
+            mins, maxs = (array(scaler_obj[key], (N_FEATURES,))
+                          for key in ("mins", "maxs"))
+            if (mins > maxs).any():
+                raise ValueError("scaler mins exceed maxs")
+            scaler = ScalingParams(mins=mins, maxs=maxs,
                                    fitted_on=str(scaler_obj["fitted_on"]))
         fingerprint = str(payload["train_fingerprint"])
         zero_addresses = bool(payload["zero_addresses"])
-    except (KeyError, TypeError, ValueError, InvalidHyperparams) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidHyperparams) as exc:
         raise MalformedModel(f"model payload structure invalid: {exc}") from exc
     return TrainedModel(kind=kind, hyperparams=hp, state=state, scaler=scaler,
                         training_time=0.0, train_fingerprint=fingerprint,

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import vector
+from ..features import N_FEATURES
+from ._arrays import array, number
 
 ALIAS = "svm"
 SCALED = True
@@ -69,4 +70,5 @@ def params_out(state: SvmState) -> dict:
 
 
 def params_in(obj: dict, hp: SvmParams) -> SvmState:
-    return SvmState(weights=vector(obj["weights"]), bias=float(obj["bias"]))
+    return SvmState(weights=array(obj["weights"], (N_FEATURES,)),
+                    bias=number(obj["bias"]))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import N_FEATURES
+from ._arrays import number
 
 ALIAS = "j48"
 SCALED = False
@@ -178,7 +179,7 @@ def nodes_in(obj) -> list[TreeNode]:
             raise ValueError(f"node {i} has a bad feature or child index")
         if not 0 <= pos <= total or total < 1:
             raise ValueError(f"node {i} has bad sample counts")
-        nodes.append(TreeNode(feature, float(threshold), left, right, pos, total))
+        nodes.append(TreeNode(feature, number(threshold), left, right, pos, total))
     if not nodes:
         raise ValueError("empty tree")
     return nodes

@@ -6,6 +6,13 @@ direction.  Endpoint A is whichever endpoint sent the conversation's
 earliest packet.  There is no idle timeout: one key yields one
 conversation per capture.
 
+``aggregate`` keys each flow by (protocol, A, B) as its first packet
+gives them and finds a later packet's flow under (protocol, src, dst),
+then (protocol, dst, src).  Both packet readers canonicalise addresses
+through ``IPv4Address``, so equal strings mean equal addresses.  Only
+the output sort parses them, once per conversation (``Conversation.key``,
+which raises ``AddressValueError`` on a malformed one).
+
 Conversation CSV prints the two time columns with 6 decimal places, so a
 write/read round trip is lossless for microsecond-resolution times (the
 native resolution of classic pcap); nanosecond captures are rounded on
@@ -132,29 +139,21 @@ def aggregate(packets: Iterable[PacketRecord],
                     i, f"packet {i} at {p.timestamp} precedes capture start {capture_start}"
                 )
 
-    order = sorted(range(len(pkts)), key=lambda i: pkts[i].timestamp)
-    flows: dict[ConversationKey, _FlowState] = {}
-    for i in order:
-        p = pkts[i]
-        key = ConversationKey.from_packet(p)
-        state = flows.get(key)
+    flows: dict[tuple, _FlowState] = {}
+    for p in sorted(pkts, key=lambda p: p.timestamp):
+        src, dst = (p.src_addr, p.src_port), (p.dst_addr, p.dst_port)
+        state = flows.get((p.protocol, src, dst)) or flows.get((p.protocol, dst, src))
         if state is None:
-            state = _FlowState(p)
-            flows[key] = state
+            state = flows[p.protocol, src, dst] = _FlowState(p)
         state.add(p)
 
     conversations = []
-    for key, st in flows.items():
-        a_addr, a_port = st.a_endpoint
-        if (ip_to_u32(a_addr), a_port) == key.endpoint_low:
-            b_u32, b_port = key.endpoint_high
-        else:
-            b_u32, b_port = key.endpoint_low
+    for (protocol, (a_addr, a_port), (b_addr, b_port)), st in flows.items():
         conversations.append(Conversation(
-            protocol=key.protocol,
+            protocol=protocol,
             address_a=a_addr,
             port_a=a_port,
-            address_b=_capture.u32_to_ip(b_u32),
+            address_b=b_addr,
             port_b=b_port,
             packets=st.packets_ab + st.packets_ba,
             bytes=st.bytes_ab + st.bytes_ba,

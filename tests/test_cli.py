@@ -272,6 +272,21 @@ class TestDetect:
         assert run(["detect", self.capture_csv(workspace),
                     "--model", str(path)]) == 1
 
+    def test_resealed_narrow_svm_exit_1(self, workspace, capsys):
+        model = workspace / "svm.bin"
+        assert run(["train", str(workspace / "data.csv"), "--kind", "svm",
+                    "--param", "iterations=200", "-o", str(model)]) == 0
+        blob = model.read_bytes()
+        head = len(MODEL_MAGIC) + 6
+        payload = json.loads(blob[head:-32])
+        payload["params"]["weights"] = [1.0, 2.0]     # 2 features, not 13
+        body = json.dumps(payload).encode()
+        resealed = blob[:head - 4] + struct.pack(">I", len(body)) + body
+        model.write_bytes(resealed + hashlib.sha256(resealed).digest())
+        assert run(["detect", self.capture_csv(workspace),
+                    "--model", str(model)]) == 1
+        assert "model payload structure invalid" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_flags(self, workspace, capsys):

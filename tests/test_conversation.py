@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from ipaddress import AddressValueError
+from itertools import product
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rwdetect.capture import TCP, UDP
@@ -210,6 +213,62 @@ class TestConservation:
         convs = aggregate(packets)
         keys = [c.key() for c in convs]
         assert len(set(keys)) == len(keys)
+
+
+def reference_aggregate(packets) -> list[Conversation]:
+    """``aggregate``'s contract, grouping by ``ConversationKey.from_packet``."""
+    flows = {}
+    for p in sorted(packets, key=lambda p: p.timestamp):
+        flows.setdefault(ConversationKey.from_packet(p), []).append(p)
+    start = min(p.timestamp for p in packets)
+    out = []
+    for key, ps in flows.items():
+        a = (ps[0].src_addr, ps[0].src_port)
+        ab = [p.wire_bytes for p in ps if (p.src_addr, p.src_port) == a]
+        ba = [p.wire_bytes for p in ps if (p.src_addr, p.src_port) != a]
+        out.append(Conversation(
+            key.protocol, *a, ps[0].dst_addr, ps[0].dst_port, len(ps),
+            sum(ab) + sum(ba), len(ab), sum(ab), len(ba), sum(ba),
+            ps[0].timestamp - start, ps[-1].timestamp - ps[0].timestamp))
+    return sorted(out, key=lambda c: (c.rel_start, c.key().sort_key()))
+
+
+SMALL_SITE = list(product(("10.0.0.2", "10.0.0.10", "192.168.1.1"), (80, 1000)))
+
+
+@st.composite
+def small_site_streams(draw):
+    """Packets among 2-3 endpoints: both directions, self-talk, equal times."""
+    endpoints = draw(st.lists(st.sampled_from(SMALL_SITE), min_size=2,
+                              max_size=3, unique=True))
+    ends = st.sampled_from(endpoints)
+    return draw(st.lists(st.builds(
+        lambda t, src, dst, proto, size: make_packet(t, *src, *dst, proto, size),
+        st.integers(0, 3).map(float), ends, ends, st.sampled_from((TCP, UDP)),
+        st.integers(1, 1500),
+    ), min_size=1, max_size=30))
+
+
+class TestAgainstReference:
+    @given(small_site_streams())
+    @example([
+        make_packet(1.0, "10.0.0.10", 80, "10.0.0.2", 1000, TCP, 60),
+        make_packet(1.0, "10.0.0.2", 1000, "10.0.0.10", 80, TCP, 70),
+        make_packet(1.0, "10.0.0.2", 1000, "10.0.0.10", 80, UDP, 80),
+        make_packet(0.0, "10.0.0.2", 1000, "10.0.0.2", 1000, UDP, 90),
+        make_packet(2.0, "10.0.0.10", 80, "10.0.0.2", 1000, UDP, 100),
+    ])
+    def test_matches_grouping_by_key(self, packets):
+        assert aggregate(packets) == reference_aggregate(packets)
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_non_canonical_address_raises(self, bad_first):
+        good = make_packet(1.0, "10.0.0.1", 1000, "10.0.0.2", 80)
+        bad = make_packet(2.0, "10.0.0.2", 80, "10.0.0.01", 1000)
+        if bad_first:
+            bad = make_packet(0.5, "10.0.0.01", 1000, "10.0.0.2", 80)
+        with pytest.raises(AddressValueError):
+            aggregate([good, bad])
 
 
 class TestConversationCsv:

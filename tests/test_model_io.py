@@ -252,6 +252,71 @@ class TestTampering:
         with pytest.raises(MalformedModel):
             load_model(container(json.dumps(payload).encode()))
 
+    @pytest.mark.parametrize("kind,key,value", [
+        (ClassifierKind.SVM, "weights", [1.0, 2.0]),
+        (ClassifierKind.BAYES, "var_pos", [-1.0] * 13),
+        (ClassifierKind.BAYES, "var_pos", [0.0] * 13),
+    ], ids=["svm-2-weights", "bayes-negative-variances", "bayes-zero-variances"])
+    def test_bad_class_vector(self, kind, key, value):
+        payload = valid_payload_dict(kind)
+        payload["params"][key] = value
+        with pytest.raises(MalformedModel):
+            load_model(container(json.dumps(payload).encode()))
+
+    def test_bayes_vectors_need_13_values(self):
+        payload = valid_payload_dict(ClassifierKind.BAYES)
+        for key in ("mean_pos", "var_pos", "mean_neg", "var_neg"):
+            payload["params"][key] = payload["params"][key][:3]
+        with pytest.raises(MalformedModel):
+            load_model(container(json.dumps(payload).encode()))
+
+    def test_mlp_w1_needs_13_rows(self):
+        payload = valid_payload_dict(ClassifierKind.MLP)
+        payload["params"]["w1"] = payload["params"]["w1"][:3]
+        with pytest.raises(MalformedModel):
+            load_model(container(json.dumps(payload).encode()))
+
+    def test_forest_without_trees(self):
+        payload = valid_payload_dict(ClassifierKind.RANDOM_FOREST)
+        payload["params"]["trees"] = []
+        payload["params"]["features_used"] = []
+        with pytest.raises(MalformedModel):
+            load_model(container(json.dumps(payload).encode()))
+
+    @pytest.mark.parametrize("key,value", [
+        ("mins", [0.0] * 3), ("maxs", [1.0] * 14), ("mins", [1e9] * 13),
+    ], ids=["3-mins", "14-maxs", "mins-above-maxs"])
+    def test_bad_scaler(self, key, value):
+        payload = valid_payload_dict(ClassifierKind.MLP)
+        payload["scaler"][key] = value
+        with pytest.raises(MalformedModel):
+            load_model(container(json.dumps(payload).encode()))
+
+    @pytest.mark.parametrize("kind,path", [
+        (ClassifierKind.MLP, ("params", "b2", 0)),
+        (ClassifierKind.MLP, ("params", "w1", 0, 0)),
+        (ClassifierKind.MLP, ("scaler", "maxs", 0)),
+        (ClassifierKind.MLP, ("hyperparams", "learning_rate")),
+        (ClassifierKind.SVM, ("params", "bias")),
+        (ClassifierKind.KNN, ("params", "points", 0, 0)),
+        (ClassifierKind.BAYES, ("params", "mean_pos", 0)),
+        (ClassifierKind.BAYES, ("params", "log_prior_neg")),
+        (ClassifierKind.J48, ("params", "nodes", 0, 1)),
+        (ClassifierKind.J48, ("params", "nodes", 0, 0)),
+        (ClassifierKind.RANDOM_FOREST, ("params", "trees", 0, 0, 1)),
+    ], ids=lambda v: v.value if isinstance(v, ClassifierKind) else "-".join(map(str, v)))
+    @pytest.mark.parametrize("number", [float("nan"), float("inf"), float("-inf")],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number(self, kind, path, number):
+        payload = valid_payload_dict(kind)
+        *parents, last = path
+        target = payload
+        for step in parents:
+            target = target[step]
+        target[last] = number
+        with pytest.raises(MalformedModel):
+            load_model(container(json.dumps(payload).encode()))
+
     def test_non_numeric_matrix_cell(self):
         payload = valid_payload_dict(ClassifierKind.KNN)
         payload["params"]["points"][0][0] = "high"
