@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import socket
 import struct
 from dataclasses import dataclass
 from ipaddress import AddressValueError, IPv4Address
@@ -77,6 +78,7 @@ class CaptureSummary:
     packets_read: int = 0
     packets_skipped_non_ip: int = 0
     packets_skipped_unsupported_protocol: int = 0
+    rows_skipped_malformed: int = 0     # packet CSV rows, lenient reads only
     capture_start: float = 0.0
     capture_end: float = 0.0
     # None, "truncated_header" or "truncated_record"; truncation is not fatal,
@@ -213,9 +215,9 @@ def _decode_frame(frame: bytes, timestamp: float, orig_len: int,
     src_port, dst_port = struct.unpack(">HH", ip[ihl:ihl + 4])
     return PacketRecord(
         timestamp=timestamp,
-        src_addr=str(IPv4Address(ip[12:16])),
+        src_addr=socket.inet_ntoa(ip[12:16]),
         src_port=src_port,
-        dst_addr=str(IPv4Address(ip[16:20])),
+        dst_addr=socket.inet_ntoa(ip[16:20]),
         dst_port=dst_port,
         protocol=protocol,
         wire_bytes=orig_len,

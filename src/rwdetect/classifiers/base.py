@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -94,6 +94,11 @@ def validate_hyperparams(kind: ClassifierKind, hp: Hyperparams) -> None:
         raise InvalidHyperparams(
             f"{kind.value} expects {family.Params.__name__}, got {type(hp).__name__}"
         )
+    for f in fields(hp):    # exact types: a bool is no int, an int may stand for a float
+        got, wanted = type(getattr(hp, f.name)), type(f.default)
+        if got is not wanted and (got, wanted) != (int, float):
+            raise InvalidHyperparams(
+                f"{f.name} must be {wanted.__name__}, got {got.__name__}")
     for holds, message in (*_GENERIC_CHECKS, *family.CHECKS):
         if not holds(hp):
             raise InvalidHyperparams(message)

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .capture import PCAP_MAGICS, parse_packet_csv, parse_packet_csv_lenient, parse_pcap
+from .capture import CaptureSummary
 from .classifiers import (
     ALL_KINDS,
     KIND_ALIASES,
@@ -36,7 +36,7 @@ from .detect import (
     alert_to_json,
     alert_warning_line,
     detect_stream,
-    read_packet_source,
+    load_packets,
 )
 from .errors import InvalidHyperparams, RwdetectError
 from .eval import SplitSpec, benchmark, evaluate, render_report_csv, render_report_json
@@ -106,35 +106,21 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _load_packets(path: str, lenient: bool):
-    """(packets, skipped_malformed, skipped_unsupported, note) from any source."""
-    data = Path(path).read_bytes()
-    if data[:4] in PCAP_MAGICS:
-        records, summary = parse_pcap(data)
-        note = f" ({summary.error})" if summary.truncated else ""
-        skipped = (summary.packets_skipped_non_ip
-                   + summary.packets_skipped_unsupported_protocol)
-        return records, 0, skipped, note
-    text = data.decode("utf-8")
-    if lenient:
-        records, bad = parse_packet_csv_lenient(text)
-        return records, bad, 0, ""
-    return parse_packet_csv(text), 0, 0, ""
+def _skip_clause(c: CaptureSummary) -> str:
+    """What loading skipped, counted by reason, and the truncation kind if any."""
+    truncation = f"; {c.error}" if c.truncated else ""
+    return (f"(skipped {c.rows_skipped_malformed} malformed, {c.packets_skipped_non_ip} "
+            f"non-IP, {c.packets_skipped_unsupported_protocol} unsupported{truncation})")
 
 
 def _cmd_extract(args) -> int:
     _echo_config("extract", input=args.input, lenient=args.lenient,
                  seed=args.seed)
-    packets, malformed, unsupported, note = _load_packets(args.input,
-                                                          args.lenient)
+    packets, capture = load_packets(args.input, args.lenient)
     conversations = aggregate(packets)
     _write_text(args.output, conversations_to_csv(conversations))
-    print(
-        f"extract: {len(packets)} packets -> {len(conversations)} "
-        f"conversations (skipped {malformed} malformed, {unsupported} "
-        f"unsupported){note}",
-        file=sys.stderr,
-    )
+    print(f"extract: {len(packets)} packets -> {len(conversations)} "
+          f"conversations {_skip_clause(capture)}", file=sys.stderr)
     return 0
 
 
@@ -260,8 +246,7 @@ def _cmd_detect(args) -> int:
     _echo_config("detect", model=args.model, interval=args.interval,
                  text=args.text, seed=args.seed)
     model = read_model(args.model)
-    packets, malformed, unsupported, note = _load_packets(args.input,
-                                                          lenient=True)
+    packets, capture = load_packets(args.input, lenient=True)
     spec = WindowSpec(interval=args.interval)
 
     out = sys.stdout if args.output in (None, "-") else open(args.output, "w")
@@ -271,17 +256,13 @@ def _cmd_detect(args) -> int:
             out.write(line + "\n")
 
         summary = detect_stream(packets, model, spec, sink,
-                                skipped_malformed=malformed)
+                                skipped_malformed=capture.rows_skipped_malformed)
     finally:
         if out is not sys.stdout:
             out.close()
-    print(
-        f"detect: {summary.packets} packets in {summary.windows} windows -> "
-        f"{summary.conversations} conversations, {summary.alerts} alerts "
-        f"(skipped {summary.skipped_malformed} malformed, "
-        f"{summary.skipped_unsupported + unsupported} unsupported){note}",
-        file=sys.stderr,
-    )
+    print(f"detect: {summary.packets} packets in {summary.windows} windows -> "
+          f"{summary.conversations} conversations, {summary.alerts} alerts "
+          f"{_skip_clause(capture)}", file=sys.stderr)
     return 0
 
 

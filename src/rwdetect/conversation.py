@@ -8,10 +8,10 @@ conversation per capture.
 
 ``aggregate`` keys each flow by (protocol, A, B) as its first packet
 gives them and finds a later packet's flow under (protocol, src, dst),
-then (protocol, dst, src).  Both packet readers canonicalise addresses
-through ``IPv4Address``, so equal strings mean equal addresses.  Only
-the output sort parses them, once per conversation (``Conversation.key``,
-which raises ``AddressValueError`` on a malformed one).
+then (protocol, dst, src).  Both readers give canonical dotted quads (pcap
+via ``inet_ntoa``, CSV via ``IPv4Address``), so equal strings mean equal
+addresses.  Only the output sort parses them, once per conversation
+(``Conversation.key``, which raises ``AddressValueError`` on a bad one).
 
 Conversation CSV prints the two time columns with 6 decimal places, so a
 write/read round trip is lossless for microsecond-resolution times (the

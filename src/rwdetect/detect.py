@@ -22,13 +22,15 @@ from .capture import (
     PCAP_MAGICS,
     SUPPORTED_PROTOCOLS,
     TCP,
+    CaptureSummary,
     PacketRecord,
+    parse_packet_csv,
     parse_packet_csv_lenient,
     parse_pcap,
 )
 from .classifiers import Prediction, TrainedModel, model_fingerprint, predict_many
 from .conversation import Conversation, aggregate
-from .errors import ClockSkew, SinkFailure
+from .errors import BadMagic, ClockSkew, SinkFailure
 from .features import FEATURE_NAMES, Label, encode
 
 import numpy as np
@@ -142,21 +144,32 @@ def detect_stream(packets: Sequence[PacketRecord], model: TrainedModel,
     return summary(len(windows))
 
 
-def read_packet_source(path: str | Path) -> tuple[list[PacketRecord], int, int]:
-    """Load a capture file or packet CSV for detection.
+def load_packets(path: str | Path,
+                 lenient: bool) -> tuple[list[PacketRecord], CaptureSummary]:
+    """Read a classic pcap file or packet CSV, told apart by the first bytes.
 
-    Returns (packets, skipped_malformed, skipped_unsupported).  The
-    format is sniffed from the leading bytes; CSV parsing is lenient so
-    a stream with stray bad rows still yields its good packets.
+    A bad CSV row raises RowError, or with ``lenient`` is counted in
+    ``rows_skipped_malformed``.  Input that is neither pcap nor UTF-8 text
+    raises BadMagic.
     """
     data = Path(path).read_bytes()
     if data[:4] in PCAP_MAGICS:
-        records, summary = parse_pcap(data)
-        skipped = (summary.packets_skipped_non_ip
-                   + summary.packets_skipped_unsupported_protocol)
-        return records, 0, skipped
-    records, bad_rows = parse_packet_csv_lenient(data.decode("utf-8"))
-    return records, bad_rows, 0
+        return parse_pcap(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise BadMagic(f"{path}: neither a classic pcap file nor UTF-8 packet CSV") from None
+    records, malformed = (parse_packet_csv_lenient(text) if lenient
+                          else (parse_packet_csv(text), 0))
+    return records, CaptureSummary(packets_read=len(records),
+                                   rows_skipped_malformed=malformed)
+
+
+def read_packet_source(path: str | Path) -> tuple[list[PacketRecord], int, int]:
+    """(packets, malformed CSV rows, skipped frames) of a lenient ``load_packets``."""
+    records, s = load_packets(path, lenient=True)
+    return (records, s.rows_skipped_malformed,
+            s.packets_skipped_non_ip + s.packets_skipped_unsupported_protocol)
 
 
 def alert_to_json(alert: Alert) -> str:

@@ -8,6 +8,7 @@ so every classifier evaluated under the same spec sees identical folds.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,8 +29,6 @@ REPORT_CSV_HEADER = [
     "classifier", "TPR(%)", "FPR(%)", "Precision", "Recall",
     "F-measure", "Accuracy score", "training_time_s",
 ]
-
-_METRIC_FIELDS = ("tpr", "fpr", "precision", "recall", "f_measure", "accuracy")
 
 
 @dataclass(frozen=True)
@@ -78,6 +77,9 @@ class MetricValues:
     accuracy: float | None
 
 
+_METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(MetricValues))
+
+
 def metrics(counts: ConfusionCounts) -> MetricValues:
     """The six rates; any zero-denominator metric comes back None."""
     tp, fn, fp, tn = counts.tp, counts.fn, counts.fp, counts.tn
@@ -95,14 +97,8 @@ def metrics(counts: ConfusionCounts) -> MetricValues:
 
 
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(MetricValues):
     classifier: str
-    tpr: float | None
-    fpr: float | None
-    precision: float | None
-    recall: float | None
-    f_measure: float | None
-    accuracy: float | None
     training_time_s: float
     train_fingerprint: str | None = None
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+from ipaddress import IPv4Address
 
 import pytest
 from hypothesis import given
@@ -47,6 +48,13 @@ class TestAddressCodec:
     def test_extremes(self):
         assert ip_to_u32("0.0.0.0") == 0
         assert ip_to_u32("255.255.255.255") == 2**32 - 1
+
+    @given(st.binary(min_size=4, max_size=4), st.binary(min_size=4, max_size=4))
+    def test_pcap_addresses_match_ipv4address(self, src, dst):
+        dotted = [".".join(map(str, raw)) for raw in (src, dst)]
+        records, _ = parse_pcap(build_pcap([(1.0, tcp_udp_frame(*dotted, TCP, 1, 2))]))
+        assert (records[0].src_addr, records[0].dst_addr) == (
+            str(IPv4Address(src)), str(IPv4Address(dst)))
 
 
 class TestParsePcap:

@@ -89,6 +89,17 @@ class TestKindRegistry:
         with pytest.raises(InvalidHyperparams):
             validate_hyperparams(kind, bad)
 
+    @pytest.mark.parametrize("kind,bad", [
+        (ClassifierKind.KNN, KnnParams(k=2.5)),
+        (ClassifierKind.KNN, KnnParams(k=True)),
+        (ClassifierKind.RANDOM_FOREST, ForestParams(bootstrap=1)),
+        (ClassifierKind.SVM, SvmParams(c="1.0")),
+        (ClassifierKind.MLP, MlpParams(seed=7.0)),
+    ])
+    def test_wrong_value_types(self, kind, bad):
+        with pytest.raises(InvalidHyperparams, match="must be"):
+            validate_hyperparams(kind, bad)
+
     def test_wrong_dataclass_type(self):
         with pytest.raises(InvalidHyperparams):
             validate_hyperparams(ClassifierKind.KNN, MlpParams())

@@ -15,7 +15,7 @@ from rwdetect.classifiers import MODEL_MAGIC, read_model
 from rwdetect.conversation import aggregate, conversations_to_csv
 from rwdetect.eval import REPORT_CSV_HEADER
 
-from conftest import make_conversation, make_packet
+from conftest import build_pcap, ether_frame, make_conversation, make_packet, tcp_udp_frame
 
 
 def flow_packets(t0, src, sport, dst, dport, n, size):
@@ -286,6 +286,62 @@ class TestDetect:
         assert run(["detect", self.capture_csv(workspace),
                     "--model", str(model)]) == 1
         assert "model payload structure invalid" in capsys.readouterr().err
+
+    def test_resealed_fractional_k_exit_1(self, workspace, capsys):
+        model = workspace / "knn.bin"
+        assert run(["train", str(workspace / "data.csv"), "--kind", "knn",
+                    "-o", str(model)]) == 0
+        blob = model.read_bytes()
+        head = len(MODEL_MAGIC) + 6
+        payload = json.loads(blob[head:-32])
+        payload["hyperparams"]["k"] = 2.5
+        body = json.dumps(payload).encode()
+        resealed = blob[:head - 4] + struct.pack(">I", len(body)) + body
+        model.write_bytes(resealed + hashlib.sha256(resealed).digest())
+        assert run(["detect", self.capture_csv(workspace),
+                    "--model", str(model)]) == 1
+        assert "k must be int" in capsys.readouterr().err
+
+
+class TestSkipReport:
+    """extract and detect name each skip reason of the capture they load."""
+
+    @pytest.fixture
+    def mixed_pcap(self, tmp_path):
+        tcp = tcp_udp_frame("10.0.0.7", "10.0.0.8", 6, 1111, 80)
+        frames = [
+            (1.0, ether_frame(bytes(28), ethertype=0x0806)),     # ARP
+            (1.5, tcp_udp_frame("10.0.0.7", "10.0.0.8", 1, 0, 0)),   # ICMP
+            (2.0, tcp), (2.5, tcp), (3.0, tcp),
+        ]
+        path = tmp_path / "mixed.pcap"
+        path.write_bytes(build_pcap(frames)[:-10])    # the last record is cut
+        return str(path)
+
+    @staticmethod
+    def assert_skips(err):
+        assert "(skipped 0 malformed, 1 non-IP, 1 unsupported; truncated_record)" in err
+
+    def test_extract(self, mixed_pcap, capsys):
+        assert run(["extract", mixed_pcap]) == 0
+        err = capsys.readouterr().err
+        assert "extract: 2 packets -> 1 conversations" in err
+        self.assert_skips(err)
+
+    def test_detect(self, workspace, mixed_pcap, capsys):
+        assert run(["detect", mixed_pcap, "--model",
+                    trained_model_path(workspace)]) == 0
+        err = capsys.readouterr().err
+        assert "detect: 2 packets in 1 windows" in err
+        self.assert_skips(err)
+
+    def test_pcapng_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "wire.pcapng"
+        path.write_bytes(struct.pack("<IIIHHqI", 0x0A0D0D0A, 28, 0x1A2B3C4D,
+                                     1, 0, -1, 28))
+        assert run(["extract", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "neither a classic pcap file nor UTF-8 packet CSV" in err
 
 
 class TestConfigFile:

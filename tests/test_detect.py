@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from rwdetect.detect import (
     read_packet_source,
     window_packets,
 )
-from rwdetect.errors import ClockSkew, SinkFailure
+from rwdetect.errors import BadMagic, ClockSkew, SinkFailure
 from rwdetect.features import FEATURE_NAMES, Dataset, Label, LabeledSample, encode
 
 from conftest import build_pcap, make_packet, tcp_udp_frame
@@ -288,6 +289,14 @@ class TestPacketSource:
         packets, _, unsupported = read_packet_source(path)
         assert len(packets) == 1
         assert unsupported == 1
+
+    def test_pcapng_is_bad_magic(self, tmp_path):
+        # a pcapng section header block: neither classic pcap nor UTF-8
+        path = tmp_path / "wire.pcapng"
+        path.write_bytes(struct.pack("<IIIHHqI", 0x0A0D0D0A, 28, 0x1A2B3C4D,
+                                     1, 0, -1, 28))
+        with pytest.raises(BadMagic, match="pcap.*packet CSV"):
+            read_packet_source(path)
 
 
 class TestAlertRendering:

@@ -208,6 +208,18 @@ class TestTampering:
         with pytest.raises(MalformedModel):
             load_model(container(json.dumps(payload).encode()))
 
+    @pytest.mark.parametrize("k", [2.5, True], ids=["float", "bool"])
+    def test_hyperparam_of_wrong_type(self, k):
+        payload = valid_payload_dict(ClassifierKind.KNN)
+        payload["hyperparams"]["k"] = k
+        with pytest.raises(MalformedModel, match="k must be int"):
+            load_model(container(json.dumps(payload).encode()))
+
+    def test_int_stands_in_for_float_hyperparam(self):
+        payload = valid_payload_dict(ClassifierKind.SVM)
+        payload["hyperparams"]["c"] = 1
+        assert load_model(container(json.dumps(payload).encode())).hyperparams.c == 1
+
     def test_wrong_param_shape(self):
         payload = valid_payload_dict(ClassifierKind.KNN)
         payload["params"]["points"] = [[1.0, 2.0]]    # 2 columns, not 13
