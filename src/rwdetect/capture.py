@@ -46,15 +46,13 @@ PACKET_CSV_HEADER = [
     "protocol", "wire_bytes",
 ]
 
-_MAGIC_MICROS = 0xA1B2C3D4
-_MAGIC_NANOS = 0xA1B23C4D
-
-#: The four leading byte sequences a classic pcap file can start with.
-PCAP_MAGICS = frozenset(
-    struct.pack(order + "I", magic)
+#: The four leading byte sequences a classic pcap file can start with,
+#: each mapped to its (byte order, timestamp divisor).
+PCAP_MAGICS = {
+    struct.pack(order + "I", magic): (order, divisor)
     for order in ("<", ">")
-    for magic in (_MAGIC_MICROS, _MAGIC_NANOS)
-)
+    for magic, divisor in ((0xA1B2C3D4, 1e6), (0xA1B23C4D, 1e9))
+}
 
 _ETHERTYPE_IPV4 = 0x0800
 _ETHERTYPE_VLAN = 0x8100
@@ -111,18 +109,10 @@ def parse_pcap(data) -> tuple[list[PacketRecord], CaptureSummary]:
     if len(buf) < 4:
         raise BadMagic("input shorter than a pcap magic number")
 
-    byte_order = None
-    ts_divisor = None
-    for order in ("<", ">"):
-        magic = struct.unpack(order + "I", buf[:4])[0]
-        if magic == _MAGIC_MICROS:
-            byte_order, ts_divisor = order, 1e6
-            break
-        if magic == _MAGIC_NANOS:
-            byte_order, ts_divisor = order, 1e9
-            break
-    if byte_order is None:
-        raise BadMagic(f"unrecognized magic {buf[:4].hex()}")
+    try:
+        byte_order, ts_divisor = PCAP_MAGICS[buf[:4]]
+    except KeyError:
+        raise BadMagic(f"unrecognized magic {buf[:4].hex()}") from None
 
     summary = CaptureSummary()
     if len(buf) < 24:
@@ -274,12 +264,17 @@ def _parse_packet_row(row: list[str], line: int) -> PacketRecord:
 
 
 def _csv_rows(text, header: list[str], what: str):
-    """``(line, row)`` per data row of CSV text or a text file; checks the header."""
+    """``(line, row)`` per data row of CSV text or a text file; checks the header.
+
+    One leading byte-order mark (U+FEFF, as ``ef bb bf`` decodes) is dropped.
+    """
     reader = csv.reader(io.StringIO(text) if isinstance(text, str) else text)
     try:
         found = next(reader)
     except StopIteration:
         raise SchemaMismatch(f"empty input, expected a {what} CSV header") from None
+    if found and found[0].startswith("\ufeff"):
+        found[0] = found[0][1:]
     if found != header:
         raise SchemaMismatch(
             f"bad header {','.join(found)!r}, expected {','.join(header)!r}"

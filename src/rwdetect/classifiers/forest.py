@@ -4,6 +4,10 @@ Per-tree randomness comes from independent generators spawned off the
 forest seed, consumed in tree order: first the bootstrap draw (when
 enabled), then the per-node feature subsets.  The ensemble score is the
 unweighted mean of the tree leaf scores.
+
+A forest is its list of trees.  The model file also lists each tree's
+split features (``features_used``); they are derived from the trees when
+written and must match them when read.
 """
 
 from __future__ import annotations
@@ -37,20 +41,13 @@ CHECKS = (
 )
 
 
-@dataclass
-class ForestState:
-    trees: list[list[tree.TreeNode]]
-    features_used: list[tuple[int, ...]]  # per tree, ascending
-
-
-def fit(x: np.ndarray, y: np.ndarray, hp: ForestParams) -> ForestState:
+def fit(x: np.ndarray, y: np.ndarray, hp: ForestParams) -> list[list[tree.TreeNode]]:
     n = len(y)
     subset = hp.features_per_split
     if subset >= x.shape[1]:
         subset = None  # full feature set: identical to a plain tree build
     children = np.random.SeedSequence(hp.seed).spawn(hp.trees)
     trees = []
-    used = []
     for child in children:
         rng = np.random.Generator(np.random.PCG64(child))
         if hp.bootstrap:
@@ -58,30 +55,27 @@ def fit(x: np.ndarray, y: np.ndarray, hp: ForestParams) -> ForestState:
             xb, yb = x[picks], y[picks]
         else:
             xb, yb = x, y
-        nodes = tree.build(xb, yb, min_leaf=hp.min_leaf,
-                           rng=rng, features_per_split=subset)
-        trees.append(nodes)
-        used.append(tree.features_used(nodes))
-    return ForestState(trees, used)
+        trees.append(tree.build(xb, yb, min_leaf=hp.min_leaf,
+                                rng=rng, features_per_split=subset))
+    return trees
 
 
-def scores(state: ForestState, queries: np.ndarray) -> np.ndarray:
-    total = np.zeros(len(queries))
-    for nodes in state.trees:
-        total += tree.scores(nodes, queries)
-    return total / len(state.trees)
+def scores(trees: list[list[tree.TreeNode]], queries: np.ndarray) -> np.ndarray:
+    rows = queries.tolist()
+    total = np.zeros(len(rows))
+    for nodes in trees:
+        total += tree.leaf_scores(nodes, rows)
+    return total / len(trees)
 
 
-def params_out(state: ForestState) -> dict:
-    return {"trees": [tree.nodes_out(t) for t in state.trees],
-            "features_used": [list(u) for u in state.features_used]}
+def params_out(trees: list[list[tree.TreeNode]]) -> dict:
+    return {"trees": trees, "features_used": [tree.features_used(t) for t in trees]}
 
 
-def params_in(obj: dict, hp: ForestParams) -> ForestState:
+def params_in(obj: dict, hp: ForestParams) -> list[list[tree.TreeNode]]:
     trees = [tree.nodes_in(t) for t in obj["trees"]]
     if not trees:
         raise ValueError("a forest needs at least one tree")
-    used = [tuple(int(f) for f in u) for u in obj["features_used"]]
-    if len(used) != len(trees):
-        raise ValueError("features_used and trees disagree")
-    return ForestState(trees=trees, features_used=used)
+    if obj["features_used"] != [tree.features_used(t) for t in trees]:
+        raise ValueError("features_used disagrees with the trees")
+    return trees

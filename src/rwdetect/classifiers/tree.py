@@ -5,11 +5,16 @@ feature.  A node stops when it is pure, holds fewer than ``min_leaf``
 samples, or no candidate split has strictly positive information gain.
 No pruning.  When an RNG and a subset size are supplied (random forest
 mode) each node considers only a random feature subset.
+
+A tree is its preorder list of ``TreeNode`` tuples.  A node is the
+``[feature, threshold, left, right, pos, total]`` row of the model file,
+so the list is written as it is and read back through ``nodes_in``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +35,7 @@ Params = TreeParams
 CHECKS = ((lambda hp: hp.min_leaf >= 1, "min_leaf must be at least 1"),)
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     feature: int        # -1 marks a leaf
     threshold: float
     left: int           # child index into the node list, -1 for leaves
@@ -145,8 +149,14 @@ def fit(x: np.ndarray, y: np.ndarray, hp: TreeParams) -> list[TreeNode]:
 
 def scores(nodes: list[TreeNode], queries: np.ndarray) -> np.ndarray:
     """Positive-class fraction of the leaf each query routes to."""
-    out = np.empty(len(queries))
-    for i, row in enumerate(queries):
+    return leaf_scores(nodes, queries.tolist())
+
+
+def leaf_scores(nodes: list[TreeNode], rows: list[list[float]]) -> np.ndarray:
+    """``scores`` over ``queries.tolist()``: Python floats, no numpy scalar
+    per step.  A forest converts its queries once for all its trees."""
+    out = np.empty(len(rows))
+    for i, row in enumerate(rows):
         node = nodes[0]
         while node.feature >= 0:
             child = node.left if row[node.feature] <= node.threshold else node.right
@@ -155,13 +165,8 @@ def scores(nodes: list[TreeNode], queries: np.ndarray) -> np.ndarray:
     return out
 
 
-def features_used(nodes: list[TreeNode]) -> tuple[int, ...]:
-    return tuple(sorted({n.feature for n in nodes if n.feature >= 0}))
-
-
-def nodes_out(nodes: list[TreeNode]) -> list[list]:
-    return [[n.feature, float(n.threshold), n.left, n.right, n.pos, n.total]
-            for n in nodes]
+def features_used(nodes: list[TreeNode]) -> list[int]:
+    return sorted({n.feature for n in nodes if n.feature >= 0})
 
 
 def nodes_in(obj) -> list[TreeNode]:
@@ -186,7 +191,7 @@ def nodes_in(obj) -> list[TreeNode]:
 
 
 def params_out(nodes: list[TreeNode]) -> dict:
-    return {"nodes": nodes_out(nodes)}
+    return {"nodes": nodes}
 
 
 def params_in(obj: dict, hp: TreeParams) -> list[TreeNode]:

@@ -58,7 +58,6 @@ class LabeledSample:
 @dataclass
 class Dataset:
     samples: list[LabeledSample]
-    feature_names: tuple = FEATURE_NAMES
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -76,7 +75,7 @@ class Dataset:
         )
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
-        return Dataset([self.samples[i] for i in indices], self.feature_names)
+        return Dataset([self.samples[i] for i in indices])
 
     def class_counts(self) -> tuple[int, int]:
         pos = int(self.labels01().sum()) if self.samples else 0
@@ -176,7 +175,7 @@ def zero_address_columns(dataset: Dataset) -> Dataset:
     """Copy of the dataset with both address features forced to 0."""
     out = [LabeledSample(zero_address_vector(s.features), s.label, s.origin)
            for s in dataset.samples]
-    return Dataset(out, dataset.feature_names)
+    return Dataset(out)
 
 
 def zero_address_vector(vector: np.ndarray) -> np.ndarray:
@@ -194,12 +193,12 @@ def write_dataset_csv(conv_sets: Sequence[tuple[Sequence[Conversation], Label]])
     ))
 
 
-def read_dataset_csv(text, strict: bool = True) -> Dataset:
+def read_dataset_csv(text) -> Dataset:
     samples = []
     for line, row in _csv_rows(text, DATASET_CSV_HEADER, "dataset"):
         if len(row) != len(DATASET_CSV_HEADER):
             raise RowError(line, f"expected {len(DATASET_CSV_HEADER)} fields, got {len(row)}")
-        conv = parse_conversation_fields(row[:-1], line, strict=strict)
+        conv = parse_conversation_fields(row[:-1], line)
         try:
             label = Label(row[-1])
         except ValueError:

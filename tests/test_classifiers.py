@@ -226,6 +226,7 @@ class TestTree:
         assert (right.pos, right.total) == (2, 2)
         assert predict(model, vec13(f0=2.4)).label is Label.BENIGN
         assert predict(model, vec13(f0=2.6)).label is Label.RANSOMWARE
+        assert predict(model, vec13(f0=2.5)).label is Label.BENIGN  # <= goes left
 
     def test_threshold_is_midpoint_of_distinct_values(self):
         rows = [
@@ -311,13 +312,10 @@ class TestForest:
             [tree_mod.TreeNode(-1, 0.0, -1, -1, int(s), 1)]
             for s in leaf_scores
         ]
-        state = forest_mod.ForestState(
-            trees=trees, features_used=[() for _ in trees]
-        )
         return TrainedModel(
             kind=ClassifierKind.RANDOM_FOREST,
             hyperparams=ForestParams(trees=len(trees)),
-            state=state, scaler=None, training_time=0.0,
+            state=trees, scaler=None, training_time=0.0,
             train_fingerprint="stub",
         )
 
@@ -353,9 +351,10 @@ class TestForest:
     def test_per_tree_feature_records(self):
         ds = gaussian_dataset(n_pos=25, n_neg=25, seed=16)
         model = train(ClassifierKind.RANDOM_FOREST, ds, ForestParams(trees=10))
-        assert len(model.state.features_used) == 10
-        for used, nodes in zip(model.state.features_used, model.state.trees):
-            assert used == tree_mod.features_used(nodes)
+        features_used = forest_mod.params_out(model.state)["features_used"]
+        assert len(features_used) == 10
+        for used, nodes in zip(features_used, model.state):
+            assert used == sorted({n.feature for n in nodes if n.feature >= 0})
             assert all(0 <= f < 13 for f in used)
 
     def test_seed_changes_forest(self):

@@ -80,6 +80,17 @@ class TestExtract:
         assert "config: command=extract" in err
         assert "extract: 3 packets -> 1 conversations" in err
 
+    def test_byte_order_mark(self, tmp_path):
+        text = write_packet_csv(flow_packets(0.0, "10.0.0.1", 5, "10.0.0.2", 6,
+                                             n=3, size=64))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["extract", str(plain), "-o", str(a)]) == 0
+        assert run(["extract", str(marked), "-o", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_stdout_by_default(self, tmp_path, capsys):
         source = tmp_path / "packets.csv"
         source.write_text(write_packet_csv([make_packet(1.0)]))
@@ -105,6 +116,15 @@ class TestLabel:
         assert lines[0].endswith(",label")
         assert sum(1 for l in lines if l.endswith(",ransomware")) == 12
         assert sum(1 for l in lines if l.endswith(",benign")) == 12
+
+    def test_byte_order_mark(self, workspace):
+        marked = workspace / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (workspace / "ransom.csv").read_bytes())
+        assert run(["label", "--ransomware", str(marked),
+                    "--benign", str(workspace / "benign.csv"),
+                    "-o", str(workspace / "marked-data.csv")]) == 0
+        assert ((workspace / "marked-data.csv").read_bytes()
+                == (workspace / "data.csv").read_bytes())
 
     def test_no_inputs_is_usage_error(self, capsys):
         assert run(["label", "-o", "-"]) == 1
@@ -286,6 +306,22 @@ class TestDetect:
         assert run(["detect", self.capture_csv(workspace),
                     "--model", str(model)]) == 1
         assert "model payload structure invalid" in capsys.readouterr().err
+
+    def test_resealed_forest_features_used_exit_1(self, workspace, capsys):
+        model = workspace / "forest.bin"
+        assert run(["train", str(workspace / "data.csv"), "--kind", "forest",
+                    "--param", "trees=3", "-o", str(model)]) == 0
+        blob = model.read_bytes()
+        head = len(MODEL_MAGIC) + 6
+        payload = json.loads(blob[head:-32])
+        used = payload["params"]["features_used"]
+        used[0] = sorted(set(range(13)) - set(used[0]))  # not what tree 0 splits on
+        body = json.dumps(payload).encode()
+        resealed = blob[:head - 4] + struct.pack(">I", len(body)) + body
+        model.write_bytes(resealed + hashlib.sha256(resealed).digest())
+        assert run(["detect", self.capture_csv(workspace),
+                    "--model", str(model)]) == 1
+        assert "features_used disagrees with the trees" in capsys.readouterr().err
 
     def test_resealed_fractional_k_exit_1(self, workspace, capsys):
         model = workspace / "knn.bin"

@@ -253,6 +253,11 @@ class TestDatasetCsv:
         with pytest.raises(SchemaMismatch):
             read_dataset_csv("a,b\n")
 
+    def test_byte_order_mark_accepted(self):
+        text = write_dataset_csv(self.roundtrip_sets())
+        marked = read_dataset_csv("\ufeff" + text)
+        assert dataset_fingerprint(marked) == dataset_fingerprint(read_dataset_csv(text))
+
     def test_non_finite_time(self):
         text = write_dataset_csv(self.roundtrip_sets())
         lines = text.splitlines()

@@ -295,6 +295,17 @@ class TestTampering:
         with pytest.raises(MalformedModel):
             load_model(container(json.dumps(payload).encode()))
 
+    @pytest.mark.parametrize("fault", ["entry-changed", "entry-dropped"])
+    def test_forest_features_used_must_match_trees(self, fault):
+        payload = valid_payload_dict(ClassifierKind.RANDOM_FOREST)
+        used = payload["params"]["features_used"]
+        if fault == "entry-changed":
+            used[0] = sorted(set(range(13)) - set(used[0]))  # not what tree 0 splits on
+        else:
+            del used[-1]
+        with pytest.raises(MalformedModel, match="features_used"):
+            load_model(container(json.dumps(payload).encode()))
+
     @pytest.mark.parametrize("key,value", [
         ("mins", [0.0] * 3), ("maxs", [1.0] * 14), ("mins", [1e9] * 13),
     ], ids=["3-mins", "14-maxs", "mins-above-maxs"])
