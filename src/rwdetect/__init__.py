@@ -62,7 +62,6 @@ from .features import (
     FEATURE_NAMES,
     Dataset,
     Label,
-    LabeledSample,
     ScalingParams,
     apply_scaler,
     dataset_fingerprint,
@@ -88,7 +87,6 @@ __all__ = [
     "EvaluationResult",
     "FEATURE_NAMES",
     "Label",
-    "LabeledSample",
     "MetricsReport",
     "PacketRecord",
     "Prediction",

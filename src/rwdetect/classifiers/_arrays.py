@@ -2,7 +2,8 @@
 
 Every float a family reads from a payload passes through here, so a
 file holding ``NaN`` or an infinity (``json.loads`` accepts both tokens)
-fails to load instead of scoring NaN.
+fails to load instead of scoring NaN.  An integer given as a float or a
+bool fails too, rather than loading truncated or writing back other bytes.
 """
 
 import math
@@ -26,3 +27,10 @@ def number(obj) -> float:
     if not math.isfinite(value):
         raise ValueError("non-finite number")
     return value
+
+
+def integer(obj) -> int:
+    """``obj`` if it is a JSON integer: neither a float nor a bool."""
+    if type(obj) is not int:
+        raise ValueError(f"expected an integer, got {obj!r}")
+    return obj

@@ -136,10 +136,9 @@ def train(kind: ClassifierKind, dataset: Dataset,
     fingerprint = dataset_fingerprint(dataset)
     if zero_addresses:
         dataset = zero_address_columns(dataset)
-    x = dataset.matrix()
+    x, y = dataset.x, dataset.y
     if not np.isfinite(x).all():
         raise NonFiniteFeature("training features must be finite")
-    y = dataset.labels01()
     positives, negatives = dataset.class_counts()
     if positives == 0 or negatives == 0:
         raise SingleClassDataset(

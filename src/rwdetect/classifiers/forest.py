@@ -18,6 +18,7 @@ import numpy as np
 
 from ..features import N_FEATURES
 from . import tree
+from ._arrays import integer
 
 ALIAS = "forest"
 SCALED = False
@@ -76,6 +77,7 @@ def params_in(obj: dict, hp: ForestParams) -> list[list[tree.TreeNode]]:
     trees = [tree.nodes_in(t) for t in obj["trees"]]
     if not trees:
         raise ValueError("a forest needs at least one tree")
-    if obj["features_used"] != [tree.features_used(t) for t in trees]:
+    used = [[integer(f) for f in features] for features in obj["features_used"]]
+    if used != [tree.features_used(t) for t in trees]:
         raise ValueError("features_used disagrees with the trees")
     return trees

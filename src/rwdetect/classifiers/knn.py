@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import InvalidHyperparams
 from ..features import N_FEATURES
-from ._arrays import array
+from ._arrays import array, integer
 
 ALIAS = "knn"
 SCALED = True
@@ -66,9 +66,9 @@ def params_out(state: KnnState) -> dict:
 
 
 def params_in(obj: dict, hp: KnnParams) -> KnnState:
-    labels = np.asarray(obj["labels"], dtype=np.uint8)
+    labels = np.array([integer(label) for label in obj["labels"]], dtype=np.uint8)
     points = array(obj["points"], (None, N_FEATURES))
-    if labels.ndim != 1 or len(labels) != len(points):
+    if len(labels) != len(points):
         raise ValueError("labels and points disagree")
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..features import N_FEATURES
-from ._arrays import number
+from ._arrays import integer, number
 
 ALIAS = "j48"
 SCALED = False
@@ -175,8 +175,8 @@ def nodes_in(obj) -> list[TreeNode]:
     nodes = []
     for i, row in enumerate(obj):
         feature, threshold, left, right, pos, total = row
-        feature, left, right = int(feature), int(left), int(right)
-        pos, total = int(pos), int(total)
+        feature, left, right, pos, total = (
+            integer(v) for v in (feature, left, right, pos, total))
         if feature == -1:
             if left != -1 or right != -1:
                 raise ValueError(f"leaf {i} has children")

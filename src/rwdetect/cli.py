@@ -218,8 +218,7 @@ def _cmd_eval(args) -> int:
                 f"{'n/a' if fold.accuracy is None else f'{fold.accuracy:.4f}'}",
                 file=sys.stderr,
             )
-    row = result.folds[0] if len(result.folds) == 1 else result.mean
-    _write_text(args.output, _render([row], args.format))
+    _write_text(args.output, _render([result.row], args.format))
     return 0
 
 

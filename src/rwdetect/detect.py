@@ -30,7 +30,7 @@ from .capture import (
 )
 from .classifiers import Prediction, TrainedModel, model_fingerprint, predict_many
 from .conversation import Conversation, aggregate
-from .errors import BadMagic, ClockSkew, SinkFailure
+from .errors import BadMagic, ClockSkew, InvalidHyperparams, SinkFailure
 from .features import FEATURE_NAMES, Label, encode
 
 import numpy as np
@@ -42,7 +42,7 @@ class WindowSpec:
 
     def __post_init__(self):
         if not (self.interval > 0 and math.isfinite(self.interval)):
-            raise ValueError("window interval must be a positive finite number")
+            raise InvalidHyperparams("window interval must be a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,18 @@ def window_packets(packets: Sequence[PacketRecord], spec: WindowSpec,
     explicit = capture_start is not None
     start = capture_start if explicit else min(p.timestamp for p in packets)
     buckets: dict[int, list[PacketRecord]] = {}
-    for i, packet in enumerate(packets):
-        if explicit and packet.timestamp < start:
-            raise ClockSkew(
-                i, f"packet {i} at {packet.timestamp!r} precedes "
-                   f"capture start {start!r}"
-            )
-        w = math.floor((packet.timestamp - start) / spec.interval)
-        buckets.setdefault(w, []).append(packet)
+    try:
+        for i, packet in enumerate(packets):
+            if explicit and packet.timestamp < start:
+                raise ClockSkew(
+                    i, f"packet {i} at {packet.timestamp!r} precedes "
+                       f"capture start {start!r}"
+                )
+            w = math.floor((packet.timestamp - start) / spec.interval)
+            buckets.setdefault(w, []).append(packet)
+    except OverflowError:   # the quotient overflowed to infinity
+        raise InvalidHyperparams(f"window interval {spec.interval!r} is too small "
+                                 "for the capture's time span") from None
     return sorted(buckets.items())
 
 

@@ -144,7 +144,7 @@ def _permuted_class_indices(labels01: np.ndarray, seed: int):
 
 def split(dataset: Dataset, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """Fold list of (train_indices, test_indices), each sorted ascending."""
-    labels01 = dataset.labels01()
+    labels01 = dataset.y
     counts = [int((labels01 == 1).sum()), int((labels01 == 0).sum())]
     if spec.method == "holdout":
         if min(counts) < 2:
@@ -185,9 +185,8 @@ def split(dataset: Dataset, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarra
 def evaluate_model(model: TrainedModel, dataset: Dataset,
                    test_idx: np.ndarray) -> MetricValues:
     """Metrics of a trained model on one test slice of a dataset."""
-    queries = dataset.matrix()[test_idx]
-    actual = dataset.labels01()[test_idx]
-    predicted, _scores = predict_many(model, queries)
+    predicted, _scores = predict_many(model, dataset.x[test_idx])
+    actual = dataset.y[test_idx]
     return metrics(confusion(actual, predicted))
 
 
@@ -196,6 +195,11 @@ class EvaluationResult:
     classifier: str
     folds: list[MetricsReport]
     mean: MetricsReport
+
+    @property
+    def row(self) -> MetricsReport:
+        """The report row: the one fold of a holdout, else the k-fold mean."""
+        return self.folds[0] if len(self.folds) == 1 else self.mean
 
 
 def _mean_or_none(values: list[float | None]) -> float | None:
@@ -243,10 +247,8 @@ def benchmark(kinds: Sequence[ClassifierKind], dataset: Dataset,
     rows = []
     for kind in kinds:
         hp = hyperparams.get(kind) if hyperparams else None
-        result = evaluate(kind, dataset, spec, hp,
-                          zero_addresses=zero_addresses)
-        row = result.folds[0] if len(result.folds) == 1 else result.mean
-        rows.append(row)
+        rows.append(evaluate(kind, dataset, spec, hp,
+                             zero_addresses=zero_addresses).row)
     return rows
 
 

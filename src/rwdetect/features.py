@@ -36,50 +36,34 @@ class Label(enum.Enum):
     BENIGN = "benign"
 
 
-POSITIVE_LABEL = Label.RANSOMWARE
-
-
-@dataclass(eq=False)
-class LabeledSample:
-    features: np.ndarray
-    label: Label
-    origin: str | None = None
-
-    def __eq__(self, other):
-        if not isinstance(other, LabeledSample):
-            return NotImplemented
-        return (
-            np.array_equal(self.features, other.features)
-            and self.label is other.label
-            and self.origin == other.origin
-        )
-
-
-@dataclass
+@dataclass(eq=False)    # arrays have no single truth value to compare by
 class Dataset:
-    samples: list[LabeledSample]
+    """A labeled feature table: ``x`` is (n, 13) float64 and ``y`` is (n,)
+    uint8, 1 for ransomware and 0 for benign."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        if not np.isin(self.y, (0, 1)).all():
+            raise ValueError("labels must be 0 (benign) or 1 (ransomware)")
+        self.x = np.asarray(self.x, dtype=np.float64)
+        self.y = np.asarray(self.y, dtype=np.uint8)
+        if self.y.ndim != 1 or self.x.shape != (len(self.y), N_FEATURES):
+            raise DimensionMismatch(
+                f"expected (n, {N_FEATURES}) features for (n,) labels, "
+                f"got {self.x.shape} and {self.y.shape}"
+            )
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    def matrix(self) -> np.ndarray:
-        if not self.samples:
-            return np.empty((0, N_FEATURES))
-        return np.stack([s.features for s in self.samples]).astype(np.float64)
-
-    def labels01(self) -> np.ndarray:
-        """1 for the positive (ransomware) class, 0 for benign."""
-        return np.array(
-            [1 if s.label is POSITIVE_LABEL else 0 for s in self.samples],
-            dtype=np.uint8,
-        )
+        return len(self.y)
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
-        return Dataset([self.samples[i] for i in indices])
+        return Dataset(self.x[indices], self.y[indices])
 
     def class_counts(self) -> tuple[int, int]:
-        pos = int(self.labels01().sum()) if self.samples else 0
-        return pos, len(self.samples) - pos
+        pos = int(np.count_nonzero(self.y))
+        return pos, len(self.y) - pos
 
 
 @dataclass
@@ -111,18 +95,16 @@ def encode(conversation: Conversation) -> np.ndarray:
 
 
 def dataset_fingerprint(dataset: Dataset) -> str:
-    """SHA-256 over the samples' exact bytes; order-sensitive by design."""
-    digest = hashlib.sha256()
-    for s in dataset.samples:
-        digest.update(np.asarray(s.features, dtype="<f8").tobytes())
-        digest.update(b"\x01" if s.label is POSITIVE_LABEL else b"\x00")
-    return digest.hexdigest()
+    """SHA-256 over the rows in order, each its 13 features as little-endian
+    float64 followed by its label byte."""
+    x = np.ascontiguousarray(dataset.x, dtype="<f8").view(np.uint8)
+    return hashlib.sha256(np.hstack([x, dataset.y[:, None]]).tobytes()).hexdigest()
 
 
 def fit_scaler(dataset: Dataset) -> ScalingParams:
-    if not dataset.samples:
+    if not len(dataset):
         raise EmptyDataset("cannot fit a scaler on an empty dataset")
-    x = dataset.matrix()
+    x = dataset.x
     return ScalingParams(
         mins=x.min(axis=0),
         maxs=x.max(axis=0),
@@ -151,31 +133,33 @@ def apply_scaler(params: ScalingParams, vector: np.ndarray) -> np.ndarray:
     return np.clip(scaled, 0.0, 1.0)
 
 
-def label_and_merge(conv_sets: Sequence[tuple[Sequence[Conversation], Label]],
-                    origins: Sequence[str] | None = None) -> Dataset:
-    """Encode and tag conversation sets; concatenation keeps input order.
+def _dataset(rows: list[np.ndarray], labels: list[Label]) -> Dataset:
+    """Encoded rows and their labels; no rows make a (0, 13) table."""
+    return Dataset(np.reshape(rows, (len(rows), N_FEATURES)),
+                   [label is Label.RANSOMWARE for label in labels])
+
+
+def label_and_merge(conv_sets: Sequence[tuple[Sequence[Conversation], Label]]) -> Dataset:
+    """Encode and label conversation sets; concatenation keeps input order.
 
     No shuffle happens here; only split operations reorder data, and they
     do it deterministically from their seed.
     """
     if not conv_sets:
         raise EmptyInput("no conversation sets to merge")
-    samples: list[LabeledSample] = []
+    rows, labels = [], []
     for i, (convs, label) in enumerate(conv_sets):
         convs = list(convs)
         if not convs:
             raise EmptyInput(f"conversation set {i} is empty")
-        origin = origins[i] if origins is not None else None
-        for c in convs:
-            samples.append(LabeledSample(encode(c), label, origin))
-    return Dataset(samples)
+        rows.extend(encode(c) for c in convs)
+        labels.extend([label] * len(convs))
+    return _dataset(rows, labels)
 
 
 def zero_address_columns(dataset: Dataset) -> Dataset:
     """Copy of the dataset with both address features forced to 0."""
-    out = [LabeledSample(zero_address_vector(s.features), s.label, s.origin)
-           for s in dataset.samples]
-    return Dataset(out)
+    return Dataset(zero_address_vector(dataset.x), dataset.y.copy())
 
 
 def zero_address_vector(vector: np.ndarray) -> np.ndarray:
@@ -194,7 +178,7 @@ def write_dataset_csv(conv_sets: Sequence[tuple[Sequence[Conversation], Label]])
 
 
 def read_dataset_csv(text) -> Dataset:
-    samples = []
+    rows, labels = [], []
     for line, row in _csv_rows(text, DATASET_CSV_HEADER, "dataset"):
         if len(row) != len(DATASET_CSV_HEADER):
             raise RowError(line, f"expected {len(DATASET_CSV_HEADER)} fields, got {len(row)}")
@@ -203,5 +187,6 @@ def read_dataset_csv(text) -> Dataset:
             label = Label(row[-1])
         except ValueError:
             raise RowError(line, f"label {row[-1]!r} is not ransomware|benign") from None
-        samples.append(LabeledSample(encode(conv), label))
-    return Dataset(samples)
+        rows.append(encode(conv))
+        labels.append(label)
+    return _dataset(rows, labels)

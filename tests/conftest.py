@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, settings
 
 from rwdetect.capture import PacketRecord
 from rwdetect.conversation import Conversation
-from rwdetect.features import Dataset, Label, LabeledSample
+from rwdetect.features import Dataset
 
 settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -114,25 +114,18 @@ def gaussian_dataset(n_pos: int = 396, n_neg: int = 420, seed: int = 42,
     rng = np.random.Generator(np.random.PCG64(seed))
     pos = rng.normal(pos_center, spread, size=(n_pos, 13))
     neg = rng.normal(neg_center, spread, size=(n_neg, 13))
-    samples = [LabeledSample(v, Label.RANSOMWARE) for v in pos]
-    samples += [LabeledSample(v, Label.BENIGN) for v in neg]
-    return Dataset(samples)
+    return Dataset(np.vstack([pos, neg]),
+                   np.r_[np.ones(n_pos, np.uint8), np.zeros(n_neg, np.uint8)])
 
 
 def address_only_dataset(n_per_class: int = 40, seed: int = 5) -> Dataset:
     """Classes separable only through the two address features."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    base = rng.uniform(0.0, 1.0, size=(2 * n_per_class, 13))
-    samples = []
-    for i in range(2 * n_per_class):
-        vec = base[i].copy()
-        positive = i < n_per_class
-        vec[1] = 3_000_000_000.0 if positive else 100_000.0
-        vec[3] = 3_100_000_000.0 if positive else 200_000.0
-        samples.append(LabeledSample(
-            vec, Label.RANSOMWARE if positive else Label.BENIGN
-        ))
-    return Dataset(samples)
+    x = rng.uniform(0.0, 1.0, size=(2 * n_per_class, 13))
+    y = np.r_[np.ones(n_per_class, np.uint8), np.zeros(n_per_class, np.uint8)]
+    x[:, 1] = np.where(y == 1, 3_000_000_000.0, 100_000.0)
+    x[:, 3] = np.where(y == 1, 3_100_000_000.0, 200_000.0)
+    return Dataset(x, y)
 
 
 @pytest.fixture

@@ -235,8 +235,8 @@ def test_03_classifier_suite_on_separable_data():
     [(train_idx, test_idx)] = split(
         dataset, SplitSpec.holdout(train_ratio=0.8, seed=42))
     training = dataset.subset(train_idx)
-    actual = dataset.labels01()[test_idx]
-    queries = dataset.matrix()[test_idx]
+    actual = dataset.y[test_idx]
+    queries = dataset.x[test_idx]
 
     accuracies = {}
     for kind in ALL_KINDS:
@@ -296,8 +296,8 @@ def test_05_structural_equivalences():
         assert np.array_equal(forest_labels, tree_labels)
         assert np.array_equal(forest_scores, tree_scores)
 
-        predicted, _ = predict_many(plain_tree, dataset.matrix())
-        assert np.array_equal(predicted, dataset.labels01())
+        predicted, _ = predict_many(plain_tree, dataset.x)
+        assert np.array_equal(predicted, dataset.y)
 
 
 def test_06_determinism_and_serialization():

@@ -36,7 +36,7 @@ from rwdetect.errors import (
     NonFiniteFeature,
     SingleClassDataset,
 )
-from rwdetect.features import Dataset, Label, LabeledSample
+from rwdetect.features import Dataset, Label
 
 from conftest import address_only_dataset, gaussian_dataset
 
@@ -49,7 +49,7 @@ def vec13(**positions) -> np.ndarray:
 
 
 def toy_dataset(rows: list[tuple[np.ndarray, Label]]) -> Dataset:
-    return Dataset([LabeledSample(v, label) for v, label in rows])
+    return Dataset([v for v, _ in rows], [label is Label.RANSOMWARE for _, label in rows])
 
 
 class TestKindRegistry:
@@ -129,13 +129,10 @@ class TestKnn:
 
     def test_scale_invariance(self):
         ds = gaussian_dataset(n_pos=30, n_neg=30, seed=8)
-        queries = gaussian_dataset(n_pos=10, n_neg=10, seed=9).matrix()
+        queries = gaussian_dataset(n_pos=10, n_neg=10, seed=9).x
         base = predict_many(train(ClassifierKind.KNN, ds), queries)[1]
 
-        blown = Dataset([
-            LabeledSample(s.features * np.array([1e6] + [1.0] * 12), s.label)
-            for s in ds.samples
-        ])
+        blown = Dataset(ds.x * np.array([1e6] + [1.0] * 12), ds.y)
         blown_queries = queries * np.array([1e6] + [1.0] * 12)
         scaled = predict_many(train(ClassifierKind.KNN, blown), blown_queries)[1]
         assert np.allclose(base, scaled)
@@ -148,7 +145,7 @@ class TestKnn:
     def test_k_equal_training_set_scores_base_rate(self):
         ds = gaussian_dataset(n_pos=2, n_neg=6, seed=1)
         model = train(ClassifierKind.KNN, ds, KnnParams(k=8))
-        _, scores = predict_many(model, ds.matrix())
+        _, scores = predict_many(model, ds.x)
         assert np.allclose(scores, 0.25)
 
 
@@ -163,8 +160,8 @@ class TestMlp:
 
     def test_training_reduces_loss(self):
         ds = gaussian_dataset(n_pos=40, n_neg=40, seed=10)
-        x = ds.matrix()
-        y = ds.labels01()
+        x = ds.x
+        y = ds.y
         from rwdetect.features import apply_scaler, fit_scaler
         x = apply_scaler(fit_scaler(ds), x)
         before = mlp_mod.loss(mlp_mod.init_state(13, 16, 42), x, y)
@@ -198,13 +195,13 @@ class TestMlp:
     def test_separable_data_learned(self):
         ds = gaussian_dataset(n_pos=50, n_neg=50, seed=11)
         model = train(ClassifierKind.MLP, ds)
-        labels01, _ = predict_many(model, ds.matrix())
-        assert (labels01 == ds.labels01()).mean() >= 0.99
+        labels01, _ = predict_many(model, ds.x)
+        assert (labels01 == ds.y).mean() >= 0.99
 
     def test_scores_are_probabilities(self):
         ds = gaussian_dataset(n_pos=20, n_neg=20, seed=12)
         model = train(ClassifierKind.MLP, ds)
-        _, scores = predict_many(model, ds.matrix())
+        _, scores = predict_many(model, ds.x)
         assert np.all((scores > 0.0) & (scores < 1.0))
 
 
@@ -272,8 +269,7 @@ class TestTree:
     def test_pure_dataset_is_single_leaf(self):
         ds = gaussian_dataset(n_pos=5, n_neg=5, seed=13)
         # force purity below the root by training on one class plus one outlier
-        rows = [(s.features, s.label) for s in ds.samples]
-        model = train(ClassifierKind.J48, toy_dataset(rows))
+        model = train(ClassifierKind.J48, ds)
         # every leaf must be pure on separable data
         for node in model.state:
             if node.feature == -1:
@@ -376,8 +372,8 @@ class TestSvm:
     def test_separable_data_fit(self):
         ds = gaussian_dataset(n_pos=60, n_neg=60, seed=19)
         model = train(ClassifierKind.SVM, ds, SvmParams(iterations=5000))
-        labels01, scores = predict_many(model, ds.matrix())
-        assert (labels01 == ds.labels01()).mean() == 1.0
+        labels01, scores = predict_many(model, ds.x)
+        assert (labels01 == ds.y).mean() == 1.0
         assert np.all((scores >= 0.0) & (scores <= 1.0))
 
     def test_score_monotone_in_decision(self):
@@ -385,7 +381,7 @@ class TestSvm:
         model = train(ClassifierKind.SVM, ds, SvmParams(iterations=2000))
         from rwdetect.classifiers import svm as svm_mod
         from rwdetect.features import apply_scaler
-        queries = gaussian_dataset(n_pos=8, n_neg=8, seed=22).matrix()
+        queries = gaussian_dataset(n_pos=8, n_neg=8, seed=22).x
         scaled = apply_scaler(model.scaler, queries)
         decisions = svm_mod.decision(model.state, scaled)
         _, scores = predict_many(model, queries)
@@ -474,20 +470,18 @@ class TestSharedContract:
         return default_hyperparams(kind)
 
     def test_single_class_rejected(self, kind):
-        ds = Dataset([
-            LabeledSample(np.arange(13, dtype=float) + i, Label.BENIGN)
-            for i in range(6)
-        ])
+        ds = Dataset(np.arange(13, dtype=float) + np.arange(6)[:, None],
+                     np.zeros(6))
         with pytest.raises(SingleClassDataset):
             train(kind, ds, self.fast_params(kind))
 
     def test_empty_dataset_rejected(self, kind):
         with pytest.raises(EmptyDataset):
-            train(kind, Dataset([]), self.fast_params(kind))
+            train(kind, Dataset(np.empty((0, 13)), []), self.fast_params(kind))
 
     def test_non_finite_features_rejected(self, kind):
         ds = gaussian_dataset(n_pos=4, n_neg=4, seed=24)
-        ds.samples[2].features[5] = np.nan
+        ds.x[2, 5] = np.nan
         with pytest.raises(NonFiniteFeature):
             train(kind, ds, self.fast_params(kind))
 
@@ -506,11 +500,11 @@ class TestSharedContract:
     def test_scores_bounded_and_consistent(self, kind):
         ds = gaussian_dataset(n_pos=20, n_neg=20, seed=26)
         model = train(kind, ds, self.fast_params(kind))
-        labels01, scores = predict_many(model, ds.matrix())
+        labels01, scores = predict_many(model, ds.x)
         assert np.all((scores >= 0.0) & (scores <= 1.0))
         assert np.array_equal(labels01, (scores >= 0.5).astype(np.uint8))
         # batch and single-row matmuls may differ in the last bit
-        single = predict(model, ds.matrix()[0])
+        single = predict(model, ds.x[0])
         assert single.score == pytest.approx(scores[0], rel=1e-12, abs=1e-15)
         assert (single.label is Label.RANSOMWARE) == (single.score >= 0.5)
 
@@ -541,7 +535,7 @@ class TestZeroAddresses:
         ds = address_only_dataset()
         model = train(ClassifierKind.KNN, ds, KnnParams(k=1),
                       zero_addresses=True)
-        q1 = ds.matrix()[0].copy()
+        q1 = ds.x[0].copy()
         q2 = q1.copy()
         q2[1], q2[3] = 0.0, 12345.0
         assert predict(model, q1).score == predict(model, q2).score
@@ -549,7 +543,7 @@ class TestZeroAddresses:
     def test_without_flag_addresses_dominate(self):
         ds = address_only_dataset()
         model = train(ClassifierKind.KNN, ds, KnnParams(k=1))
-        q_pos = ds.matrix()[0].copy()
+        q_pos = ds.x[0].copy()
         q_neg = q_pos.copy()
         q_neg[1], q_neg[3] = 100_000.0, 200_000.0   # the benign address block
         assert predict(model, q_pos).label is Label.RANSOMWARE

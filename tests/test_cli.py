@@ -274,6 +274,13 @@ class TestDetect:
         assert run(["detect", capture, "--model", model, "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("interval", ["0", "-5", "nan", "inf", "1e-320"])
+    def test_bad_interval_exit_1(self, workspace, capsys, interval):
+        model = trained_model_path(workspace)
+        assert run(["detect", self.capture_csv(workspace), "--model", model,
+                    "--interval", interval]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
     def test_missing_model_exit_1(self, workspace):
         assert run(["detect", self.capture_csv(workspace),
                     "--model", str(workspace / "nope.bin")]) == 1

@@ -26,24 +26,17 @@ from rwdetect.detect import (
     read_packet_source,
     window_packets,
 )
-from rwdetect.errors import BadMagic, ClockSkew, SinkFailure
-from rwdetect.features import FEATURE_NAMES, Dataset, Label, LabeledSample, encode
+from rwdetect.errors import BadMagic, ClockSkew, InvalidHyperparams, SinkFailure
+from rwdetect.features import FEATURE_NAMES, Dataset, Label, encode
 
 from conftest import build_pcap, make_packet, tcp_udp_frame
 
 
 def bytes_threshold_model():
     """Tree that flags any conversation moving more than ~2.5 KB."""
-    rows = []
-    for total in (100.0, 300.0, 800.0):
-        v = np.zeros(13)
-        v[6] = total
-        rows.append(LabeledSample(v, Label.BENIGN))
-    for total in (4300.0, 5000.0, 9000.0):
-        v = np.zeros(13)
-        v[6] = total
-        rows.append(LabeledSample(v, Label.RANSOMWARE))
-    return train(ClassifierKind.J48, Dataset(rows))
+    x = np.zeros((6, 13))
+    x[:, 6] = (100.0, 300.0, 800.0, 4300.0, 5000.0, 9000.0)
+    return train(ClassifierKind.J48, Dataset(x, [0, 0, 0, 1, 1, 1]))
 
 
 def flow(t0, src, sport, dst, dport, n, size, spacing=0.1, protocol=6):
@@ -58,9 +51,9 @@ class TestWindowSpec:
     def test_default_interval(self):
         assert WindowSpec().interval == 60.0
 
-    @pytest.mark.parametrize("bad", [0.0, -5.0])
+    @pytest.mark.parametrize("bad", [0.0, -5.0, float("nan"), float("inf")])
     def test_rejects_non_positive(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidHyperparams):
             WindowSpec(interval=bad)
 
 
@@ -95,6 +88,12 @@ class TestWindowPackets:
 
     def test_no_packets_no_windows(self):
         assert window_packets([], WindowSpec()) == []
+
+    def test_interval_too_small_for_span(self):
+        # One second over 1e-320 s overflows to infinity, which has no floor.
+        packets = [make_packet(0.0), make_packet(1.0)]
+        with pytest.raises(InvalidHyperparams, match="too small"):
+            window_packets(packets, WindowSpec(interval=1e-320))
 
 
 class TestDetectStream:

@@ -137,7 +137,7 @@ class TestSplit:
     def test_holdout_counts_and_stratification(self):
         ds = gaussian_dataset(n_pos=396, n_neg=420, seed=42)
         [(train_idx, test_idx)] = split(ds, SplitSpec.holdout(seed=42))
-        labels01 = ds.labels01()
+        labels01 = ds.y
         assert len(train_idx) == 653 and len(test_idx) == 163
         assert labels01[train_idx].sum() == 317     # round(0.8 * 396)
         assert labels01[test_idx].sum() == 79
@@ -162,7 +162,7 @@ class TestSplit:
         ds = gaussian_dataset(n_pos=2, n_neg=2, seed=4)
         [(train_idx, test_idx)] = split(
             ds, SplitSpec.holdout(train_ratio=0.99))
-        labels01 = ds.labels01()
+        labels01 = ds.y
         assert len(train_idx) == len(test_idx) == 2
         assert labels01[train_idx].sum() == 1
         assert labels01[test_idx].sum() == 1
@@ -177,7 +177,7 @@ class TestSplit:
         folds = split(ds, SplitSpec.kfold(k=5))
         sizes = [len(test_idx) for _, test_idx in folds]
         assert sizes == [164, 163, 163, 163, 163]
-        labels01 = ds.labels01()
+        labels01 = ds.y
         positives = [int(labels01[test_idx].sum()) for _, test_idx in folds]
         assert positives == [80, 79, 79, 79, 79]
 
@@ -214,6 +214,13 @@ class TestEvaluate:
         assert all(f.accuracy is not None for f in result.folds)
         expected = np.mean([f.accuracy for f in result.folds])
         assert result.mean.accuracy == pytest.approx(float(expected))
+
+    def test_row_is_the_holdout_fold_or_the_kfold_mean(self):
+        ds = gaussian_dataset(n_pos=30, n_neg=30, seed=9)
+        holdout = evaluate(ClassifierKind.KNN, ds, SplitSpec.holdout())
+        assert holdout.row is holdout.folds[0]
+        kfold = evaluate(ClassifierKind.KNN, ds, SplitSpec.kfold(k=3))
+        assert kfold.row is kfold.mean
 
     def test_evaluate_model_direct(self):
         ds = gaussian_dataset(n_pos=20, n_neg=20, seed=10)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,7 +23,6 @@ from rwdetect.features import (
     N_FEATURES,
     Dataset,
     Label,
-    LabeledSample,
     ScalingParams,
     apply_scaler,
     dataset_fingerprint,
@@ -64,10 +65,8 @@ class TestEncode:
 
 class TestScaling:
     def test_fit_exact_bounds(self):
-        ds = Dataset([
-            LabeledSample(np.arange(13, dtype=float), Label.BENIGN),
-            LabeledSample(np.arange(13, dtype=float) * 3, Label.RANSOMWARE),
-        ])
+        ds = Dataset([np.arange(13, dtype=float), np.arange(13, dtype=float) * 3],
+                     [0, 1])
         params = fit_scaler(ds)
         assert np.array_equal(params.mins, np.arange(13.0))
         assert np.array_equal(params.maxs, np.arange(13.0) * 3)
@@ -105,7 +104,7 @@ class TestScaling:
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            fit_scaler(Dataset([]))
+            fit_scaler(Dataset(np.empty((0, 13)), []))
 
     @given(
         st.lists(
@@ -121,9 +120,7 @@ class TestScaling:
         ),
     )
     def test_output_always_in_unit_interval(self, train_rows, query):
-        ds = Dataset([
-            LabeledSample(np.array(row), Label.BENIGN) for row in train_rows
-        ])
+        ds = Dataset(train_rows, np.zeros(len(train_rows)))
         params = fit_scaler(ds)
         out = apply_scaler(params, np.array(query))
         assert np.all(out >= 0.0)
@@ -132,7 +129,7 @@ class TestScaling:
     def test_training_rows_scale_inside_unit_box(self):
         ds = gaussian_dataset(n_pos=20, n_neg=20, seed=3)
         params = fit_scaler(ds)
-        scaled = apply_scaler(params, ds.matrix())
+        scaled = apply_scaler(params, ds.x)
         assert scaled.min() == 0.0
         assert scaled.max() == 1.0
 
@@ -143,10 +140,8 @@ class TestLabeling:
         b = [make_conversation(port_a=i) for i in (3, 4)]
         ds = label_and_merge([(r, Label.RANSOMWARE), (b, Label.BENIGN)])
         assert len(ds) == 4
-        assert [s.label for s in ds.samples] == [
-            Label.RANSOMWARE, Label.RANSOMWARE, Label.BENIGN, Label.BENIGN,
-        ]
-        assert [s.features[2] for s in ds.samples] == [1.0, 2.0, 3.0, 4.0]
+        assert ds.y.tolist() == [1, 1, 0, 0]
+        assert ds.x[:, 2].tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_class_counts(self):
         ds = gaussian_dataset(n_pos=5, n_neg=9, seed=1)
@@ -158,20 +153,54 @@ class TestLabeling:
         with pytest.raises(EmptyInput):
             label_and_merge([([], Label.BENIGN)])
 
-    def test_origin_tagging(self):
-        convs = [make_conversation()]
-        ds = label_and_merge([(convs, Label.BENIGN)], origins=["site-a"])
-        assert ds.samples[0].origin == "site-a"
-
     def test_subset(self):
         ds = gaussian_dataset(n_pos=4, n_neg=4, seed=2)
         sub = ds.subset(np.array([0, 5]))
         assert len(sub) == 2
-        assert sub.samples[0] == ds.samples[0]
-        assert sub.samples[1] == ds.samples[5]
+        assert np.array_equal(sub.x, ds.x[[0, 5]])
+        assert sub.y.tolist() == [ds.y[0], ds.y[5]]
+
+
+class TestDataset:
+    def test_coerces_both_arrays(self):
+        ds = Dataset([[float(i)] * 13 for i in range(3)], [True, False, 1])
+        assert ds.x.dtype == np.float64 and ds.x.shape == (3, 13)
+        assert ds.y.dtype == np.uint8 and ds.y.tolist() == [1, 0, 1]
+        assert len(ds) == 3
+
+    @pytest.mark.parametrize("x,y", [
+        (np.zeros((3, 12)), np.zeros(3)),
+        (np.zeros((3, 13)), np.zeros(2)),
+        (np.zeros(13), np.zeros(1)),
+        (np.zeros((3, 13)), np.zeros((3, 1))),
+        ([], []),
+    ], ids=["12-columns", "2-labels-for-3-rows", "1-d-features", "2-d-labels",
+            "untyped-empty"])
+    def test_shape_mismatch(self, x, y):
+        with pytest.raises(DimensionMismatch):
+            Dataset(x, y)
+
+    @pytest.mark.parametrize("label", [2, -1, 0.5, "ransomware"])
+    def test_labels_are_0_or_1(self, label):
+        with pytest.raises(ValueError, match="labels must be 0"):
+            Dataset(np.zeros((2, 13)), [1, label])
 
 
 class TestFingerprint:
+    def test_pinned_value(self):
+        # Model files embed this digest (train_fingerprint, fitted_on).
+        ds = gaussian_dataset(n_pos=200, n_neg=200, seed=1)
+        assert dataset_fingerprint(ds) == (
+            "39869df89e366db22ef1cd72654ed277daffa96b5376b5f94c587973c238f016")
+
+    def test_bytes_are_rows_then_label_byte(self):
+        ds = gaussian_dataset(n_pos=7, n_neg=5, seed=3)
+        digest = hashlib.sha256()
+        for row, label in zip(ds.x, ds.y):
+            digest.update(row.astype("<f8").tobytes())
+            digest.update(bytes([label]))
+        assert dataset_fingerprint(ds) == digest.hexdigest()
+
     def test_stable_for_equal_datasets(self):
         a = gaussian_dataset(n_pos=6, n_neg=6, seed=9)
         b = gaussian_dataset(n_pos=6, n_neg=6, seed=9)
@@ -179,21 +208,17 @@ class TestFingerprint:
 
     def test_sensitive_to_label(self):
         a = gaussian_dataset(n_pos=6, n_neg=6, seed=9)
-        flipped = Dataset([
-            LabeledSample(s.features, Label.BENIGN) for s in a.samples
-        ])
+        flipped = Dataset(a.x, np.zeros(len(a)))
         assert dataset_fingerprint(a) != dataset_fingerprint(flipped)
 
     def test_sensitive_to_order(self):
         a = gaussian_dataset(n_pos=6, n_neg=6, seed=9)
-        reversed_ds = Dataset(list(reversed(a.samples)))
+        reversed_ds = Dataset(a.x[::-1], a.y[::-1])
         assert dataset_fingerprint(a) != dataset_fingerprint(reversed_ds)
 
     def test_sensitive_to_values(self):
         a = gaussian_dataset(n_pos=6, n_neg=6, seed=9)
-        bumped = Dataset([
-            LabeledSample(s.features + 1e-9, s.label) for s in a.samples
-        ])
+        bumped = Dataset(a.x + 1e-9, a.y)
         assert dataset_fingerprint(a) != dataset_fingerprint(bumped)
 
 
@@ -201,17 +226,17 @@ class TestZeroAddresses:
     def test_columns_zeroed(self):
         ds = gaussian_dataset(n_pos=3, n_neg=3, seed=4)
         zeroed = zero_address_columns(ds)
-        m = zeroed.matrix()
+        m = zeroed.x
         assert np.array_equal(m[:, 1], np.zeros(6))
         assert np.array_equal(m[:, 3], np.zeros(6))
         keep = [i for i in range(13) if i not in ADDRESS_FEATURE_INDICES]
-        assert np.array_equal(m[:, keep], ds.matrix()[:, keep])
+        assert np.array_equal(m[:, keep], ds.x[:, keep])
 
     def test_original_untouched(self):
         ds = gaussian_dataset(n_pos=3, n_neg=3, seed=4)
-        before = ds.matrix().copy()
+        before = ds.x.copy()
         zero_address_columns(ds)
-        assert np.array_equal(ds.matrix(), before)
+        assert np.array_equal(ds.x, before)
 
     def test_vector_form(self):
         vec = np.arange(13, dtype=float)
@@ -238,9 +263,8 @@ class TestDatasetCsv:
         ds = read_dataset_csv(write_dataset_csv(sets))
         direct = label_and_merge(sets)
         assert len(ds) == len(direct)
-        for parsed, built in zip(ds.samples, direct.samples):
-            assert np.array_equal(parsed.features, built.features)
-            assert parsed.label is built.label
+        assert np.array_equal(ds.x, direct.x)
+        assert np.array_equal(ds.y, direct.y)
 
     def test_bad_label(self):
         text = write_dataset_csv(self.roundtrip_sets())

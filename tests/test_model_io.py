@@ -106,7 +106,7 @@ class TestRoundTrip:
                       zero_addresses=True)
         loaded = load_model(save_model(model))
         assert loaded.zero_addresses
-        q = ds.matrix()[0].copy()
+        q = ds.x[0].copy()
         swapped = q.copy()
         swapped[1], swapped[3] = 9.0, 9.0
         assert (
@@ -338,6 +338,32 @@ class TestTampering:
             target = target[step]
         target[last] = number
         with pytest.raises(MalformedModel):
+            load_model(container(json.dumps(payload).encode()))
+
+    @pytest.mark.parametrize("kind,edits", [
+        (ClassifierKind.J48, {("nodes", 0, 0): 0.7, ("nodes", 0, 2): 1.5}),
+        (ClassifierKind.J48, {("nodes", 0, 4): True}),
+        (ClassifierKind.KNN, {("labels", 0): 1.7}),
+        (ClassifierKind.KNN, {("labels", 0): True}),
+    ], ids=["j48-fractional-feature-and-left", "j48-bool-pos",
+            "knn-fractional-label", "knn-bool-label"])
+    def test_integer_field_must_be_json_integer(self, kind, edits):
+        # Each of these once loaded, truncated, and wrote back different bytes.
+        payload = valid_payload_dict(kind)
+        for (*parents, last), value in edits.items():
+            target = payload["params"]
+            for step in parents:
+                target = target[step]
+            target[last] = value
+        with pytest.raises(MalformedModel, match="expected an integer"):
+            load_model(container(json.dumps(payload).encode()))
+
+    def test_forest_features_used_must_be_json_integers(self):
+        payload = valid_payload_dict(ClassifierKind.RANDOM_FOREST)
+        params = payload["params"]
+        params["features_used"] = [[float(f) for f in used]
+                                   for used in params["features_used"]]
+        with pytest.raises(MalformedModel, match="expected an integer"):
             load_model(container(json.dumps(payload).encode()))
 
     def test_non_numeric_matrix_cell(self):
