@@ -89,8 +89,19 @@ class CaptureSummary:
 
 
 def ip_to_u32(addr: str) -> int:
-    """Dotted-quad IPv4 address as its big-endian 32-bit integer value."""
-    return int(IPv4Address(addr))
+    """Dotted-quad IPv4 address as its big-endian 32-bit integer value.
+
+    Accepts the strings ``IPv4Address`` accepts: ``inet_aton`` also reads
+    forms such as ``"10.1"`` or ``"010.0.0.1"``, so the address must
+    format back to itself.
+    """
+    try:
+        packed = socket.inet_aton(addr)
+        if socket.inet_ntoa(packed) == addr:
+            return int.from_bytes(packed, "big")
+    except (OSError, ValueError):
+        pass
+    raise AddressValueError(f"{addr!r} is not a dotted-quad IPv4 address")
 
 
 def u32_to_ip(value: int) -> str:

@@ -7,10 +7,10 @@ inputs or raw), ``Params`` (frozen hyperparameter dataclass with a
 ``fit(x, y, hp) -> state``, ``scores(state, queries)`` (positive-class
 scores in [0, 1]) and ``params_out(state)``/``params_in(obj, hp)``, which
 map the state to the model file's ``params`` JSON and back.  ``params_in``
-reads every float through ``_arrays`` (finite, of the expected shape) and
-rejects a structure by raising ``KeyError``, ``TypeError``, ``ValueError``,
-``OverflowError`` or ``InvalidHyperparams``; the reader reports it as
-``MalformedModel``.
+reads every float through ``_arrays`` (a finite JSON float, in the
+expected shape) and rejects a structure by raising ``KeyError``,
+``TypeError``, ``ValueError``, ``OverflowError`` or ``InvalidHyperparams``;
+the reader reports it as ``MalformedModel``.
 Adding a family takes its module, a ``ClassifierKind`` member and a
 ``base.FAMILIES`` entry; ``ALL_KINDS``, ``SCALED_KINDS``, ``KIND_ALIASES``,
 training, prediction and model files follow from that table.

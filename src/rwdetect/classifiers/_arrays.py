@@ -1,12 +1,15 @@
 """Numbers read back from a model file's JSON payload.
 
-Every float a family reads from a payload passes through here, so a
+Every number a family reads from a payload passes through here, so a
 file holding ``NaN`` or an infinity (``json.loads`` accepts both tokens)
-fails to load instead of scoring NaN.  An integer given as a float or a
-bool fails too, rather than loading truncated or writing back other bytes.
+fails to load instead of scoring NaN.  A float field must hold a JSON
+float and an integer field a JSON integer: ``true`` or ``1`` for a float,
+or ``1.0`` for an integer, would load as another value or type and write
+back other bytes.
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -17,16 +20,22 @@ def array(obj, shape: tuple) -> np.ndarray:
     if arr.ndim != len(shape) or any(
             want not in (None, got) for want, got in zip(shape, arr.shape)):
         raise ValueError(f"expected shape {shape}, got {arr.shape}")
+    cells = obj
+    for _ in range(arr.ndim - 1):
+        cells = chain.from_iterable(cells)
+    if not all(type(v) is float for v in cells):
+        raise ValueError("expected an array of floats")
     if not np.isfinite(arr).all():
         raise ValueError("non-finite number")
     return arr
 
 
 def number(obj) -> float:
-    value = float(obj)
-    if not math.isfinite(value):
+    if type(obj) is not float:
+        raise ValueError(f"expected a float, got {obj!r}")
+    if not math.isfinite(obj):
         raise ValueError("non-finite number")
-    return value
+    return obj
 
 
 def integer(obj) -> int:

@@ -44,9 +44,6 @@ CHECKS = (
 
 def fit(x: np.ndarray, y: np.ndarray, hp: ForestParams) -> list[list[tree.TreeNode]]:
     n = len(y)
-    subset = hp.features_per_split
-    if subset >= x.shape[1]:
-        subset = None  # full feature set: identical to a plain tree build
     children = np.random.SeedSequence(hp.seed).spawn(hp.trees)
     trees = []
     for child in children:
@@ -57,7 +54,7 @@ def fit(x: np.ndarray, y: np.ndarray, hp: ForestParams) -> list[list[tree.TreeNo
         else:
             xb, yb = x, y
         trees.append(tree.build(xb, yb, min_leaf=hp.min_leaf,
-                                rng=rng, features_per_split=subset))
+                                rng=rng, features_per_split=hp.features_per_split))
     return trees
 
 

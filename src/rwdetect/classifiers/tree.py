@@ -1,10 +1,13 @@
 """C4.5-style decision tree: gain-ratio splits on numeric features.
 
 Split candidates are the midpoints between sorted distinct values of a
-feature.  A node stops when it is pure, holds fewer than ``min_leaf``
-samples, or no candidate split has strictly positive information gain.
-No pruning.  When an RNG and a subset size are supplied (random forest
-mode) each node considers only a random feature subset.
+feature.  A node scores every candidate of every feature it considers in
+one gain-ratio table and takes the first maximum: ties go to the lowest
+feature index, then to the smallest threshold.  A node stops when it is
+pure, holds fewer than ``min_leaf`` samples, or no candidate split has
+strictly positive information gain.  No pruning.  When an RNG and a
+subset size are supplied (random forest mode) each node considers only a
+random feature subset.
 
 A tree is its preorder list of ``TreeNode`` tuples.  A node is the
 ``[feature, threshold, left, right, pos, total]`` row of the model file,
@@ -53,42 +56,33 @@ def _binary_entropy(pos, total):
     return h
 
 
-def _best_split_for_feature(values: np.ndarray, labels: np.ndarray):
-    """Best (gain_ratio, gain, threshold) for one feature, or None.
+def _split_table(cols: np.ndarray, labels: np.ndarray):
+    """Gain-ratio table of every cut of every column of ``cols`` (n, m).
 
-    Ties between thresholds resolve to the smallest threshold.
+    Row ``i`` is the cut between the ``i``-th and ``i+1``-th smallest
+    values of each column.  Returns the sorted columns and the (n-1, m)
+    gain and ratio tables; a ratio cell is ``-inf`` where the cut falls
+    between equal values or its gain is not strictly positive.
     """
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    lab = labels[order].astype(np.float64)
-    boundaries = np.nonzero(v[1:] != v[:-1])[0]
-    if boundaries.size == 0:
-        return None
+    order = np.argsort(cols, axis=0, kind="stable")
+    v = cols[order, np.arange(cols.shape[1])]
+    cum_pos = np.cumsum(labels[order], axis=0, dtype=np.float64)
     n = len(v)
-    cum_pos = np.cumsum(lab)
     total_pos = cum_pos[-1]
 
-    n_left = boundaries + 1.0
-    pos_left = cum_pos[boundaries]
+    n_left = np.arange(1.0, n)[:, None]
+    pos_left = cum_pos[:-1]
     n_right = n - n_left
     pos_right = total_pos - pos_left
 
-    parent = _binary_entropy(total_pos, float(n))
+    parent = _binary_entropy(total_pos[0], float(n))
     frac_left = n_left / n
     frac_right = n_right / n
     gain = parent - frac_left * _binary_entropy(pos_left, n_left) \
         - frac_right * _binary_entropy(pos_right, n_right)
     split_info = -(frac_left * np.log2(frac_left) + frac_right * np.log2(frac_right))
-    ratio = gain / split_info
-
-    usable = gain > 0.0
-    if not usable.any():
-        return None
-    ratio = np.where(usable, ratio, -np.inf)
-    best = int(np.argmax(ratio))  # first max: smallest threshold wins ties
-    cut = boundaries[best]
-    threshold = (v[cut] + v[cut + 1]) / 2.0
-    return float(ratio[best]), float(gain[best]), float(threshold)
+    usable = (v[1:] != v[:-1]) & (gain > 0.0)
+    return v, gain, np.where(usable, gain / split_info, -np.inf)
 
 
 def _choose_split(x: np.ndarray, y: np.ndarray, idx: np.ndarray,
@@ -101,18 +95,12 @@ def _choose_split(x: np.ndarray, y: np.ndarray, idx: np.ndarray,
     else:
         candidates = np.arange(n_features)
 
-    best = None  # (ratio, feature, threshold)
-    labels = y[idx]
-    for f in candidates:
-        found = _best_split_for_feature(x[idx, f], labels)
-        if found is None:
-            continue
-        ratio, _gain, threshold = found
-        if best is None or ratio > best[0]:
-            best = (ratio, int(f), threshold)
-    if best is None:
+    v, _gain, ratio = _split_table(x[idx[:, None], candidates], y[idx])
+    # First maximum over (candidate, cut): the tie rule of the module docstring.
+    col, cut = divmod(int(np.argmax(ratio.T)), len(ratio))
+    if ratio[cut, col] == -np.inf:
         return None
-    return best[1], best[2]
+    return int(candidates[col]), float((v[cut, col] + v[cut + 1, col]) / 2.0)
 
 
 def build(x: np.ndarray, y: np.ndarray, min_leaf: int = 2,

@@ -169,17 +169,10 @@ def split(dataset: Dataset, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarra
             f"{k}-fold needs at least {k} samples of each class, got "
             f"{counts[0]} positive / {counts[1]} negative"
         )
-    fold_parts: list[list[np.ndarray]] = [[] for _ in range(k)]
-    for perm in _permuted_class_indices(labels01, spec.seed):
-        for j, index in enumerate(perm):
-            fold_parts[j % k].append(index)
-    folds = [np.sort(np.array(part, dtype=np.int64)) for part in fold_parts]
-    result = []
-    for f in range(k):
-        test_idx = folds[f]
-        train_idx = np.sort(np.concatenate([folds[g] for g in range(k) if g != f]))
-        result.append((train_idx, test_idx))
-    return result
+    perms = _permuted_class_indices(labels01, spec.seed)
+    folds = [np.sort(np.concatenate([perm[f::k] for perm in perms])) for f in range(k)]
+    return [(np.sort(np.concatenate(folds[:f] + folds[f + 1:])), folds[f])
+            for f in range(k)]
 
 
 def evaluate_model(model: TrainedModel, dataset: Dataset,

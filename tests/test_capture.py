@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from ipaddress import IPv4Address
+from ipaddress import AddressValueError, IPv4Address
 
 import pytest
 from hypothesis import given
@@ -48,6 +48,22 @@ class TestAddressCodec:
     def test_extremes(self):
         assert ip_to_u32("0.0.0.0") == 0
         assert ip_to_u32("255.255.255.255") == 2**32 - 1
+
+    @given(st.one_of(
+        st.text(),
+        st.text(alphabet="0123456789.x+- \n", max_size=20),
+        st.lists(st.integers(0, 999).map(str) | st.sampled_from(["00", "01", "007", ""]),
+                 min_size=1, max_size=5).map(".".join),
+        st.binary(min_size=4, max_size=4).map(lambda b: str(IPv4Address(b))),
+    ))
+    def test_ip_to_u32_matches_ipv4address(self, text):
+        try:
+            expected = int(IPv4Address(text))
+        except AddressValueError:
+            with pytest.raises(AddressValueError):
+                ip_to_u32(text)
+        else:
+            assert ip_to_u32(text) == expected
 
     @given(st.binary(min_size=4, max_size=4), st.binary(min_size=4, max_size=4))
     def test_pcap_addresses_match_ipv4address(self, src, dst):

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rwdetect.classifiers import (
     ALL_KINDS,
@@ -20,6 +23,7 @@ from rwdetect.classifiers import (
     TreeParams,
     default_hyperparams,
     kind_from_name,
+    model_fingerprint,
     predict,
     predict_many,
     save_model,
@@ -234,6 +238,17 @@ class TestTree:
         model = train(ClassifierKind.J48, toy_dataset(rows), TreeParams(min_leaf=1))
         assert model.state[0].threshold == 20.0
 
+    def test_threshold_tie_prefers_smallest(self):
+        # cuts 1.5 and 3.5 have the same gain ratio; 2.5 has no gain
+        rows = [
+            (vec13(f0=1.0), Label.BENIGN),
+            (vec13(f0=2.0), Label.RANSOMWARE),
+            (vec13(f0=3.0), Label.RANSOMWARE),
+            (vec13(f0=4.0), Label.BENIGN),
+        ]
+        model = train(ClassifierKind.J48, toy_dataset(rows), TreeParams(min_leaf=1))
+        assert model.state[0].threshold == 1.5
+
     def test_feature_tie_prefers_lower_index(self):
         rows = [
             (vec13(f4=0.0, f7=0.0), Label.BENIGN),
@@ -287,19 +302,82 @@ class TestTree:
         labels01, _ = predict_many(model, x)
         assert (labels01 == y.astype(np.uint8)).all()
 
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+        arrays(np.float64, (n, 5), elements=st.integers(0, 3).map(float)),
+        arrays(np.uint8, n, elements=st.integers(0, 1)))))
+    def test_split_matches_per_feature_search(self, sample):
+        x, y = sample
+        found = tree_mod._choose_split(x, y, np.arange(len(y)), None, None)
+        assert found == reference_split(x, y)
+
     def test_gain_ratio_hand_value(self):
         # values [1,2,3,4,5,6], labels [0,0,0,0,1,1]: cut after index 3
         values = np.array([1.0, 2, 3, 4, 5, 6])
         labels = np.array([0, 0, 0, 0, 1, 1], dtype=np.uint8)
-        found = tree_mod._best_split_for_feature(values, labels)
-        assert found is not None
-        ratio, gain, threshold = found
-        assert threshold == 4.5
+        v, gains, ratios = tree_mod._split_table(values[:, None], labels)
+        cut = int(np.argmax(ratios[:, 0]))
+        ratio, gain = ratios[cut, 0], gains[cut, 0]
+        assert (v[cut, 0] + v[cut + 1, 0]) / 2 == 4.5
         # parent H = H(1/3); perfect split -> gain = parent entropy
         parent = -(2 / 6) * math.log2(2 / 6) - (4 / 6) * math.log2(4 / 6)
         split_info = -(4 / 6) * math.log2(4 / 6) - (2 / 6) * math.log2(2 / 6)
         assert gain == pytest.approx(parent, abs=1e-12)
         assert ratio == pytest.approx(parent / split_info, abs=1e-12)
+
+
+def reference_split(x: np.ndarray, y: np.ndarray):
+    """Best (feature, threshold) by a search one feature at a time: the first
+    maximum within a feature, a strict ``>`` across features."""
+    best = None
+    for f in range(x.shape[1]):
+        order = np.argsort(x[:, f], kind="stable")
+        v, cum = x[order, f], np.cumsum(y[order].astype(np.float64))
+        cuts = np.nonzero(v[1:] != v[:-1])[0]
+        if cuts.size == 0:
+            continue
+        n = len(v)
+        n_left, pos_left = cuts + 1.0, cum[cuts]
+        frac_left, frac_right = n_left / n, (n - n_left) / n
+        gain = tree_mod._binary_entropy(cum[-1], float(n)) \
+            - frac_left * tree_mod._binary_entropy(pos_left, n_left) \
+            - frac_right * tree_mod._binary_entropy(cum[-1] - pos_left, n - n_left)
+        split_info = -(frac_left * np.log2(frac_left) + frac_right * np.log2(frac_right))
+        ratio = np.where(gain > 0.0, gain / split_info, -np.inf)
+        i = int(np.argmax(ratio))
+        if ratio[i] > -np.inf and (best is None or ratio[i] > best[0]):
+            best = (ratio[i], f, float((v[cuts[i]] + v[cuts[i] + 1]) / 2.0))
+    return None if best is None else best[1:]
+
+
+def tie_dataset() -> Dataset:
+    """Features of four integer levels, noisy labels: many equal values
+    per column, so split ties are common and unpruned trees grow deep."""
+    rng = np.random.Generator(np.random.PCG64(7))
+    x = rng.integers(0, 4, size=(300, 13)).astype(np.float64)
+    noise = rng.integers(0, 3, size=300)
+    return Dataset(x, (x[:, 0] + x[:, 1] * x[:, 2] + noise) % 2)
+
+
+class TestPinnedTrees:
+    """Tree model bytes stay the same across rewrites of the split search."""
+
+    @pytest.mark.parametrize("kind, make_dataset, hp, digest", [
+        (ClassifierKind.J48, lambda: gaussian_dataset(n_pos=200, n_neg=200, seed=1), None,
+         "dd9479fad36f175318bfe48139fcb9a42ec8aa37663ff19778655d63202ca313"),
+        (ClassifierKind.RANDOM_FOREST,
+         lambda: gaussian_dataset(n_pos=200, n_neg=200, seed=1), None,
+         "7298e25c5a47b3dad85affa994ef079f8631f604c93ef793bbe3cdcdff1a8978"),
+        (ClassifierKind.J48, tie_dataset, None,
+         "efc8847396db74c6831f70b369d6e9b1a48ba9fcdedd6d61f28c2afba93edaae"),
+        (ClassifierKind.RANDOM_FOREST, tie_dataset, ForestParams(trees=10),
+         "bf4745330f6a159ec45c1829ab5a71c0be7e2e5a481781ee40a7bf0e0f281346"),
+        (ClassifierKind.RANDOM_FOREST, tie_dataset,
+         ForestParams(trees=3, bootstrap=False, features_per_split=13),
+         "005cf1a319f230faf2299439fe9b70de230065eab9d6f08e5638869a069a45ae"),
+    ], ids=["j48-gaussian", "forest-gaussian", "j48-ties", "forest-ties",
+            "forest-ties-all-features"])
+    def test_model_sha256(self, kind, make_dataset, hp, digest):
+        assert model_fingerprint(train(kind, make_dataset(), hp)) == digest
 
 
 class TestForest:

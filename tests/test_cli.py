@@ -299,6 +299,21 @@ class TestDetect:
         assert run(["detect", self.capture_csv(workspace),
                     "--model", str(path)]) == 1
 
+    def test_resealed_boolean_threshold_exit_1(self, workspace, capsys):
+        blob = Path(trained_model_path(workspace)).read_bytes()
+        head = len(MODEL_MAGIC) + 6
+        payload = json.loads(blob[head:-32])
+        root = payload["params"]["nodes"][0]
+        assert root[0] >= 0                     # the root splits
+        root[1] = True                          # a threshold must be a float
+        body = json.dumps(payload).encode()
+        resealed = blob[:head - 4] + struct.pack(">I", len(body)) + body
+        path = workspace / "resealed.bin"
+        path.write_bytes(resealed + hashlib.sha256(resealed).digest())
+        assert run(["detect", self.capture_csv(workspace),
+                    "--model", str(path)]) == 1
+        assert "expected a float, got True" in capsys.readouterr().err
+
     def test_resealed_narrow_svm_exit_1(self, workspace, capsys):
         model = workspace / "svm.bin"
         assert run(["train", str(workspace / "data.csv"), "--kind", "svm",

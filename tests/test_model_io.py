@@ -358,6 +358,26 @@ class TestTampering:
         with pytest.raises(MalformedModel, match="expected an integer"):
             load_model(container(json.dumps(payload).encode()))
 
+    @pytest.mark.parametrize("kind,path,value", [
+        (ClassifierKind.J48, ("params", "nodes", 0, 1), True),
+        (ClassifierKind.J48, ("params", "nodes", 0, 1), 1),
+        (ClassifierKind.SVM, ("params", "weights", 0), 1),
+        (ClassifierKind.BAYES, ("params", "var_pos", 0), True),
+        (ClassifierKind.MLP, ("scaler", "mins", 0), 0),
+        (ClassifierKind.KNN, ("params", "points", 0, 0), 1),
+    ], ids=["j48-threshold-true", "j48-threshold-1", "svm-weight-1",
+            "bayes-variance-true", "scaler-min-0", "knn-point-1"])
+    def test_float_field_must_be_json_float(self, kind, path, value):
+        # Each of these once loaded as a float and wrote back different bytes.
+        payload = valid_payload_dict(kind)
+        *parents, last = path
+        target = payload
+        for step in parents:
+            target = target[step]
+        target[last] = value
+        with pytest.raises(MalformedModel, match="float"):
+            load_model(container(json.dumps(payload).encode()))
+
     def test_forest_features_used_must_be_json_integers(self):
         payload = valid_payload_dict(ClassifierKind.RANDOM_FOREST)
         params = payload["params"]
