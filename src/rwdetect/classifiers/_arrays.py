@@ -43,3 +43,20 @@ def integer(obj) -> int:
     if type(obj) is not int:
         raise ValueError(f"expected an integer, got {obj!r}")
     return obj
+
+
+def floats(values) -> np.ndarray:
+    """A sequence of ``number`` values as a float64 array."""
+    if not set(map(type, values)) <= {float}:
+        number(next(v for v in values if type(v) is not float))
+    arr = np.array(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite number")
+    return arr
+
+
+def integers(values) -> np.ndarray:
+    """A sequence of ``integer`` values as an int64 array."""
+    if not set(map(type, values)) <= {int}:
+        integer(next(v for v in values if type(v) is not int))
+    return np.array(values, dtype=np.int64)

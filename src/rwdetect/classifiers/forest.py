@@ -5,9 +5,10 @@ forest seed, consumed in tree order: first the bootstrap draw (when
 enabled), then the per-node feature subsets.  The ensemble score is the
 unweighted mean of the tree leaf scores.
 
-A forest is its list of trees.  The model file also lists each tree's
-split features (``features_used``); they are derived from the trees when
-written and must match them when read.
+A forest is one ``tree.Nodes`` over all its trees, scored by
+``tree.scores``; the model file keeps one list of node rows per tree.
+It also lists each tree's split features (``features_used``); they are
+derived from the trees when written and must match them when read.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ CHECKS = (
 )
 
 
-def fit(x: np.ndarray, y: np.ndarray, hp: ForestParams) -> list[list[tree.TreeNode]]:
+def fit(x: np.ndarray, y: np.ndarray, hp: ForestParams) -> tree.Nodes:
     n = len(y)
     children = np.random.SeedSequence(hp.seed).spawn(hp.trees)
     trees = []
@@ -55,26 +56,29 @@ def fit(x: np.ndarray, y: np.ndarray, hp: ForestParams) -> list[list[tree.TreeNo
             xb, yb = x, y
         trees.append(tree.build(xb, yb, min_leaf=hp.min_leaf,
                                 rng=rng, features_per_split=hp.features_per_split))
-    return trees
+    return tree.nodes_in(trees)
 
 
-def scores(trees: list[list[tree.TreeNode]], queries: np.ndarray) -> np.ndarray:
-    rows = queries.tolist()
-    total = np.zeros(len(rows))
-    for nodes in trees:
-        total += tree.leaf_scores(nodes, rows)
-    return total / len(trees)
+scores = tree.scores
 
 
-def params_out(trees: list[list[tree.TreeNode]]) -> dict:
-    return {"trees": trees, "features_used": [tree.features_used(t) for t in trees]}
+def _features_used(nodes: tree.Nodes) -> list[list[int]]:
+    """Each tree's split features, sorted."""
+    bounds = [*nodes.roots.tolist(), len(nodes)]
+    splits = nodes.children[:, 0] != np.arange(len(nodes))
+    return [sorted(set(nodes.feature[lo:hi][splits[lo:hi]].tolist()))
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
-def params_in(obj: dict, hp: ForestParams) -> list[list[tree.TreeNode]]:
-    trees = [tree.nodes_in(t) for t in obj["trees"]]
-    if not trees:
+def params_out(nodes: tree.Nodes) -> dict:
+    return {"trees": tree.rows(nodes), "features_used": _features_used(nodes)}
+
+
+def params_in(obj: dict, hp: ForestParams) -> tree.Nodes:
+    if not obj["trees"]:
         raise ValueError("a forest needs at least one tree")
+    nodes = tree.nodes_in(obj["trees"])
     used = [[integer(f) for f in features] for features in obj["features_used"]]
-    if used != [tree.features_used(t) for t in trees]:
+    if used != _features_used(nodes):
         raise ValueError("features_used disagrees with the trees")
-    return trees
+    return nodes

@@ -9,20 +9,28 @@ strictly positive information gain.  No pruning.  When an RNG and a
 subset size are supplied (random forest mode) each node considers only a
 random feature subset.
 
-A tree is its preorder list of ``TreeNode`` tuples.  A node is the
-``[feature, threshold, left, right, pos, total]`` row of the model file,
-so the list is written as it is and read back through ``nodes_in``.
+In memory a tree, or every tree of a forest, is one ``Nodes``: flat
+columns over all the nodes, child indexes absolute.  A leaf's children
+are the leaf itself, so ``scores`` steps every (query, tree) pair
+``depth`` times from its root and each pair ends at its leaf, whatever
+the leaf's feature (0) and threshold (as read).  The model file keeps
+one list of ``[feature, threshold, left, right, pos, total]`` rows per
+tree, in preorder, with child indexes counted from the tree's first row
+and a leaf written as ``feature = -1`` with ``-1`` children;
+``nodes_in`` reads such lists into columns and ``rows`` writes them
+back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from ..features import N_FEATURES
-from ._arrays import integer, number
+from ._arrays import floats, integers
 
 ALIAS = "j48"
 SCALED = False
@@ -38,13 +46,19 @@ Params = TreeParams
 CHECKS = ((lambda hp: hp.min_leaf >= 1, "min_leaf must be at least 1"),)
 
 
-class TreeNode(NamedTuple):
-    feature: int        # -1 marks a leaf
-    threshold: float
-    left: int           # child index into the node list, -1 for leaves
-    right: int
-    pos: int            # positive training samples that reached the node
-    total: int
+@dataclass(frozen=True, eq=False)
+class Nodes:
+    """The nodes of one or more trees as columns; ``len()`` is the node count."""
+    feature: np.ndarray     # split feature, 0 at a leaf
+    threshold: np.ndarray
+    children: np.ndarray    # (nodes, 2): left and right; a leaf's are itself
+    pos: np.ndarray         # positive training samples that reached the node
+    total: np.ndarray
+    roots: np.ndarray       # each tree's root, its first node, in tree order
+    depth: int              # most steps from a root to a leaf
+
+    def __len__(self) -> int:
+        return len(self.feature)
 
 
 def _binary_entropy(pos, total):
@@ -104,8 +118,8 @@ def _choose_split(x: np.ndarray, y: np.ndarray, idx: np.ndarray,
 
 
 def build(x: np.ndarray, y: np.ndarray, min_leaf: int = 2,
-          rng=None, features_per_split: int | None = None) -> list[TreeNode]:
-    """Grow a tree over samples (x, y in {0,1}); nodes listed in preorder."""
+          rng=None, features_per_split: int | None = None) -> list[list]:
+    """Grow a tree over samples (x, y in {0,1}); its model-file rows in preorder."""
     # Explicit stack: unpruned chains can outgrow the recursion limit.
     raw: list[list] = []  # [feature, threshold, left, right, pos, total]
     stack: list[tuple[np.ndarray, int, int]] = [(np.arange(len(y)), -1, 0)]
@@ -128,59 +142,118 @@ def build(x: np.ndarray, y: np.ndarray, min_leaf: int = 2,
         # Right pushed first so the left subtree is numbered first.
         stack.append((idx[~mask], node_id, 1))
         stack.append((idx[mask], node_id, 0))
-    return [TreeNode(*row) for row in raw]
+    return raw
 
 
-def fit(x: np.ndarray, y: np.ndarray, hp: TreeParams) -> list[TreeNode]:
-    return build(x, y, min_leaf=hp.min_leaf)
+def fit(x: np.ndarray, y: np.ndarray, hp: TreeParams) -> Nodes:
+    return nodes_in([build(x, y, min_leaf=hp.min_leaf)])
 
 
-def scores(nodes: list[TreeNode], queries: np.ndarray) -> np.ndarray:
-    """Positive-class fraction of the leaf each query routes to."""
-    return leaf_scores(nodes, queries.tolist())
+#: (query, tree) pairs ``scores`` routes at once; bounds its index arrays.
+CHUNK_PAIRS = 1 << 14
 
 
-def leaf_scores(nodes: list[TreeNode], rows: list[list[float]]) -> np.ndarray:
-    """``scores`` over ``queries.tolist()``: Python floats, no numpy scalar
-    per step.  A forest converts its queries once for all its trees."""
-    out = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        node = nodes[0]
-        while node.feature >= 0:
-            child = node.left if row[node.feature] <= node.threshold else node.right
-            node = nodes[child]
-        out[i] = node.pos / node.total
-    return out
+def scores(nodes: Nodes, queries: np.ndarray) -> np.ndarray:
+    """Mean over the trees of the positive fraction of each query's leaf.
+
+    A query goes left when its value is ``<=`` the node's threshold, so
+    right when it is ``>``: queries and thresholds are finite.  The leaf
+    fractions ``pos / total`` are added tree by tree, in tree order, then
+    divided by the tree count.
+    """
+    feature, threshold, children = nodes.feature, nodes.threshold, nodes.children
+    n_trees = len(nodes.roots)
+    chunk_rows = max(1, CHUNK_PAIRS // n_trees)
+    total = np.zeros(len(queries))
+    for lo in range(0, len(queries), chunk_rows):
+        chunk = queries[lo:lo + chunk_rows]
+        flat = chunk.ravel()
+        row_start = np.arange(0, flat.size, chunk.shape[1])
+        node = np.repeat(nodes.roots[:, None], len(chunk), axis=1)  # (trees, rows)
+        for _ in range(nodes.depth):
+            goes_right = flat.take(row_start + feature.take(node)) > threshold.take(node)
+            node = children.take(2 * node + goes_right)    # children[node, goes_right]
+        part = total[lo:lo + chunk_rows]
+        for fraction in nodes.pos.take(node) / nodes.total.take(node):
+            part += fraction
+    return total / n_trees
 
 
-def features_used(nodes: list[TreeNode]) -> list[int]:
-    return sorted({n.feature for n in nodes if n.feature >= 0})
+def nodes_in(trees) -> Nodes:
+    """Columns of trees given as lists of model-file rows.
 
-
-def nodes_in(obj) -> list[TreeNode]:
-    """Preorder nodes from a model file; children follow their parent."""
-    count = len(obj)
-    nodes = []
-    for i, row in enumerate(obj):
-        feature, threshold, left, right, pos, total = row
-        feature, left, right, pos, total = (
-            integer(v) for v in (feature, left, right, pos, total))
-        if feature == -1:
-            if left != -1 or right != -1:
-                raise ValueError(f"leaf {i} has children")
-        elif not (0 <= feature < N_FEATURES and i < left < count and i < right < count):
-            raise ValueError(f"node {i} has a bad feature or child index")
-        if not 0 <= pos <= total or total < 1:
-            raise ValueError(f"node {i} has bad sample counts")
-        nodes.append(TreeNode(feature, number(threshold), left, right, pos, total))
-    if not nodes:
+    Raises ValueError on rows that fail the checks of
+    docs/model_format.md, which make every query's walk end at a leaf.
+    """
+    sizes = list(map(len, trees))
+    if not all(sizes):
         raise ValueError("empty tree")
-    return nodes
+    flat = list(chain.from_iterable(trees))
+    if set(map(len, flat)) != {6}:
+        raise ValueError("a node row does not have six fields")
+    feature, threshold, left, right, pos, total = (
+        (floats if k == 1 else integers)(list(map(itemgetter(k), flat)))
+        for k in range(6))
+
+    n = len(flat)
+    start = np.cumsum(sizes) - sizes
+    offset = np.repeat(start, sizes)
+    count = np.repeat(sizes, sizes)
+    local = np.arange(n) - offset
+    leaf = feature == -1
+    faults = (
+        (leaf & ((left != -1) | (right != -1)), "leaf {} has children"),
+        (~leaf & ~((0 <= feature) & (feature < N_FEATURES)
+                   & (local < left) & (left < count)
+                   & (local < right) & (right < count)),
+         "node {} has a bad feature or child index"),
+        ((pos < 0) | (pos > total) | (total < 1), "node {} has bad sample counts"),
+    )
+    for bad, message in faults:
+        if bad.any():
+            raise ValueError(message.format(local[bad.argmax()]))
+
+    children = np.stack([left, right], axis=1)
+    children += offset[:, None]
+    children[leaf] = np.flatnonzero(leaf)[:, None]
+    feature[leaf] = 0
+    return Nodes(feature=feature, threshold=threshold, children=children,
+                 pos=pos, total=total, roots=start, depth=_depth(children, start))
 
 
-def params_out(nodes: list[TreeNode]) -> dict:
-    return {"nodes": nodes}
+def _depth(children: np.ndarray, roots: np.ndarray) -> int:
+    """Most steps from a root to a leaf, one level of nodes at a time."""
+    slot = np.empty(len(children), dtype=np.intp)
+    level, depth = roots, 0
+    while True:
+        level = level[children[level, 0] != level]     # the level's split nodes
+        if not level.size:
+            return depth
+        # A file may give two parents one child: keep one copy per level,
+        # the one whose position its slot holds.
+        below = children[level].ravel()
+        at = np.arange(len(below))
+        slot[below] = at
+        level = below[slot[below] == at]
+        depth += 1
 
 
-def params_in(obj: dict, hp: TreeParams) -> list[TreeNode]:
-    return nodes_in(obj["nodes"])
+def rows(nodes: Nodes) -> list[list[tuple]]:
+    """Each tree's model-file rows."""
+    n = len(nodes)
+    leaf = nodes.children[:, 0] == np.arange(n)
+    offset = np.repeat(nodes.roots, np.diff(nodes.roots, append=n))
+    feature = np.where(leaf, -1, nodes.feature)
+    left, right = np.where(leaf[:, None], -1, nodes.children - offset[:, None]).T
+    bounds = [*nodes.roots.tolist(), n]
+    return [list(zip(*(column[lo:hi].tolist() for column in (
+                feature, nodes.threshold, left, right, nodes.pos, nodes.total))))
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def params_out(nodes: Nodes) -> dict:
+    return {"nodes": rows(nodes)[0]}
+
+
+def params_in(obj: dict, hp: TreeParams) -> Nodes:
+    return nodes_in([obj["nodes"]])

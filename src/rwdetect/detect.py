@@ -52,6 +52,7 @@ class Alert:
     prediction: Prediction
     model_fingerprint: str
     emitted_at: float
+    features: tuple[float, ...]   # ``encode(conversation)``, from the window's matrix
 
 
 @dataclass(frozen=True)
@@ -126,16 +127,17 @@ def detect_stream(packets: Sequence[PacketRecord], model: TrainedModel,
         vectors = np.stack([encode(c) for c in conversations])
         labels01, scores = predict_many(model, vectors)
         positives = [
-            (conversations[j], float(scores[j]))
+            (conversations[j], float(scores[j]), tuple(vectors[j].tolist()))
             for j in range(len(conversations)) if labels01[j]
         ]
         positives.sort(key=lambda item: item[0].key().sort_key())
         emitted_at = capture_start + (w + 1) * spec.interval
-        for conv, score in positives:
+        for conv, score, row in positives:
             alert = Alert(
                 window_index=w, conversation=conv,
                 prediction=Prediction(label=Label.RANSOMWARE, score=score),
                 model_fingerprint=fingerprint, emitted_at=emitted_at,
+                features=row,
             )
             try:
                 sink(alert)
@@ -192,7 +194,7 @@ def alert_to_json(alert: Alert) -> str:
         "model_fingerprint": alert.model_fingerprint,
         "features": {
             name: value
-            for name, value in zip(FEATURE_NAMES, encode(conv).tolist())
+            for name, value in zip(FEATURE_NAMES, alert.features)
         },
     }
     return json.dumps(payload, sort_keys=True)

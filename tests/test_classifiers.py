@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -50,6 +51,21 @@ def vec13(**positions) -> np.ndarray:
     for key, value in positions.items():
         out[int(key[1:])] = value
     return out
+
+
+class TreeNode(NamedTuple):
+    """A model-file node row."""
+    feature: int        # -1 marks a leaf
+    threshold: float
+    left: int           # child index within the tree, -1 for leaves
+    right: int
+    pos: int
+    total: int
+
+
+def j48_rows(model: TrainedModel) -> list[TreeNode]:
+    """A J48 model's nodes as the model file's rows."""
+    return [TreeNode(*row) for row in tree_mod.params_out(model.state)["nodes"]]
 
 
 def toy_dataset(rows: list[tuple[np.ndarray, Label]]) -> Dataset:
@@ -218,10 +234,11 @@ class TestTree:
             (vec13(f0=4.0), Label.RANSOMWARE),
         ]
         model = train(ClassifierKind.J48, toy_dataset(rows))
-        root = model.state[0]
+        nodes = j48_rows(model)
+        root = nodes[0]
         assert root.feature == 0
         assert root.threshold == 2.5
-        left, right = model.state[root.left], model.state[root.right]
+        left, right = nodes[root.left], nodes[root.right]
         assert (left.feature, right.feature) == (-1, -1)
         assert (left.pos, left.total) == (0, 2)
         assert (right.pos, right.total) == (2, 2)
@@ -236,7 +253,7 @@ class TestTree:
             (vec13(f2=30.0), Label.RANSOMWARE),
         ]
         model = train(ClassifierKind.J48, toy_dataset(rows), TreeParams(min_leaf=1))
-        assert model.state[0].threshold == 20.0
+        assert j48_rows(model)[0].threshold == 20.0
 
     def test_threshold_tie_prefers_smallest(self):
         # cuts 1.5 and 3.5 have the same gain ratio; 2.5 has no gain
@@ -247,7 +264,7 @@ class TestTree:
             (vec13(f0=4.0), Label.BENIGN),
         ]
         model = train(ClassifierKind.J48, toy_dataset(rows), TreeParams(min_leaf=1))
-        assert model.state[0].threshold == 1.5
+        assert j48_rows(model)[0].threshold == 1.5
 
     def test_feature_tie_prefers_lower_index(self):
         rows = [
@@ -255,7 +272,7 @@ class TestTree:
             (vec13(f4=1.0, f7=1.0), Label.RANSOMWARE),
         ]
         model = train(ClassifierKind.J48, toy_dataset(rows), TreeParams(min_leaf=1))
-        assert model.state[0].feature == 4
+        assert j48_rows(model)[0].feature == 4
 
     def test_zero_gain_stops_growth(self):
         rows = [
@@ -265,8 +282,8 @@ class TestTree:
             (vec13(f5=1.0, f6=1.0), Label.BENIGN),
         ]
         model = train(ClassifierKind.J48, toy_dataset(rows))
-        assert len(model.state) == 1            # xor: no single split gains
-        leaf = model.state[0]
+        assert len(j48_rows(model)) == 1        # xor: no single split gains
+        leaf = j48_rows(model)[0]
         assert (leaf.pos, leaf.total) == (2, 4)
         result = predict(model, vec13(f5=0.5, f6=0.5))
         assert result.score == 0.5
@@ -279,14 +296,14 @@ class TestTree:
             (vec13(f0=3.0), Label.RANSOMWARE),
         ]
         model = train(ClassifierKind.J48, toy_dataset(rows), TreeParams(min_leaf=4))
-        assert len(model.state) == 1
+        assert len(j48_rows(model)) == 1
 
     def test_pure_dataset_is_single_leaf(self):
         ds = gaussian_dataset(n_pos=5, n_neg=5, seed=13)
         # force purity below the root by training on one class plus one outlier
         model = train(ClassifierKind.J48, ds)
         # every leaf must be pure on separable data
-        for node in model.state:
+        for node in j48_rows(model):
             if node.feature == -1:
                 assert node.pos in (0, node.total)
 
@@ -380,17 +397,152 @@ class TestPinnedTrees:
         assert model_fingerprint(train(kind, make_dataset(), hp)) == digest
 
 
+def reference_walk(trees: list[list], queries: np.ndarray) -> np.ndarray:
+    """Tree scores the slow way: each query walks each tree's file rows.
+
+    Leaf fractions are added tree by tree from zero, then divided by the
+    tree count, the summation order ``tree.scores`` keeps.
+    """
+    total = np.zeros(len(queries))
+    for rows in trees:
+        for i, query in enumerate(queries.tolist()):
+            node = TreeNode(*rows[0])
+            while node.feature >= 0:
+                child = node.left if query[node.feature] <= node.threshold else node.right
+                node = TreeNode(*rows[child])
+            total[i] += node.pos / node.total
+    return total / len(trees)
+
+
+#: Thresholds and query values of the random trees, so queries often
+#: equal a threshold.
+LEVELS = (-1.5, 0.0, 0.25, 1.0, 3.0)
+
+
+def random_tree(rng: np.random.Generator, splits: int) -> list[list]:
+    """A random tree of file rows with ``splits`` split nodes, in preorder.
+
+    Leaves carry arbitrary finite thresholds, which routing ignores.
+    """
+    rows: list[list] = []
+
+    def grow(budget: int) -> int:
+        i = len(rows)
+        total = int(rng.integers(1, 50))
+        pos = int(rng.integers(0, total + 1))
+        if budget == 0:
+            rows.append([-1, float(rng.choice(LEVELS)), -1, -1, pos, total])
+            return i
+        rows.append([int(rng.integers(0, 13)), float(rng.choice(LEVELS)), -1, -1, pos, total])
+        on_left = int(rng.integers(0, budget))
+        rows[i][2] = grow(on_left)
+        rows[i][3] = grow(budget - 1 - on_left)
+        return i
+
+    grow(splits)
+    return rows
+
+
+def chain_tree(depth: int) -> list[list]:
+    """Split nodes whose left child is a leaf and right child the next split."""
+    rows: list[list] = []
+    for d in range(depth):
+        rows.append([d % 13, float(d % 7) / 2.0, len(rows) + 1, len(rows) + 2, d, 2 * d + 1])
+        rows.append([-1, 0.0, -1, -1, d % 2, 1])
+    rows.append([-1, 0.0, -1, -1, 1, 3])
+    return rows
+
+
+def level_queries(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.choice(LEVELS, size=(n, 13)) + np.where(
+        rng.random((n, 13)) < 0.3, rng.normal(size=(n, 13)), 0.0)
+
+
+def scored_by_walk(trees: list[list], queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(``tree.scores``, ``reference_walk``) of the trees: J48 for one tree."""
+    if len(trees) == 1:
+        kind, hp = ClassifierKind.J48, TreeParams()
+        state = tree_mod.params_in({"nodes": trees[0]}, hp)
+    else:
+        kind, hp = ClassifierKind.RANDOM_FOREST, ForestParams(trees=len(trees))
+        used = [sorted({row[0] for row in rows if row[0] >= 0}) for rows in trees]
+        state = forest_mod.params_in({"trees": trees, "features_used": used}, hp)
+    model = TrainedModel(kind=kind, hyperparams=hp, state=state, scaler=None,
+                         training_time=0.0, train_fingerprint="stub")
+    return predict_many(model, queries)[1], reference_walk(trees, queries)
+
+
+class TestTreeRouting:
+    """``tree.scores`` routes every (query, tree) pair at once over the
+    node columns; it must give the per-node walk's scores bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("n_trees", [1, 7])
+    def test_random_trees_match_walk(self, seed, n_trees):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        trees = [random_tree(rng, int(rng.integers(0, 40))) for _ in range(n_trees)]
+        got, want = scored_by_walk(trees, level_queries(rng, 300))
+        assert np.array_equal(got, want)
+
+    def test_query_equal_to_threshold_goes_left(self):
+        trees = [[[3, 0.25, 1, 2, 1, 2], [-1, 0.0, -1, -1, 0, 1], [-1, 0.0, -1, -1, 1, 1]]]
+        queries = np.zeros((3, 13))
+        queries[:, 3] = [0.25, np.nextafter(0.25, 1.0), np.nextafter(0.25, 0.0)]
+        got, want = scored_by_walk(trees, queries)
+        assert got.tolist() == want.tolist() == [0.0, 1.0, 0.0]
+
+    def test_lone_leaf_and_deep_chain(self):
+        rng = np.random.Generator(np.random.PCG64(40))
+        queries = level_queries(rng, 200)
+        lone = [[-1, 2.5, -1, -1, 3, 7]]
+        for trees in ([lone], [chain_tree(400)], [lone, chain_tree(60), lone]):
+            got, want = scored_by_walk(trees, queries)
+            assert np.array_equal(got, want)
+        assert tree_mod.params_in({"nodes": chain_tree(400)}, TreeParams()).depth == 400
+
+    @pytest.mark.parametrize("n_trees", [1, 3])
+    def test_batches_across_the_chunk_size(self, monkeypatch, n_trees):
+        monkeypatch.setattr(tree_mod, "CHUNK_PAIRS", 40)
+        chunk = 40 // n_trees
+        rng = np.random.Generator(np.random.PCG64(41))
+        trees = [random_tree(rng, 12) for _ in range(n_trees)]
+        queries = level_queries(rng, chunk + 1)
+        for n in (0, 1, chunk - 1, chunk, chunk + 1):
+            got, want = scored_by_walk(trees, queries[:n])
+            assert got.shape == (n,)
+            assert np.array_equal(got, want)
+
+    def test_default_chunk_boundary(self):
+        rng = np.random.Generator(np.random.PCG64(42))
+        trees = [random_tree(rng, 20) for _ in range(16)]
+        chunk = tree_mod.CHUNK_PAIRS // 16
+        got, want = scored_by_walk(trees, level_queries(rng, chunk + 1))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind, hp", [
+        (ClassifierKind.J48, None), (ClassifierKind.RANDOM_FOREST, ForestParams(trees=10)),
+    ], ids=["j48", "forest"])
+    def test_trained_models_match_walk(self, kind, hp):
+        ds = tie_dataset()
+        model = train(kind, ds, hp)
+        if kind is ClassifierKind.J48:
+            trees = [tree_mod.params_out(model.state)["nodes"]]
+        else:
+            trees = forest_mod.params_out(model.state)["trees"]
+        queries = level_queries(np.random.Generator(np.random.PCG64(43)), 500)
+        queries[:250] = ds.x[:250]
+        assert np.array_equal(predict_many(model, queries)[1], reference_walk(trees, queries))
+
+
 class TestForest:
     def stub_model(self, leaf_scores):
-        trees = [
-            [tree_mod.TreeNode(-1, 0.0, -1, -1, int(s), 1)]
-            for s in leaf_scores
-        ]
+        trees = [[TreeNode(-1, 0.0, -1, -1, int(s), 1)] for s in leaf_scores]
+        hp = ForestParams(trees=len(trees))
         return TrainedModel(
-            kind=ClassifierKind.RANDOM_FOREST,
-            hyperparams=ForestParams(trees=len(trees)),
-            state=trees, scaler=None, training_time=0.0,
-            train_fingerprint="stub",
+            kind=ClassifierKind.RANDOM_FOREST, hyperparams=hp,
+            state=forest_mod.params_in(
+                {"trees": trees, "features_used": [[] for _ in trees]}, hp),
+            scaler=None, training_time=0.0, train_fingerprint="stub",
         )
 
     def test_vote_average_three_quarters(self):
@@ -425,9 +577,11 @@ class TestForest:
     def test_per_tree_feature_records(self):
         ds = gaussian_dataset(n_pos=25, n_neg=25, seed=16)
         model = train(ClassifierKind.RANDOM_FOREST, ds, ForestParams(trees=10))
-        features_used = forest_mod.params_out(model.state)["features_used"]
+        params = forest_mod.params_out(model.state)
+        features_used = params["features_used"]
         assert len(features_used) == 10
-        for used, nodes in zip(features_used, model.state):
+        for used, rows in zip(features_used, params["trees"]):
+            nodes = [TreeNode(*row) for row in rows]
             assert used == sorted({n.feature for n in nodes if n.feature >= 0})
             assert all(0 <= f < 13 for f in used)
 

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import functools
 import hashlib
 import json
 import struct
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwdetect.classifiers import (
     ALL_KINDS,
@@ -58,8 +63,18 @@ TREE_KINDS = (ClassifierKind.J48, ClassifierKind.RANDOM_FOREST)
 
 def first_tree(payload: dict) -> list:
     """The node rows of a J48 payload, or of a forest payload's first tree."""
+    return tree_rows(payload)[0]
+
+
+def tree_rows(payload: dict) -> list[list]:
+    """The node rows of each tree of a J48 or forest payload."""
     params = payload["params"]
-    return params["nodes"] if "nodes" in params else params["trees"][0]
+    return [params["nodes"]] if "nodes" in params else params["trees"]
+
+
+def sealed(payload: dict) -> bytes:
+    """A container around the payload as the writer formats it."""
+    return container(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
 
 
 class TestRoundTrip:
@@ -95,6 +110,23 @@ class TestRoundTrip:
         assert np.array_equal(loaded.scaler.mins, model.scaler.mins)
         assert np.array_equal(loaded.scaler.maxs, model.scaler.maxs)
         assert loaded.scaler.fitted_on == model.scaler.fitted_on
+
+    @pytest.mark.parametrize("kind", TREE_KINDS, ids=lambda k: k.value)
+    def test_leaf_thresholds_round_trip(self, kind):
+        # In memory a leaf routes to itself, whatever its threshold; the
+        # file's leaf threshold is kept as read and written back.
+        payload = valid_payload_dict(kind)
+        for rows in tree_rows(payload):
+            for i, row in enumerate(rows):
+                if row[0] == -1:
+                    row[1] = 0.5 + i
+        blob = sealed(payload)
+        loaded = load_model(blob)
+        assert save_model(loaded) == blob
+        assert model_fingerprint(loaded) == hashlib.sha256(blob).hexdigest()
+        queries = np.random.Generator(np.random.PCG64(33)).uniform(-1, 2, size=(50, 13))
+        assert np.array_equal(predict_many(loaded, queries)[1],
+                              predict_many(quick_model(kind), queries)[1])
 
     def test_unscaled_kind_keeps_null_scaler(self):
         loaded = load_model(save_model(quick_model(ClassifierKind.J48)))
@@ -397,3 +429,61 @@ class TestTampering:
         head = MODEL_MAGIC + struct.pack(">HI", 1, len(payload) + 999) + payload
         with pytest.raises(ChecksumFailure):
             load_model(head + hashlib.sha256(head).digest())
+
+
+@functools.cache
+def tree_payload(kind: ClassifierKind) -> dict:
+    return valid_payload_dict(kind)
+
+
+#: Values of every JSON type, mostly wrong for a node field.
+JUNK = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
+                 st.text(max_size=2), st.lists(st.integers(-1, 6), max_size=7))
+
+
+def node_values(field: int, junk: bool):
+    """Replacements for a node field (1 is the threshold) or, for field 6,
+    for the whole row; of the field's own type unless ``junk``."""
+    if junk:
+        return JUNK
+    if field == 6:
+        return st.lists(st.integers(-1, 6), min_size=6, max_size=6)
+    return st.floats(-3.0, 3.0) if field == 1 else st.integers(-2, 15)
+
+
+FUZZ_QUERIES = np.vstack([
+    gaussian_dataset(n_pos=12, n_neg=12, seed=31).x,
+    np.random.Generator(np.random.PCG64(34)).normal(0.5, 0.5, size=(40, 13)),
+])
+
+
+class TestTreePayloadFuzz:
+    """A resealed J48 or forest payload with mutated node rows either
+    fails to load with MalformedModel, or scores every query in [0, 1]
+    within a time bound and writes back to the same bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(TREE_KINDS), data=st.data())
+    def test_mutated_nodes_fail_typed_or_score(self, kind, data):
+        payload = copy.deepcopy(tree_payload(kind))
+        trees = tree_rows(payload)
+        for _ in range(data.draw(st.integers(1, 3))):
+            rows = trees[data.draw(st.integers(0, len(trees) - 1))]
+            i = data.draw(st.integers(0, len(rows) - 1))
+            field = data.draw(st.integers(0, 6))
+            value = data.draw(node_values(field, junk=data.draw(st.integers(0, 3)) == 0))
+            if isinstance(rows[i], list) and field < len(rows[i]):
+                rows[i][field] = value
+            else:
+                rows[i] = value
+        blob = sealed(payload)
+        started = time.perf_counter()
+        try:
+            model = load_model(blob)
+        except MalformedModel:
+            return
+        scores = predict_many(model, FUZZ_QUERIES)[1]
+        assert time.perf_counter() - started < 2.0
+        assert np.isfinite(scores).all()
+        assert ((scores >= 0.0) & (scores <= 1.0)).all()
+        assert save_model(model) == blob
