@@ -33,7 +33,6 @@ from .classifiers import (
 )
 from .conversation import (
     Conversation,
-    ConversationKey,
     aggregate,
     conversations_to_csv,
     csv_to_conversations,
@@ -81,7 +80,6 @@ __all__ = [
     "ClassifierKind",
     "ConfusionCounts",
     "Conversation",
-    "ConversationKey",
     "Dataset",
     "DetectionSummary",
     "EvaluationResult",

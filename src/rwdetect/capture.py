@@ -27,6 +27,7 @@ import socket
 import struct
 from dataclasses import dataclass
 from ipaddress import AddressValueError, IPv4Address
+from pathlib import Path
 from typing import Iterable
 
 from .errors import (
@@ -108,30 +109,28 @@ def u32_to_ip(value: int) -> str:
     return str(IPv4Address(value))
 
 
-def parse_pcap(data) -> tuple[list[PacketRecord], CaptureSummary]:
-    """Parse a classic pcap byte stream into IPv4 TCP/UDP packet records.
+def parse_pcap(data: bytes) -> tuple[list[PacketRecord], CaptureSummary]:
+    """Parse the bytes of a classic pcap file into IPv4 TCP/UDP packet records.
 
-    Accepts bytes or a binary file object.  Raises BadMagic for anything
-    that is not a classic pcap file and UnsupportedLinkType for link types
-    other than Ethernet.  A file that ends mid-structure is flagged in the
-    summary instead of raising.
+    Raises BadMagic for anything that is not a classic pcap file and
+    UnsupportedLinkType for link types other than Ethernet.  A file that
+    ends mid-structure is flagged in the summary instead of raising.
     """
-    buf = data.read() if hasattr(data, "read") else bytes(data)
-    if len(buf) < 4:
+    if len(data) < 4:
         raise BadMagic("input shorter than a pcap magic number")
 
     try:
-        byte_order, ts_divisor = PCAP_MAGICS[buf[:4]]
+        byte_order, ts_divisor = PCAP_MAGICS[data[:4]]
     except KeyError:
-        raise BadMagic(f"unrecognized magic {buf[:4].hex()}") from None
+        raise BadMagic(f"unrecognized magic {data[:4].hex()}") from None
 
     summary = CaptureSummary()
-    if len(buf) < 24:
+    if len(data) < 24:
         summary.error = "truncated_header"
         return [], summary
 
     _vmaj, _vmin, _zone, _sigfigs, _snaplen, network = struct.unpack(
-        byte_order + "HHiIII", buf[4:24]
+        byte_order + "HHiIII", data[4:24]
     )
     if network != 1:
         raise UnsupportedLinkType(f"link type {network}, only Ethernet (1) is supported")
@@ -140,17 +139,17 @@ def parse_pcap(data) -> tuple[list[PacketRecord], CaptureSummary]:
     offset = 24
     first_ts = None
     last_ts = None
-    while offset < len(buf):
-        if len(buf) - offset < 16:
+    while offset < len(data):
+        if len(data) - offset < 16:
             summary.error = "truncated_record"
             break
         ts_sec, ts_frac, incl_len, orig_len = struct.unpack(
-            byte_order + "IIII", buf[offset:offset + 16]
+            byte_order + "IIII", data[offset:offset + 16]
         )
-        if len(buf) - offset - 16 < incl_len:
+        if len(data) - offset - 16 < incl_len:
             summary.error = "truncated_record"
             break
-        frame = buf[offset + 16:offset + 16 + incl_len]
+        frame = data[offset + 16:offset + 16 + incl_len]
         offset += 16 + incl_len
 
         timestamp = ts_sec + ts_frac / ts_divisor
@@ -226,8 +225,7 @@ def _decode_frame(frame: bytes, timestamp: float, orig_len: int,
 
 
 def read_pcap(path) -> tuple[list[PacketRecord], CaptureSummary]:
-    with open(path, "rb") as fh:
-        return parse_pcap(fh)
+    return parse_pcap(Path(path).read_bytes())
 
 
 # -- packet CSV ---------------------------------------------------------------
@@ -236,9 +234,10 @@ def _parse_address(text: str, line: int, column: str) -> str:
     if ":" in text:
         raise Ipv6Unsupported(line, f"{column} {text!r} looks like IPv6")
     try:
-        return str(IPv4Address(text))
-    except (AddressValueError, ValueError):
+        ip_to_u32(text)
+    except AddressValueError:
         raise RowError(line, f"{column} {text!r} is not an IPv4 address") from None
+    return text
 
 
 def _parse_int(text: str, line: int, column: str, lo: int, hi: int) -> int:
@@ -274,12 +273,12 @@ def _parse_packet_row(row: list[str], line: int) -> PacketRecord:
     )
 
 
-def _csv_rows(text, header: list[str], what: str):
-    """``(line, row)`` per data row of CSV text or a text file; checks the header.
+def _csv_rows(text: str, header: list[str], what: str):
+    """``(line, row)`` per data row of CSV text; checks the header.
 
     One leading byte-order mark (U+FEFF, as ``ef bb bf`` decodes) is dropped.
     """
-    reader = csv.reader(io.StringIO(text) if isinstance(text, str) else text)
+    reader = csv.reader(io.StringIO(text))
     try:
         found = next(reader)
     except StopIteration:

@@ -112,14 +112,21 @@ def load_model(data: bytes) -> TrainedModel:
             if (mins > maxs).any():
                 raise ValueError("scaler mins exceed maxs")
             scaler = ScalingParams(mins=mins, maxs=maxs,
-                                   fitted_on=str(scaler_obj["fitted_on"]))
-        fingerprint = str(payload["train_fingerprint"])
-        zero_addresses = bool(payload["zero_addresses"])
+                                   fitted_on=_typed(scaler_obj, "fitted_on", str))
+        fingerprint = _typed(payload, "train_fingerprint", str)
+        zero_addresses = _typed(payload, "zero_addresses", bool)
     except (KeyError, TypeError, ValueError, OverflowError, InvalidHyperparams) as exc:
         raise MalformedModel(f"model payload structure invalid: {exc}") from exc
     return TrainedModel(kind=kind, hyperparams=hp, state=state, scaler=scaler,
                         training_time=0.0, train_fingerprint=fingerprint,
                         zero_addresses=zero_addresses)
+
+
+def _typed(obj: dict, key: str, kind: type):
+    """``obj[key]``, which must be a JSON string (``str``) or bool (``bool``)."""
+    if type(obj[key]) is not kind:
+        raise ValueError(f"{key} must be {kind.__name__}, got {obj[key]!r}")
+    return obj[key]
 
 
 def model_fingerprint(model: TrainedModel) -> str:

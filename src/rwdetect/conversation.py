@@ -9,9 +9,10 @@ conversation per capture.
 ``aggregate`` keys each flow by (protocol, A, B) as its first packet
 gives them and finds a later packet's flow under (protocol, src, dst),
 then (protocol, dst, src).  Both readers give canonical dotted quads (pcap
-via ``inet_ntoa``, CSV via ``IPv4Address``), so equal strings mean equal
-addresses.  Only the output sort parses them, once per conversation
-(``Conversation.key``, which raises ``AddressValueError`` on a bad one).
+via ``inet_ntoa``, CSV text that ``ip_to_u32`` accepts, which formats back
+to itself), so equal strings mean equal addresses.  ``Conversation.key``,
+the direction-free identity and sort order, parses them once per
+conversation and raises ``AddressValueError`` on a bad one.
 
 Conversation CSV prints the two time columns with 6 decimal places, so a
 write/read round trip is lossless for microsecond-resolution times (the
@@ -42,29 +43,6 @@ class ConversationCsvWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class ConversationKey:
-    """Direction-free conversation identity.
-
-    Endpoints are (address-as-u32, port) pairs stored in ascending order, so
-    packets A->B and B->A map to the same key.
-    """
-
-    endpoint_low: tuple[int, int]
-    endpoint_high: tuple[int, int]
-    protocol: int
-
-    @classmethod
-    def from_packet(cls, p: PacketRecord) -> "ConversationKey":
-        src = (ip_to_u32(p.src_addr), p.src_port)
-        dst = (ip_to_u32(p.dst_addr), p.dst_port)
-        lo, hi = (src, dst) if src <= dst else (dst, src)
-        return cls(lo, hi, p.protocol)
-
-    def sort_key(self) -> tuple:
-        return (*self.endpoint_low, *self.endpoint_high, self.protocol)
-
-
-@dataclass(frozen=True)
 class Conversation:
     """One bidirectional flow and its 13 attributes."""
 
@@ -82,11 +60,12 @@ class Conversation:
     rel_start: float
     duration: float
 
-    def key(self) -> ConversationKey:
+    def key(self) -> tuple[int, int, int, int, int]:
+        """``(address_lo, port_lo, address_hi, port_hi, protocol)``, addresses
+        as u32, lower endpoint first: the same for A->B and B->A."""
         a = (ip_to_u32(self.address_a), self.port_a)
         b = (ip_to_u32(self.address_b), self.port_b)
-        lo, hi = (a, b) if a <= b else (b, a)
-        return ConversationKey(lo, hi, self.protocol)
+        return (*min(a, b), *max(a, b), self.protocol)
 
 
 class _FlowState:
@@ -164,7 +143,7 @@ def aggregate(packets: Iterable[PacketRecord],
             rel_start=st.first_ts - capture_start,
             duration=st.last_ts - st.first_ts,
         ))
-    conversations.sort(key=lambda c: (c.rel_start, c.key().sort_key()))
+    conversations.sort(key=lambda c: (c.rel_start, c.key()))
     return conversations
 
 

@@ -5,9 +5,9 @@ aligned to the capture start.  Flows are aggregated per window but keep
 capture-relative times, so a conversation confined to one window comes
 out identical to a whole-capture aggregation.  Alerts fire only for
 positive classifications, at most one per (window, conversation key),
-ordered by window then canonical key.  ``emitted_at`` is the close time
-of the window, a value derived from the data rather than the wall
-clock, so repeated runs are byte-identical.
+ordered by window then ``Conversation.key``.  ``emitted_at`` is the
+close time of the window, a value derived from the data rather than the
+wall clock, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 from .capture import (
     PCAP_MAGICS,
-    SUPPORTED_PROTOCOLS,
     TCP,
     CaptureSummary,
     PacketRecord,
@@ -62,7 +61,6 @@ class DetectionSummary:
     alerts: int
     packets: int
     skipped_malformed: int
-    skipped_unsupported: int
 
 
 def window_packets(packets: Sequence[PacketRecord], spec: WindowSpec,
@@ -99,26 +97,25 @@ def detect_stream(packets: Sequence[PacketRecord], model: TrainedModel,
                   skipped_malformed: int = 0) -> DetectionSummary:
     """Run windowed detection over packets, pushing alerts into ``sink``.
 
-    Unsupported-protocol packets are counted and dropped up front.  A
-    sink exception aborts the run with SinkFailure carrying the summary
-    of everything processed before the failure.
+    Every packet must be TCP or UDP, as ``load_packets`` gives them: any
+    other protocol raises ValueError when its window is aggregated, after
+    earlier windows' alerts reached the sink.  A sink exception aborts the
+    run with SinkFailure carrying the summary of everything processed
+    before the failure.
     """
-    supported = [p for p in packets if p.protocol in SUPPORTED_PROTOCOLS]
-    skipped_unsupported = len(packets) - len(supported)
-    if capture_start is None and supported:
-        capture_start = min(p.timestamp for p in supported)
+    if capture_start is None and packets:
+        capture_start = min(p.timestamp for p in packets)
 
     fingerprint = model_fingerprint(model)
-    windows = window_packets(supported, spec, capture_start)
+    windows = window_packets(packets, spec, capture_start)
     n_conversations = 0
     n_alerts = 0
 
     def summary(n_windows: int) -> DetectionSummary:
         return DetectionSummary(
             windows=n_windows, conversations=n_conversations,
-            alerts=n_alerts, packets=len(supported),
+            alerts=n_alerts, packets=len(packets),
             skipped_malformed=skipped_malformed,
-            skipped_unsupported=skipped_unsupported,
         )
 
     for position, (w, bucket) in enumerate(windows):
@@ -130,7 +127,7 @@ def detect_stream(packets: Sequence[PacketRecord], model: TrainedModel,
             (conversations[j], float(scores[j]), tuple(vectors[j].tolist()))
             for j in range(len(conversations)) if labels01[j]
         ]
-        positives.sort(key=lambda item: item[0].key().sort_key())
+        positives.sort(key=lambda item: item[0].key())
         emitted_at = capture_start + (w + 1) * spec.interval
         for conv, score, row in positives:
             alert = Alert(

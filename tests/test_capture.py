@@ -20,6 +20,7 @@ from rwdetect.capture import (
     parse_packet_csv,
     parse_packet_csv_lenient,
     parse_pcap,
+    read_pcap,
     u32_to_ip,
     write_packet_csv,
 )
@@ -111,13 +112,16 @@ class TestParsePcap:
         records, _ = parse_pcap(data)
         assert records[0].timestamp == pytest.approx(3.000000001, abs=1e-12)
 
-    def test_accepts_file_object(self, tmp_path):
-        frame = tcp_udp_frame("1.1.1.1", "2.2.2.2", TCP, 1, 2)
-        path = tmp_path / "one.pcap"
-        path.write_bytes(build_pcap([(1.0, frame)]))
-        with open(path, "rb") as handle:
-            records, _ = parse_pcap(handle)
-        assert len(records) == 1
+    def test_read_pcap_matches_parse_pcap(self, tmp_path):
+        frames = [(1.0 + i, tcp_udp_frame("1.1.1.1", "2.2.2.2", TCP, 1, 2 + i))
+                  for i in range(3)]
+        whole = build_pcap(frames)
+        for name, data in (("whole", whole), ("cut", whole[:-10])):
+            path = tmp_path / f"{name}.pcap"
+            path.write_bytes(data)
+            assert read_pcap(path) == read_pcap(str(path)) == parse_pcap(data)
+        records, summary = read_pcap(tmp_path / "cut.pcap")
+        assert (len(records), summary.error) == (2, "truncated_record")
 
     def test_wire_bytes_is_original_length(self):
         frame = tcp_udp_frame("1.1.1.1", "2.2.2.2", TCP, 1, 2, extra=40)

@@ -360,6 +360,64 @@ class TestDetect:
                     "--model", str(model)]) == 1
         assert "k must be int" in capsys.readouterr().err
 
+    def test_resealed_string_zero_addresses_exit_1(self, workspace, capsys):
+        blob = Path(trained_model_path(workspace)).read_bytes()
+        head = len(MODEL_MAGIC) + 6
+        payload = json.loads(blob[head:-32])
+        payload["zero_addresses"] = "no"        # bool("no") would be True
+        body = json.dumps(payload).encode()
+        resealed = blob[:head - 4] + struct.pack(">I", len(body)) + body
+        path = workspace / "resealed.bin"
+        path.write_bytes(resealed + hashlib.sha256(resealed).digest())
+        assert run(["detect", self.capture_csv(workspace),
+                    "--model", str(path)]) == 1
+        assert "zero_addresses must be bool, got 'no'" in capsys.readouterr().err
+
+
+def pinned_capture() -> list:
+    """Twelve seconds of a small site's packets, read with ``--interval 10``.
+
+    Window 0 holds 10.0.0.9 and 10.0.0.10, whose string order is the
+    reverse of their numeric order, 10.0.0.9 on two ports, replies in
+    both directions, and a conversation opened by its numerically higher
+    endpoint.  The 192.168.1.x flow crosses into window 1.
+    """
+    def exchange(t0, a, b, n, size, protocol=6):
+        return [make_packet(t0 + 0.25 * i, *(a + b if i % 3 != 1 else b + a),
+                            protocol, size + i) for i in range(n)]
+
+    server = ("10.0.0.1", 445)
+    return sorted(
+        exchange(0.0, ("10.0.0.10", 1000), server, 6, 900)
+        + exchange(0.5, ("10.0.0.9", 1000), server, 7, 950)
+        + exchange(0.5, ("10.0.0.9", 1001), server, 5, 1000)
+        + exchange(1.0, ("10.0.0.9", 1002), server, 2, 60)
+        + exchange(2.0, ("10.0.0.2", 53), ("10.0.0.9", 5353), 6, 700, protocol=17)
+        + exchange(8.0, ("192.168.1.5", 443), ("192.168.1.4", 2222), 16, 1200),
+        key=lambda p: p.timestamp)
+
+
+class TestPinnedAlertStream:
+    """The bytes ``rwdetect detect`` writes for a fixed capture and model."""
+
+    @pytest.mark.parametrize("text,sha256", [
+        (False, "e9101093283d7d6357e93c62aee9092a167b6e01f8ea1f0e03ea7f72f47b8c81"),
+        (True, "4604f1959956c2f2042dc04797e6d9855ee4a4658583ed7980ae1bdec2c2d86f"),
+    ], ids=["json", "text"])
+    def test_alert_bytes(self, workspace, text, sha256):
+        capture = workspace / "pinned.csv"
+        capture.write_text(write_packet_csv(pinned_capture()))
+        out = workspace / "alerts.out"
+        assert run(["detect", str(capture), "--model", trained_model_path(workspace),
+                    "--interval", "10", "-o", str(out)] + ["--text"] * text) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 6
+        endpoints = ([line.split()[3] for line in lines] if text else
+                     ["{address_a}:{port_a}".format(**json.loads(line)) for line in lines])
+        # 10.0.0.9 comes before 10.0.0.10: keys compare addresses by value
+        assert endpoints[:3] == ["10.0.0.9:1000", "10.0.0.9:1001", "10.0.0.10:1000"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
 
 class TestSkipReport:
     """extract and detect name each skip reason of the capture they load."""

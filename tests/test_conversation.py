@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ipaddress import AddressValueError
+from ipaddress import AddressValueError, IPv4Address
 from itertools import product
 
 import pytest
@@ -14,7 +14,6 @@ from rwdetect.conversation import (
     CONVERSATION_CSV_HEADER,
     Conversation,
     ConversationCsvWarning,
-    ConversationKey,
     aggregate,
     conversations_to_csv,
     csv_to_conversations,
@@ -165,9 +164,17 @@ class TestAggregateSemantics:
         assert aggregate([]) == []
 
     def test_key_is_direction_free(self):
-        p1 = make_packet(1.0, "10.0.0.1", 1, "10.0.0.2", 2)
-        p2 = make_packet(2.0, "10.0.0.2", 2, "10.0.0.1", 1)
-        assert ConversationKey.from_packet(p1) == ConversationKey.from_packet(p2)
+        # (a, b, key): 10.0.0.9 < 10.0.0.10 by value; one host on two ports
+        for a, b, key in [
+            (("10.0.0.1", 1), ("10.0.0.2", 2), (0x0A000001, 1, 0x0A000002, 2, TCP)),
+            (("10.0.0.10", 1), ("10.0.0.9", 9), (0x0A000009, 9, 0x0A00000A, 1, TCP)),
+            (("10.0.0.1", 9), ("10.0.0.1", 1), (0x0A000001, 1, 0x0A000001, 9, TCP)),
+        ]:
+            ab = make_conversation(address_a=a[0], port_a=a[1],
+                                   address_b=b[0], port_b=b[1])
+            ba = make_conversation(address_a=b[0], port_a=b[1],
+                                   address_b=a[0], port_b=a[1])
+            assert ab.key() == ba.key() == key
 
 
 @st.composite
@@ -216,21 +223,29 @@ class TestConservation:
 
 
 def reference_aggregate(packets) -> list[Conversation]:
-    """``aggregate``'s contract, grouping by ``ConversationKey.from_packet``."""
+    """``aggregate``'s contract, without its key: flows grouped by protocol
+    and the set of their two endpoints, sorted by start time, then by the
+    endpoints as (``IPv4Address`` value, port), lower first, then protocol."""
     flows = {}
     for p in sorted(packets, key=lambda p: p.timestamp):
-        flows.setdefault(ConversationKey.from_packet(p), []).append(p)
+        ends = frozenset({(p.src_addr, p.src_port), (p.dst_addr, p.dst_port)})
+        flows.setdefault((p.protocol, ends), []).append(p)
     start = min(p.timestamp for p in packets)
     out = []
-    for key, ps in flows.items():
+    for (protocol, _ends), ps in flows.items():
         a = (ps[0].src_addr, ps[0].src_port)
         ab = [p.wire_bytes for p in ps if (p.src_addr, p.src_port) == a]
         ba = [p.wire_bytes for p in ps if (p.src_addr, p.src_port) != a]
         out.append(Conversation(
-            key.protocol, *a, ps[0].dst_addr, ps[0].dst_port, len(ps),
+            protocol, *a, ps[0].dst_addr, ps[0].dst_port, len(ps),
             sum(ab) + sum(ba), len(ab), sum(ab), len(ba), sum(ba),
             ps[0].timestamp - start, ps[-1].timestamp - ps[0].timestamp))
-    return sorted(out, key=lambda c: (c.rel_start, c.key().sort_key()))
+
+    def order(c):
+        lo, hi = sorted([(int(IPv4Address(c.address_a)), c.port_a),
+                         (int(IPv4Address(c.address_b)), c.port_b)])
+        return (c.rel_start, lo, hi, c.protocol)
+    return sorted(out, key=order)
 
 
 SMALL_SITE = list(product(("10.0.0.2", "10.0.0.10", "192.168.1.1"), (80, 1000)))

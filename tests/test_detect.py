@@ -113,7 +113,7 @@ class TestDetectStream:
         alerts, summary, model = self.run(packets)
         assert summary == DetectionSummary(
             windows=1, conversations=2, alerts=1, packets=8,
-            skipped_malformed=0, skipped_unsupported=0)
+            skipped_malformed=0)
         [alert] = alerts
         assert alert.conversation.address_a == "192.168.1.4"
         assert alert.prediction.label is Label.RANSOMWARE
@@ -155,16 +155,16 @@ class TestDetectStream:
         keys = {a.conversation.key() for a in alerts}
         assert len(keys) == 1
 
-    def test_unsupported_protocols_counted(self):
+    def test_unsupported_protocol_raises(self):
+        # load_packets yields TCP/UDP only; a hand-built record of another
+        # protocol reaches aggregate's check
         packets = flow(1.0, "192.168.1.4", 2222, "192.168.1.5", 443,
                        n=6, size=600)
         icmpish = PacketRecord(
             timestamp=2.0, src_addr="10.0.0.1", src_port=0,
             dst_addr="10.0.0.2", dst_port=0, protocol=1, wire_bytes=64)
-        alerts, summary, _ = self.run(packets + [icmpish])
-        assert summary.skipped_unsupported == 1
-        assert summary.packets == 6
-        assert len(alerts) == 1
+        with pytest.raises(ValueError, match="protocol 1 cannot be aggregated"):
+            self.run(packets + [icmpish])
 
     def test_skipped_malformed_passthrough(self):
         packets = flow(1.0, "10.0.0.7", 1111, "10.0.0.8", 80, n=2, size=100)
@@ -195,7 +195,7 @@ class TestDetectStream:
 
     def test_empty_capture(self):
         alerts, summary, _ = self.run([])
-        assert summary == DetectionSummary(0, 0, 0, 0, 0, 0)
+        assert summary == DetectionSummary(0, 0, 0, 0, 0)
         assert alerts == []
 
 

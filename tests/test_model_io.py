@@ -228,6 +228,18 @@ class TestTampering:
         with pytest.raises(MalformedModel):
             load_model(container(json.dumps(payload).encode()))
 
+    @pytest.mark.parametrize("key,value", [
+        ("zero_addresses", "no"), ("zero_addresses", 1), ("zero_addresses", None),
+        ("train_fingerprint", 5), ("train_fingerprint", None),
+        ("fitted_on", 5), ("fitted_on", None),
+    ])
+    def test_top_level_field_of_wrong_type(self, key, value):
+        # bool("no") is True and str(5) writes back "5": neither may load
+        payload = valid_payload_dict(ClassifierKind.KNN)
+        (payload["scaler"] if key == "fitted_on" else payload)[key] = value
+        with pytest.raises(MalformedModel, match=f"{key} must be"):
+            load_model(sealed(payload))
+
     def test_unknown_kind_name(self):
         payload = valid_payload_dict()
         payload["kind"] = "GradientBoosting"
