@@ -30,9 +30,7 @@ from .capture import (
 from .classifiers import Prediction, TrainedModel, model_fingerprint, predict_many
 from .conversation import Conversation, aggregate
 from .errors import BadMagic, ClockSkew, InvalidHyperparams, SinkFailure
-from .features import FEATURE_NAMES, Label, encode
-
-import numpy as np
+from .features import FEATURE_NAMES, Label, encode_many
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ def detect_stream(packets: Sequence[PacketRecord], model: TrainedModel,
     for position, (w, bucket) in enumerate(windows):
         conversations = aggregate(bucket, capture_start=capture_start)
         n_conversations += len(conversations)
-        vectors = np.stack([encode(c) for c in conversations])
+        vectors = encode_many(conversations)
         labels01, scores = predict_many(model, vectors)
         positives = [
             (conversations[j], float(scores[j]), tuple(vectors[j].tolist()))

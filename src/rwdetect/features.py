@@ -94,6 +94,24 @@ def encode(conversation: Conversation) -> np.ndarray:
     ])
 
 
+def encode_many(conversations: Sequence[Conversation]) -> np.ndarray:
+    """``encode`` of each conversation as one row of an (n, 13) float64
+    matrix; each distinct address is parsed once per call."""
+    u32: dict[str, int] = {}
+
+    def address(text: str) -> int:
+        value = u32.get(text)
+        if value is None:
+            value = u32[text] = ip_to_u32(text)
+        return value
+
+    rows = [(c.protocol, address(c.address_a), c.port_a, address(c.address_b),
+             c.port_b, c.packets, c.bytes, c.packets_ab, c.bytes_ab,
+             c.packets_ba, c.bytes_ba, c.rel_start, c.duration)
+            for c in conversations]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), N_FEATURES)
+
+
 def dataset_fingerprint(dataset: Dataset) -> str:
     """SHA-256 over the rows in order, each its 13 features as little-endian
     float64 followed by its label byte."""
@@ -133,8 +151,9 @@ def apply_scaler(params: ScalingParams, vector: np.ndarray) -> np.ndarray:
     return np.clip(scaled, 0.0, 1.0)
 
 
-def _dataset(rows: list[np.ndarray], labels: list[Label]) -> Dataset:
-    """Encoded rows and their labels; no rows make a (0, 13) table."""
+def _dataset(rows, labels: list[Label]) -> Dataset:
+    """Encoded rows, as a list or a matrix, and their labels; no rows make a
+    (0, 13) table."""
     return Dataset(np.reshape(rows, (len(rows), N_FEATURES)),
                    [label is Label.RANSOMWARE for label in labels])
 
@@ -147,14 +166,14 @@ def label_and_merge(conv_sets: Sequence[tuple[Sequence[Conversation], Label]]) -
     """
     if not conv_sets:
         raise EmptyInput("no conversation sets to merge")
-    rows, labels = [], []
+    merged, labels = [], []
     for i, (convs, label) in enumerate(conv_sets):
         convs = list(convs)
         if not convs:
             raise EmptyInput(f"conversation set {i} is empty")
-        rows.extend(encode(c) for c in convs)
+        merged.extend(convs)
         labels.extend([label] * len(convs))
-    return _dataset(rows, labels)
+    return _dataset(encode_many(merged), labels)
 
 
 def zero_address_columns(dataset: Dataset) -> Dataset:

@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import socket
 import struct
+import time
+import warnings
 from ipaddress import AddressValueError, IPv4Address
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwdetect import capture
 from rwdetect.capture import (
     PACKET_CSV_HEADER,
     PCAP_MAGICS,
     SUPPORTED_PROTOCOLS,
     TCP,
     UDP,
+    CaptureSummary,
     PacketRecord,
     ip_to_u32,
     parse_packet_csv,
@@ -24,7 +31,14 @@ from rwdetect.capture import (
     u32_to_ip,
     write_packet_csv,
 )
-from rwdetect.errors import BadMagic, Ipv6Unsupported, RowError, SchemaMismatch, UnsupportedLinkType
+from rwdetect.errors import (
+    BadMagic,
+    Ipv6Unsupported,
+    RowError,
+    RwdetectError,
+    SchemaMismatch,
+    UnsupportedLinkType,
+)
 
 from conftest import (
     MAGIC_MICROS,
@@ -250,6 +264,212 @@ class TestSkipBuckets:
         assert summary.capture_start == 1.0
         assert summary.capture_end == 9.0
 
+
+def reference_parse(data: bytes) -> tuple[list[PacketRecord], CaptureSummary]:
+    """A frame-at-a-time pcap decoder: ``parse_pcap`` must agree with it on
+    every record and every summary field."""
+    if len(data) < 4 or data[:4] not in PCAP_MAGICS:
+        raise BadMagic("not a classic pcap file")
+    order, divisor = PCAP_MAGICS[data[:4]]
+    summary = CaptureSummary()
+    if len(data) < 24:
+        summary.error = "truncated_header"
+        return [], summary
+    if struct.unpack(order + "I", data[20:24])[0] != 1:
+        raise UnsupportedLinkType("not Ethernet")
+    records, times, offset = [], [], 24
+    while offset < len(data):
+        if len(data) - offset < 16:
+            summary.error = "truncated_record"
+            break
+        ts_sec, ts_frac, incl_len, orig_len = struct.unpack(
+            order + "IIII", data[offset:offset + 16])
+        if len(data) - offset - 16 < incl_len:
+            summary.error = "truncated_record"
+            break
+        frame = data[offset + 16:offset + 16 + incl_len]
+        offset += 16 + incl_len
+        times.append(ts_sec + ts_frac / divisor)
+        bucket = reference_decode(frame, times[-1], orig_len)
+        if isinstance(bucket, PacketRecord):
+            records.append(bucket)
+        elif bucket == "non_ip":
+            summary.packets_skipped_non_ip += 1
+        else:
+            summary.packets_skipped_unsupported_protocol += 1
+    summary.packets_read = len(records)
+    if times:
+        summary.capture_start = times[0]
+        summary.capture_end = max(times[0], times[-1])
+    return records, summary
+
+
+def reference_decode(frame: bytes, timestamp: float, orig_len: int):
+    """One Ethernet frame's PacketRecord, or the bucket it is skipped in."""
+    if len(frame) < 14:
+        return "non_ip"
+    ethertype = struct.unpack(">H", frame[12:14])[0]
+    ip_start = 14
+    if ethertype == 0x8100:
+        if len(frame) < 18:
+            return "non_ip"
+        ethertype = struct.unpack(">H", frame[16:18])[0]
+        ip_start = 18
+        if ethertype == 0x8100:
+            return "non_ip"
+    if ethertype != 0x0800:
+        return "non_ip"
+    ip = frame[ip_start:]
+    if len(ip) < 1 or ip[0] >> 4 != 4:
+        return "non_ip"
+    if len(ip) < 20:
+        return "unsupported"
+    ihl = (ip[0] & 0x0F) * 4
+    if ihl < 20:
+        return "non_ip"
+    frag_offset = struct.unpack(">H", ip[6:8])[0] & 0x1FFF
+    if frag_offset != 0 or ip[9] not in SUPPORTED_PROTOCOLS:
+        return "unsupported"
+    if len(ip) < ihl + 4:
+        return "unsupported"
+    src_port, dst_port = struct.unpack(">HH", ip[ihl:ihl + 4])
+    return PacketRecord(timestamp, socket.inet_ntoa(ip[12:16]), src_port,
+                        socket.inet_ntoa(ip[16:20]), dst_port, ip[9], orig_len)
+
+
+@st.composite
+def frames(draw) -> bytes:
+    """An Ethernet frame, mostly a TCP/UDP packet, but each field is odd
+    one time in five: runts, short and double VLAN tags, other EtherTypes
+    and IP versions, short IP headers, any IHL, fragments, other protocols,
+    cut-off ports."""
+    def pick(normal, odd):
+        return draw(st.sampled_from(odd)) if draw(st.integers(0, 4)) == 0 else normal
+
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=40))
+    ihl_words = pick(5, [6, 15, 0, 1, 4])
+    ip = struct.pack(
+        ">BBHHHBBH4s4s",
+        pick(4, [6, 0, 15]) << 4 | ihl_words, 0, 0, 1,
+        pick(0, [0x2000, 0x4000, 0x1000, 1, 185, 0x1FFF, 0xFFFF]),
+        64, pick(draw(st.sampled_from([TCP, UDP])), [1, 0, 255]), 0,
+        draw(st.binary(min_size=4, max_size=4)), draw(st.binary(min_size=4, max_size=4)),
+    ) + bytes(max(0, ihl_words * 4 - 20))
+    transport = struct.pack(">HH", draw(st.integers(0, 65535)), draw(st.integers(0, 65535)))
+    vlan_tags = pick(0, [1, 2])
+    frame = ether_frame(ip + transport + bytes(draw(st.integers(0, 8))),
+                        ethertype=pick(0x0800, [0x0806, 0x86DD, 0x8100]),
+                        vlan_tags=vlan_tags)
+    ip_start = 14 + 4 * vlan_tags
+    edges = [13, 14, 17, 18] + [ip_start + n for n in (1, 9, 10, 19, 20, 4 * ihl_words + 3)]
+    return frame[:pick(len(frame), edges + list(range(len(frame))))]
+
+
+@st.composite
+def captures(draw) -> bytes:
+    """A classic pcap of random frames in either byte order and timestamp
+    unit, perhaps cut inside its last record."""
+    order = draw(st.sampled_from(["<", ">"]))
+    magic = draw(st.sampled_from([MAGIC_MICROS, MAGIC_NANOS]))
+    out = [global_header(order, magic)]
+    for frame in draw(st.lists(frames(), max_size=12)):
+        out.append(record_header(order, draw(st.integers(0, 2**32 - 1)),
+                                 draw(st.integers(0, 2**32 - 1)), len(frame),
+                                 draw(st.sampled_from([len(frame), 0, 2**32 - 1]))))
+        out.append(frame)
+    data = b"".join(out)
+    return data[:len(data) - draw(st.just(0) | st.integers(0, min(40, len(data) - 24)))]
+
+
+class TestDecoderMatchesReference:
+    """The chunked array decoder and the frame-at-a-time decoder give equal
+    records and summaries, across every chunk boundary."""
+
+    @settings(max_examples=300)
+    @given(captures())
+    def test_random_captures(self, data):
+        want = reference_parse(data)
+        for chunk in (1, 2, 3, capture._CHUNK_FRAMES):
+            with mock.patch.object(capture, "_CHUNK_FRAMES", chunk):
+                got = parse_pcap(data)
+            assert got == want
+            for record in got[0]:
+                assert list(map(type, record)) == [float, str, int, str, int, int, int]
+
+    @pytest.mark.parametrize("order", ["<", ">"])
+    def test_every_cut_of_every_frame(self, order):
+        """Every prefix of a few frames, one record each.  The bytes read
+        past a cut frame are the next record header's, and its seconds
+        field 0x45454545 looks like the start of an IPv4 header there."""
+        def with_ihl(frame, ip_start, ihl_words):
+            return (frame[:ip_start] + bytes([0x40 | ihl_words])
+                    + frame[ip_start + 1:])
+
+        plain = tcp_udp_frame("1.2.3.4", "5.6.7.8", TCP, 80, 443, extra=2)
+        bases = [
+            plain,
+            tcp_udp_frame("1.2.3.4", "5.6.7.8", UDP, 53, 53, extra=2, vlan_tags=1),
+            tcp_udp_frame("1.2.3.4", "5.6.7.8", TCP, 1, 2, extra=2, ihl_words=6),
+            tcp_udp_frame("1.2.3.4", "5.6.7.8", TCP, 1, 2, extra=2, ihl_words=6,
+                          vlan_tags=1),
+            tcp_udp_frame("1.2.3.4", "5.6.7.8", TCP, 1, 2, vlan_tags=2),
+            with_ihl(plain, 14, 4),
+            with_ihl(plain, 14, 0),
+        ]
+        cuts = [base[:n] for base in bases for n in range(len(base) + 1)]
+        data = global_header(order) + b"".join(
+            record_header(order, 0x45454545, i, len(frame), len(frame)) + frame
+            for i, frame in enumerate(cuts))
+        want = reference_parse(data)
+        assert want[0] and want[1].packets_skipped_non_ip and want[1].packets_skipped_unsupported_protocol
+        for chunk in (1, 3, capture._CHUNK_FRAMES):
+            with mock.patch.object(capture, "_CHUNK_FRAMES", chunk):
+                assert parse_pcap(data) == want
+
+    def test_golden_frames_match(self):
+        frames = [
+            (1.0, ether_frame(bytes(28), ethertype=0x0806)),
+            (1.5, tcp_udp_frame("1.1.1.1", "2.2.2.2", TCP, 1, 2, vlan_tags=1)),
+            (2.0, tcp_udp_frame("1.1.1.1", "2.2.2.2", UDP, 3, 4, ihl_words=6)),
+            (2.5, tcp_udp_frame("1.1.1.1", "2.2.2.2", TCP, 5, 6, flags_frag=185)),
+            (3.0, b""),
+        ]
+        for order in ("<", ">"):
+            for magic in (MAGIC_MICROS, MAGIC_NANOS):
+                data = build_pcap(frames, order=order, magic=magic)
+                assert parse_pcap(data) == reference_parse(data)
+                assert parse_pcap(data[:-3]) == reference_parse(data[:-3])
+
+    def test_equal_addresses_share_one_string(self):
+        frame = tcp_udp_frame("10.1.2.3", "10.4.5.6", TCP, 1, 2)
+        records, _ = parse_pcap(build_pcap([(1.0, frame), (2.0, frame)]))
+        assert records[0].src_addr is records[1].src_addr
+
+
+class TestParsePcapFuzz:
+    """Any input ends in records or a typed error: never an IndexError, a
+    numpy error or a RuntimeWarning, and never a slow parse."""
+
+    @staticmethod
+    def parse_typed(data: bytes) -> None:
+        started = time.perf_counter()
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            try:
+                parse_pcap(data)
+            except RwdetectError:
+                pass
+        assert time.perf_counter() - started < 2.0
+
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes(self, data):
+        self.parse_typed(data)
+
+    @given(st.sampled_from(sorted(PCAP_MAGICS)), st.binary(max_size=600))
+    def test_valid_header_then_arbitrary_records(self, magic, records):
+        order = PCAP_MAGICS[magic][0]
+        self.parse_typed(magic + global_header(order)[4:] + records)
 
 def _csv_of(records):
     return write_packet_csv(records)

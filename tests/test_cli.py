@@ -418,6 +418,32 @@ class TestPinnedAlertStream:
         assert endpoints[:3] == ["10.0.0.9:1000", "10.0.0.9:1001", "10.0.0.10:1000"]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
+    def test_pcap_alert_bytes(self, workspace, capsys):
+        """``pinned_capture`` as a pcap, with an ARP frame, a VLAN-tagged
+        copy of one packet and a non-first fragment mixed in."""
+        packets = pinned_capture()
+        frames = [(p.timestamp, tcp_udp_frame(p.src_addr, p.dst_addr, p.protocol,
+                                              p.src_port, p.dst_port), p.wire_bytes)
+                  for p in packets]
+        tagged = packets[3]
+        frames += [
+            (0.1, ether_frame(bytes(28), ethertype=0x0806)),
+            (tagged.timestamp + 0.125, tcp_udp_frame(
+                tagged.src_addr, tagged.dst_addr, tagged.protocol,
+                tagged.src_port, tagged.dst_port, vlan_tags=1), 1400),
+            (3.0, tcp_udp_frame("10.0.0.9", "10.0.0.1", 6, 1000, 445, flags_frag=185)),
+        ]
+        capture = workspace / "pinned.pcap"
+        capture.write_bytes(build_pcap(sorted(frames, key=lambda f: f[0])))
+        out = workspace / "alerts.jsonl"
+        assert run(["detect", str(capture), "--model", trained_model_path(workspace),
+                    "--interval", "10", "-o", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert f"detect: {len(packets) + 1} packets in 2 windows" in err
+        assert "(skipped 0 malformed, 1 non-IP, 1 unsupported)" in err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "3e47036ca2d56e8746dd24e70dc8120b4c0bd8953469d4ae4f7b4fd6f4cf2c57")
+
 
 class TestSkipReport:
     """extract and detect name each skip reason of the capture they load."""

@@ -27,6 +27,7 @@ from rwdetect.features import (
     apply_scaler,
     dataset_fingerprint,
     encode,
+    encode_many,
     fit_scaler,
     label_and_merge,
     read_dataset_csv,
@@ -34,6 +35,9 @@ from rwdetect.features import (
     zero_address_columns,
     zero_address_vector,
 )
+
+from rwdetect.capture import u32_to_ip
+from rwdetect.conversation import Conversation
 
 from conftest import gaussian_dataset, make_conversation
 
@@ -62,6 +66,37 @@ class TestEncode:
         assert FEATURE_NAMES[ADDRESS_FEATURE_INDICES[1]] == "address_b"
         assert FEATURE_NAMES[-1] == "duration"
 
+
+    def test_encode_many_empty(self):
+        matrix = encode_many([])
+        assert matrix.shape == (0, N_FEATURES)
+        assert matrix.dtype == np.float64
+
+    @given(st.lists(st.builds(
+        Conversation,
+        protocol=st.sampled_from([6, 17]),
+        address_a=st.sampled_from(["10.0.0.1", "10.0.0.2", "192.168.1.4"])
+        | st.integers(0, 2**32 - 1).map(u32_to_ip),
+        port_a=st.integers(0, 65535),
+        address_b=st.integers(0, 2**32 - 1).map(u32_to_ip),
+        port_b=st.integers(0, 65535),
+        packets=st.integers(1, 2**63 - 1),
+        bytes=st.integers(0, 2**63 - 1),
+        packets_ab=st.integers(0, 2**63 - 1),
+        bytes_ab=st.integers(0, 2**63 - 1),
+        packets_ba=st.integers(0, 2**63 - 1),
+        bytes_ba=st.integers(0, 2**63 - 1),
+        rel_start=st.floats(0, 1e12),
+        duration=st.floats(0, 1e12),
+    ), max_size=20))
+    def test_encode_many_is_stacked_encode(self, convs):
+        """Bit for bit the rows ``encode`` gives, integers past 2**53 too."""
+        expected = (np.stack(list(map(encode, convs))) if convs
+                    else np.empty((0, N_FEATURES)))
+        got = encode_many(convs)
+        assert got.dtype == np.float64
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 class TestScaling:
     def test_fit_exact_bounds(self):
