@@ -65,7 +65,6 @@ from .features import (
     apply_scaler,
     dataset_fingerprint,
     encode,
-    encode_many,
     fit_scaler,
     label_and_merge,
     read_dataset_csv,
@@ -104,7 +103,6 @@ __all__ = [
     "default_hyperparams",
     "detect_stream",
     "encode",
-    "encode_many",
     "evaluate",
     "fit_scaler",
     "ip_to_u32",

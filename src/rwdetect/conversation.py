@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .capture import SUPPORTED_PROTOCOLS, PacketRecord, ip_to_u32
@@ -68,27 +69,21 @@ class Conversation:
         return (*min(a, b), *max(a, b), self.protocol)
 
 
+_timestamp = itemgetter(0)     # PacketRecord.timestamp
+
+
 class _FlowState:
     __slots__ = ("a_endpoint", "first_ts", "last_ts",
                  "packets_ab", "bytes_ab", "packets_ba", "bytes_ba")
 
-    def __init__(self, first_packet: PacketRecord):
-        self.a_endpoint = (first_packet.src_addr, first_packet.src_port)
-        self.first_ts = first_packet.timestamp
-        self.last_ts = first_packet.timestamp
+    def __init__(self, a_endpoint: tuple[str, int], first_ts: float):
+        self.a_endpoint = a_endpoint
+        self.first_ts = first_ts
+        self.last_ts = first_ts
         self.packets_ab = 0
         self.bytes_ab = 0
         self.packets_ba = 0
         self.bytes_ba = 0
-
-    def add(self, p: PacketRecord):
-        self.last_ts = p.timestamp
-        if (p.src_addr, p.src_port) == self.a_endpoint:
-            self.packets_ab += 1
-            self.bytes_ab += p.wire_bytes
-        else:
-            self.packets_ba += 1
-            self.bytes_ba += p.wire_bytes
 
 
 def aggregate(packets: Iterable[PacketRecord],
@@ -118,13 +113,22 @@ def aggregate(packets: Iterable[PacketRecord],
                     i, f"packet {i} at {p.timestamp} precedes capture start {capture_start}"
                 )
 
+    # Each record is unpacked once: a NamedTuple field read by name costs a
+    # descriptor call per access.
     flows: dict[tuple, _FlowState] = {}
-    for p in sorted(pkts, key=lambda p: p.timestamp):
-        src, dst = (p.src_addr, p.src_port), (p.dst_addr, p.dst_port)
-        state = flows.get((p.protocol, src, dst)) or flows.get((p.protocol, dst, src))
+    for ts, src_addr, src_port, dst_addr, dst_port, protocol, wire_bytes in sorted(
+            pkts, key=_timestamp):
+        src, dst = (src_addr, src_port), (dst_addr, dst_port)
+        state = flows.get((protocol, src, dst)) or flows.get((protocol, dst, src))
         if state is None:
-            state = flows[p.protocol, src, dst] = _FlowState(p)
-        state.add(p)
+            state = flows[protocol, src, dst] = _FlowState(src, ts)
+        state.last_ts = ts
+        if src == state.a_endpoint:
+            state.packets_ab += 1
+            state.bytes_ab += wire_bytes
+        else:
+            state.packets_ba += 1
+            state.bytes_ba += wire_bytes
 
     conversations = []
     for (protocol, (a_addr, a_port), (b_addr, b_port)), st in flows.items():

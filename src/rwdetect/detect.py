@@ -73,16 +73,20 @@ def window_packets(packets: Sequence[PacketRecord], spec: WindowSpec,
         return []
     explicit = capture_start is not None
     start = capture_start if explicit else min(p.timestamp for p in packets)
+    interval = spec.interval
     buckets: dict[int, list[PacketRecord]] = {}
     try:
         for i, packet in enumerate(packets):
-            if explicit and packet.timestamp < start:
+            ts = packet.timestamp
+            if explicit and ts < start:
                 raise ClockSkew(
-                    i, f"packet {i} at {packet.timestamp!r} precedes "
-                       f"capture start {start!r}"
+                    i, f"packet {i} at {ts!r} precedes capture start {start!r}"
                 )
-            w = math.floor((packet.timestamp - start) / spec.interval)
-            buckets.setdefault(w, []).append(packet)
+            w = math.floor((ts - start) / interval)
+            bucket = buckets.get(w)     # setdefault would build a list per packet
+            if bucket is None:
+                bucket = buckets[w] = []
+            bucket.append(packet)
     except OverflowError:   # the quotient overflowed to infinity
         raise InvalidHyperparams(f"window interval {spec.interval!r} is too small "
                                  "for the capture's time span") from None

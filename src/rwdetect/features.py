@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -75,40 +75,32 @@ class ScalingParams:
     fitted_on: str = ""
 
 
+def _features(c: Conversation, u32: Callable[[str], int]) -> tuple:
+    """The 13 features of one conversation in ``FEATURE_NAMES`` order, each
+    address as ``u32`` gives its integer value."""
+    return (c.protocol, u32(c.address_a), c.port_a, u32(c.address_b), c.port_b,
+            c.packets, c.bytes, c.packets_ab, c.bytes_ab, c.packets_ba, c.bytes_ba,
+            c.rel_start, c.duration)
+
+
 def encode(conversation: Conversation) -> np.ndarray:
     """Conversation as a 13-element float vector in the fixed column order."""
-    return np.array([
-        float(conversation.protocol),
-        float(ip_to_u32(conversation.address_a)),
-        float(conversation.port_a),
-        float(ip_to_u32(conversation.address_b)),
-        float(conversation.port_b),
-        float(conversation.packets),
-        float(conversation.bytes),
-        float(conversation.packets_ab),
-        float(conversation.bytes_ab),
-        float(conversation.packets_ba),
-        float(conversation.bytes_ba),
-        float(conversation.rel_start),
-        float(conversation.duration),
-    ])
+    return np.array(_features(conversation, ip_to_u32), dtype=np.float64)
+
+
+class _AddressValues(dict):
+    """Dotted quad -> u32 address, each parsed on first use."""
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = ip_to_u32(text)
+        return value
 
 
 def encode_many(conversations: Sequence[Conversation]) -> np.ndarray:
     """``encode`` of each conversation as one row of an (n, 13) float64
     matrix; each distinct address is parsed once per call."""
-    u32: dict[str, int] = {}
-
-    def address(text: str) -> int:
-        value = u32.get(text)
-        if value is None:
-            value = u32[text] = ip_to_u32(text)
-        return value
-
-    rows = [(c.protocol, address(c.address_a), c.port_a, address(c.address_b),
-             c.port_b, c.packets, c.bytes, c.packets_ab, c.bytes_ab,
-             c.packets_ba, c.bytes_ba, c.rel_start, c.duration)
-            for c in conversations]
+    u32 = _AddressValues().__getitem__
+    rows = [_features(c, u32) for c in conversations]
     return np.array(rows, dtype=np.float64).reshape(len(rows), N_FEATURES)
 
 

@@ -36,7 +36,7 @@ from rwdetect.features import (
     zero_address_vector,
 )
 
-from rwdetect.capture import u32_to_ip
+from rwdetect.capture import ip_to_u32, u32_to_ip
 from rwdetect.conversation import Conversation
 
 from conftest import gaussian_dataset, make_conversation
@@ -66,7 +66,6 @@ class TestEncode:
         assert FEATURE_NAMES[ADDRESS_FEATURE_INDICES[1]] == "address_b"
         assert FEATURE_NAMES[-1] == "duration"
 
-
     def test_encode_many_empty(self):
         matrix = encode_many([])
         assert matrix.shape == (0, N_FEATURES)
@@ -90,13 +89,23 @@ class TestEncode:
         duration=st.floats(0, 1e12),
     ), max_size=20))
     def test_encode_many_is_stacked_encode(self, convs):
-        """Bit for bit the rows ``encode`` gives, integers past 2**53 too."""
-        expected = (np.stack(list(map(encode, convs))) if convs
-                    else np.empty((0, N_FEATURES)))
+        """Bit for bit the rows ``encode`` gives, and each value is Python's
+        ``float`` of the field (addresses as u32), integers past 2**53 too."""
+        expected = np.array([
+            [float(v) for v in (
+                c.protocol, ip_to_u32(c.address_a), c.port_a,
+                ip_to_u32(c.address_b), c.port_b, c.packets, c.bytes,
+                c.packets_ab, c.bytes_ab, c.packets_ba, c.bytes_ba,
+                c.rel_start, c.duration)]
+            for c in convs
+        ]).reshape(len(convs), N_FEATURES)
         got = encode_many(convs)
         assert got.dtype == np.float64
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+        for conv, row in zip(convs, got):
+            assert encode(conv).tobytes() == row.tobytes()
+
 
 class TestScaling:
     def test_fit_exact_bounds(self):
