@@ -1,16 +1,17 @@
 """Conversation-level network traffic classification and alerting.
 
-The pipeline: parse captures into packet records (``capture``), fold
-them into bidirectional conversations (``conversation``), encode
-labeled feature vectors (``features``), train and persist classifiers
-(``classifiers``), score them (``eval``) and run windowed detection
-over traffic (``detect``).  ``cli`` wires the same steps into the
+The pipeline: parse captures into a packet table (``capture``), group
+it into a table of bidirectional conversations (``conversation``),
+stack that into labeled feature vectors (``features``), train and
+persist classifiers (``classifiers``), score them (``eval``) and run
+windowed detection over traffic (``detect``).  ``cli`` wires the same steps into the
 ``rwdetect`` command.
 """
 
 from .capture import (
     CaptureSummary,
     PacketRecord,
+    PacketTable,
     ip_to_u32,
     parse_packet_csv,
     parse_pcap,
@@ -33,6 +34,7 @@ from .classifiers import (
 )
 from .conversation import (
     Conversation,
+    ConversationTable,
     aggregate,
     conversations_to_csv,
     csv_to_conversations,
@@ -80,6 +82,7 @@ __all__ = [
     "ClassifierKind",
     "ConfusionCounts",
     "Conversation",
+    "ConversationTable",
     "Dataset",
     "DetectionSummary",
     "EvaluationResult",
@@ -87,6 +90,7 @@ __all__ = [
     "Label",
     "MetricsReport",
     "PacketRecord",
+    "PacketTable",
     "Prediction",
     "RwdetectError",
     "ScalingParams",

@@ -5,8 +5,8 @@ global header (magic 0xA1B2C3D4 for microsecond timestamps, 0xA1B23C4D for
 nanosecond, either byte order) followed by 16-byte per-record headers.  The
 link type must be Ethernet (1).  pcapng input is rejected as BadMagic.
 
-Only IPv4 TCP/UDP packets become PacketRecords.  Every other record is
-counted in the capture summary instead of being emitted:
+Only IPv4 TCP/UDP packets enter the packet table.  Every other record is
+counted in the capture summary instead:
 
 * ``packets_skipped_non_ip``: frames that do not carry IPv4 at all (ARP,
   IPv6, double-tagged VLAN, frames too short or mangled to hold an IPv4
@@ -17,16 +17,18 @@ counted in the capture summary instead of being emitted:
 
 One level of 802.1Q VLAN tagging is unwrapped; deeper nesting is skipped.
 
+Both readers return a ``PacketTable`` of numpy columns and build no
+``PacketRecord``; the table builds them on access.
+
 ``parse_pcap`` reads a file in two passes.  The first walks the record
 headers in Python, reading only each ``incl_len``, and collects the offset
 of every whole record.  The second decodes the frames in chunks of at
 most ``_CHUNK_FRAMES``: numpy gathers read the header words and the
 Ethernet, VLAN, IPv4 and port fields of every frame of a chunk at once,
-and boolean masks sort each frame into a record or a skip bucket.  The
-chunk bound keeps the gathered temporaries under a megabyte whatever the
-capture's size.  A ``PacketRecord`` is a ``NamedTuple``; each
-distinct address is formatted once per call, and records with equal
-addresses share one string.
+boolean masks sort each frame into the table or a skip bucket, and the
+kept frames' fields are copied into the table's columns.  The chunk bound
+keeps the gathered temporaries under a megabyte whatever the capture's
+size.
 """
 
 from __future__ import annotations
@@ -34,13 +36,17 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import socket
 import struct
+import sys
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from ipaddress import AddressValueError, IPv4Address
+from itertools import count
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -80,6 +86,9 @@ _CHUNK_FRAMES = 1024
 #: 20-byte IPv4 header.
 _HEAD_SPAN = np.arange(16 + 18 + 20)
 _PORT_SPAN = np.arange(4)
+#: Packet table column types of a decoded pcap.
+_PCAP_COLUMNS = (np.float64, np.uint32, np.uint16, np.uint32, np.uint16,
+                 np.uint8, np.uint32)
 
 
 class PacketRecord(NamedTuple):
@@ -92,6 +101,70 @@ class PacketRecord(NamedTuple):
     dst_port: int
     protocol: int
     wire_bytes: int
+
+
+def _dotted(value: int) -> str:
+    """The dotted quad of a u32 address, interned: rows with equal
+    addresses share one string."""
+    return sys.intern(socket.inet_ntoa(value.to_bytes(4, "big")))
+
+
+class _Table(Sequence):
+    """Equal-length numpy columns that read as a sequence of ``_row`` rows,
+    with the u32 addresses of columns 1 and 3 as dotted quads.  An index
+    gives a row, a slice or an index array a table of those rows; a table
+    equals any sequence of equal rows."""
+
+    __slots__ = ("columns",)
+    _row: Callable
+
+    def __init__(self, columns: Iterable[np.ndarray]):
+        self.columns = tuple(columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        try:
+            i = operator.index(index)
+        except TypeError:
+            return type(self)(column[index] for column in self.columns)
+        values = [column.item(i) for column in self.columns]
+        values[1], values[3] = _dotted(values[1]), _dotted(values[3])
+        return self._row(*values)
+
+    def __iter__(self):
+        columns = [column.tolist() for column in self.columns]
+        names = {value: _dotted(value) for value in {*columns[1], *columns[3]}}
+        columns[1] = map(names.__getitem__, columns[1])
+        columns[3] = map(names.__getitem__, columns[3])
+        return map(self._row, *columns)
+
+    def __eq__(self, other):
+        if isinstance(other, (_Table, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+class PacketTable(_Table):
+    """Packets as seven columns in ``PacketRecord`` field order: float64
+    timestamps, then integers, addresses as u32 values."""
+
+    __slots__ = ()
+    _row = PacketRecord
+
+
+def _packet_table(packets: Iterable[PacketRecord]) -> PacketTable:
+    """``packets`` as a table: a table as it is, PacketRecords transposed
+    once, with each distinct address parsed once."""
+    if isinstance(packets, PacketTable):
+        return packets
+    ts, src, sport, dst, dport, protocol, wire = list(zip(*packets)) or [()] * 7
+    u32 = {text: ip_to_u32(text) for text in {*src, *dst}}
+    ints = np.array(([u32[a] for a in src], sport, [u32[a] for a in dst], dport,
+                     protocol, wire), np.int64).reshape(6, len(ts))
+    return PacketTable((np.array(ts, np.float64),
+                        ints[0], ints[1], ints[2], ints[3], ints[4], ints[5]))
 
 
 @dataclass
@@ -131,8 +204,9 @@ def u32_to_ip(value: int) -> str:
     return str(IPv4Address(value))
 
 
-def parse_pcap(data: bytes) -> tuple[list[PacketRecord], CaptureSummary]:
-    """Parse the bytes of a classic pcap file into IPv4 TCP/UDP packet records.
+def parse_pcap(data: bytes) -> tuple[PacketTable, CaptureSummary]:
+    """Parse the bytes of a classic pcap file into a table of its IPv4
+    TCP/UDP packets.
 
     Raises BadMagic for anything that is not a classic pcap file and
     UnsupportedLinkType for link types other than Ethernet.  A file that
@@ -149,7 +223,7 @@ def parse_pcap(data: bytes) -> tuple[list[PacketRecord], CaptureSummary]:
     summary = CaptureSummary()
     if len(data) < 24:
         summary.error = "truncated_header"
-        return [], summary
+        return _packet_table(()), summary
 
     _vmaj, _vmin, _zone, _sigfigs, _snaplen, network = struct.unpack(
         byte_order + "HHiIII", data[4:24]
@@ -159,16 +233,19 @@ def parse_pcap(data: bytes) -> tuple[list[PacketRecord], CaptureSummary]:
 
     starts, summary.error = _record_starts(data, byte_order)
     buf = np.frombuffer(data, np.uint8)
-    names = _AddressNames()
-    records: list[PacketRecord] = []
+    columns = [np.empty(len(starts), dtype) for dtype in _PCAP_COLUMNS]
+    kept = 0
     for lo in range(0, len(starts), _CHUNK_FRAMES):
-        timestamps = _decode_chunk(buf, starts[lo:lo + _CHUNK_FRAMES], byte_order,
-                                   ts_divisor, names, records, summary)
+        timestamps, chunk = _decode_chunk(buf, starts[lo:lo + _CHUNK_FRAMES],
+                                          byte_order, ts_divisor, summary)
+        for column, values in zip(columns, chunk):
+            column[kept:kept + len(values)] = values
+        kept += len(chunk[0])
         if lo == 0:
             summary.capture_start = float(timestamps[0])
         summary.capture_end = max(summary.capture_start, float(timestamps[-1]))
-    summary.packets_read = len(records)
-    return records, summary
+    summary.packets_read = kept
+    return PacketTable(column[:kept] for column in columns), summary
 
 
 def _record_starts(data: bytes, byte_order: str) -> tuple[np.ndarray, str | None]:
@@ -190,14 +267,6 @@ def _record_starts(data: bytes, byte_order: str) -> tuple[np.ndarray, str | None
     return np.frombuffer(starts, np.int64), error
 
 
-class _AddressNames(dict):
-    """u32 address -> dotted quad, each formatted on first use."""
-
-    def __missing__(self, value: int) -> str:
-        name = self[value] = socket.inet_ntoa(value.to_bytes(4, "big"))
-        return name
-
-
 def _gather(buf: np.ndarray, at: np.ndarray, span: np.ndarray) -> np.ndarray:
     """``buf[at[i] + span[j]]`` as a (len(at), len(span)) uint8 array.
 
@@ -210,11 +279,11 @@ def _gather(buf: np.ndarray, at: np.ndarray, span: np.ndarray) -> np.ndarray:
 
 
 def _decode_chunk(buf: np.ndarray, starts: np.ndarray, byte_order: str,
-                  ts_divisor: float, names: _AddressNames,
-                  records: list[PacketRecord], summary: CaptureSummary) -> np.ndarray:
-    """Decode the records starting at ``starts``: append their TCP/UDP
-    packets to ``records``, count the rest in ``summary`` and return every
-    record's timestamp."""
+                  ts_divisor: float, summary: CaptureSummary,
+                  ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Decode the records starting at ``starts``: count the frames that are
+    not TCP/UDP packets in ``summary``; return every record's timestamp and
+    the packet table columns of the rest."""
     head = _gather(buf, starts, _HEAD_SPAN)
     ts_sec, ts_frac, incl_len, orig_len = head[:, :16].view(byte_order + "u4").T
     timestamps = ts_sec.astype(np.float64) + ts_frac / ts_divisor
@@ -246,16 +315,11 @@ def _decode_chunk(buf: np.ndarray, starts: np.ndarray, byte_order: str,
     ports = _gather(buf, starts[kept] + 16 + ip_start[kept] + ihl[kept], _PORT_SPAN)
     src_port, dst_port = ports.view(">u2").T
     src_addr, dst_addr = ip[kept, 12:20].view(">u4").T
-    records.extend(map(PacketRecord._make, zip(
-        timestamps[kept].tolist(),
-        map(names.__getitem__, src_addr.tolist()), src_port.tolist(),
-        map(names.__getitem__, dst_addr.tolist()), dst_port.tolist(),
-        protocol[kept].tolist(), orig_len[kept].tolist(),
-    )))
-    return timestamps
+    return timestamps, (timestamps[kept], src_addr, src_port, dst_addr, dst_port,
+                        protocol[kept], orig_len[kept])
 
 
-def read_pcap(path) -> tuple[list[PacketRecord], CaptureSummary]:
+def read_pcap(path) -> tuple[PacketTable, CaptureSummary]:
     return parse_pcap(Path(path).read_bytes())
 
 
@@ -304,23 +368,44 @@ def _parse_packet_row(row: list[str], line: int) -> PacketRecord:
     )
 
 
-def _csv_rows(text: str, header: list[str], what: str):
-    """``(line, row)`` per data row of CSV text; checks the header.
+def _read_csv(text: str, header: list[str], what: str,
+              parse: Callable[[list[str], int], object],
+              skip_bad: bool = False) -> tuple[list, int]:
+    """``parse(row, line)`` of each data row of CSV text, after checking the
+    header, and the number of bad rows skipped.
 
-    One leading byte-order mark (U+FEFF, as ``ef bb bf`` decodes) is dropped.
+    A row that ``parse`` rejects, or that the csv module cannot read (a
+    field over its size limit, a stray carriage return), raises RowError,
+    or with ``skip_bad`` is counted; reading resumes at the next line.  One
+    leading byte-order mark (U+FEFF, as ``ef bb bf`` decodes) is dropped.
     """
     reader = csv.reader(io.StringIO(text))
     try:
         found = next(reader)
     except StopIteration:
         raise SchemaMismatch(f"empty input, expected a {what} CSV header") from None
+    except csv.Error as exc:
+        raise SchemaMismatch(f"unreadable {what} CSV header: {exc}") from None
     if found and found[0].startswith("\ufeff"):
         found[0] = found[0][1:]
     if found != header:
         raise SchemaMismatch(
             f"bad header {','.join(found)!r}, expected {','.join(header)!r}"
         )
-    return enumerate(reader, start=2)
+    rows, skipped = [], 0
+    for line in count(2):
+        try:
+            try:
+                row = next(reader)
+            except csv.Error as exc:
+                raise RowError(line, f"unreadable CSV row: {exc}") from None
+            rows.append(parse(row, line))
+        except StopIteration:
+            return rows, skipped
+        except RowError:
+            if not skip_bad:
+                raise
+            skipped += 1
 
 
 def _csv_text(header: list[str], rows: Iterable[list]) -> str:
@@ -332,35 +417,28 @@ def _csv_text(header: list[str], rows: Iterable[list]) -> str:
     return out.getvalue()
 
 
-def _read_packet_csv(text, strict: bool) -> tuple[list[PacketRecord], int]:
-    records = []
-    skipped = 0
-    for line, row in _csv_rows(text, PACKET_CSV_HEADER, "packet"):
-        try:
-            records.append(_parse_packet_row(row, line))
-        except RowError:
-            if strict:
-                raise
-            skipped += 1
-    return records, skipped
+def _read_packet_csv(text, skip_bad: bool) -> tuple[PacketTable, int]:
+    records, skipped = _read_csv(text, PACKET_CSV_HEADER, "packet",
+                                 _parse_packet_row, skip_bad)
+    return _packet_table(records), skipped
 
 
-def parse_packet_csv(text) -> list[PacketRecord]:
+def parse_packet_csv(text) -> PacketTable:
     """Parse packet CSV (header: timestamp,src_addr,...,wire_bytes).
 
     Raises SchemaMismatch for a wrong header and RowError (with line number)
     for any invalid data row.
     """
-    return _read_packet_csv(text, strict=True)[0]
+    return _read_packet_csv(text, skip_bad=False)[0]
 
 
-def parse_packet_csv_lenient(text) -> tuple[list[PacketRecord], int]:
+def parse_packet_csv_lenient(text) -> tuple[PacketTable, int]:
     """Like parse_packet_csv but bad rows are skipped and counted, not fatal.
 
     The header must still match; a replay source with the wrong schema is a
     configuration error rather than noise.
     """
-    return _read_packet_csv(text, strict=False)
+    return _read_packet_csv(text, skip_bad=True)
 
 
 def write_packet_csv(records: Iterable[PacketRecord]) -> str:

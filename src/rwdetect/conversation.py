@@ -1,4 +1,4 @@
-"""Aggregate packet streams into bidirectional conversations.
+"""Aggregate packet tables into bidirectional conversations.
 
 A conversation is the set of all packets exchanged between two
 (address, port) endpoints under one transport protocol, regardless of
@@ -6,13 +6,14 @@ direction.  Endpoint A is whichever endpoint sent the conversation's
 earliest packet.  There is no idle timeout: one key yields one
 conversation per capture.
 
-``aggregate`` keys each flow by (protocol, A, B) as its first packet
-gives them and finds a later packet's flow under (protocol, src, dst),
-then (protocol, dst, src).  Both readers give canonical dotted quads (pcap
-via ``inet_ntoa``, CSV text that ``ip_to_u32`` accepts, which formats back
-to itself), so equal strings mean equal addresses.  ``Conversation.key``,
-the direction-free identity and sort order, parses them once per
-conversation and raises ``AddressValueError`` on a bad one.
+``aggregate`` is a group-by over the columns of a packet table.  Each
+endpoint packs into one int64 as ``address << 16 | port``; one stable sort
+by (lower endpoint, higher endpoint and protocol, time) puts each flow's
+packets together, earliest first, and counts and bytes are summed per flow
+as int64.  It returns a ``ConversationTable``, whose columns the features
+layer stacks into its matrix; ``Conversation`` rows are built only where a
+caller reads rows.  ``Conversation.key`` is a row's direction-free identity
+and sort order.
 
 Conversation CSV prints the two time columns with 6 decimal places, so a
 write/read round trip is lossless for microsecond-resolution times (the
@@ -25,8 +26,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .capture import SUPPORTED_PROTOCOLS, PacketRecord, ip_to_u32
 from .errors import ClockSkew, InvariantViolation, RowError
@@ -69,86 +72,136 @@ class Conversation:
         return (*min(a, b), *max(a, b), self.protocol)
 
 
-_timestamp = itemgetter(0)     # PacketRecord.timestamp
+class ConversationTable(_capture._Table):
+    """Conversations as 13 columns in ``CONVERSATION_CSV_HEADER`` order,
+    addresses as u32 values."""
+
+    __slots__ = ("_rows",)
+    _row = Conversation
+
+    def __iter__(self):
+        # Built on the first pass and kept: callers read a table repeatedly.
+        rows = getattr(self, "_rows", None)
+        if rows is None:
+            rows = self._rows = list(super().__iter__())
+        return iter(rows)
+
+    def key_order(self) -> np.ndarray:
+        """Row indices in ``Conversation.key()`` order."""
+        protocol, address_a, port_a, address_b, port_b = self.columns[:5]
+        lo, hk = _flow_key(_endpoint(address_a, port_a),
+                           _endpoint(address_b, port_b), protocol)
+        return np.lexsort((hk, lo))
 
 
-class _FlowState:
-    __slots__ = ("a_endpoint", "first_ts", "last_ts",
-                 "packets_ab", "bytes_ab", "packets_ba", "bytes_ba")
+_fields = attrgetter(*CONVERSATION_CSV_HEADER)
+#: Protocol number -> whether ``aggregate`` takes it; numbers past either
+#: end read False.
+_AGGREGATABLE = np.isin(np.arange(256), SUPPORTED_PROTOCOLS)
 
-    def __init__(self, a_endpoint: tuple[str, int], first_ts: float):
-        self.a_endpoint = a_endpoint
-        self.first_ts = first_ts
-        self.last_ts = first_ts
-        self.packets_ab = 0
-        self.bytes_ab = 0
-        self.packets_ba = 0
-        self.bytes_ba = 0
+
+def _conversation_table(conversations: Iterable[Conversation]) -> ConversationTable:
+    """``conversations`` as a table: a table as it is, rows as object columns
+    holding each value unchanged (addresses as u32), which cast as
+    ``float(value)`` does."""
+    if isinstance(conversations, ConversationTable):
+        return conversations
+    columns = list(zip(*map(_fields, conversations))) or [()] * 13
+    u32 = {text: ip_to_u32(text) for text in {*columns[1], *columns[3]}}
+    columns[1] = [u32[a] for a in columns[1]]
+    columns[3] = [u32[a] for a in columns[3]]
+    return ConversationTable(np.array(column, dtype=object) for column in columns)
+
+
+def _endpoint(address: np.ndarray, port: np.ndarray) -> np.ndarray:
+    """``address << 16 | port`` as int64."""
+    packed = address.astype(np.int64)
+    packed <<= 16
+    packed |= port
+    return packed
+
+
+def _flow_key(x: np.ndarray, y: np.ndarray, protocol: np.ndarray):
+    """Direction-free key of endpoints ``x`` and ``y``: the lower one, and
+    ``higher << 8 | protocol``."""
+    hk = np.maximum(x, y)
+    hk <<= 8
+    hk |= protocol
+    return np.minimum(x, y), hk
+
+
+def _capture_start(ts: np.ndarray, capture_start: float | None) -> float:
+    """The earliest timestamp when ``capture_start`` is None; otherwise
+    ``capture_start``, after raising ClockSkew for the first packet
+    stamped earlier."""
+    if capture_start is None:
+        return float(ts.min())
+    early = ts < capture_start
+    if np.count_nonzero(early):
+        i = int(early.argmax())
+        raise ClockSkew(i, f"packet {i} at {ts.item(i)!r} precedes "
+                           f"capture start {capture_start!r}")
+    return capture_start
 
 
 def aggregate(packets: Iterable[PacketRecord],
-              capture_start: float | None = None) -> list[Conversation]:
-    """Group TCP/UDP packets into conversations.
+              capture_start: float | None = None) -> ConversationTable:
+    """Group TCP/UDP packets into conversations, ordered by (rel_start,
+    ``Conversation.key()``).
 
-    Packets are processed in ascending timestamp order (stable, so input
-    order breaks ties).  ``capture_start`` anchors rel_start; when omitted
-    the earliest timestamp is used.  A timestamp before an explicit
-    capture_start raises ClockSkew with the offending input index.
+    ``packets`` is a packet table or any iterable of PacketRecords.  Packets
+    are taken in ascending timestamp order, input order breaking ties.
+    ``capture_start`` anchors rel_start; when omitted the earliest
+    timestamp is used.  A timestamp before an explicit capture_start
+    raises ClockSkew with the offending input index.
     """
-    pkts = list(packets)
-    if not pkts:
-        return []
-    for i, p in enumerate(pkts):
-        if p.protocol not in SUPPORTED_PROTOCOLS:
-            raise ValueError(
-                f"packet {i}: protocol {p.protocol} cannot be aggregated, "
-                f"filter to TCP/UDP first"
-            )
-    if capture_start is None:
-        capture_start = min(p.timestamp for p in pkts)
-    else:
-        for i, p in enumerate(pkts):
-            if p.timestamp < capture_start:
-                raise ClockSkew(
-                    i, f"packet {i} at {p.timestamp} precedes capture start {capture_start}"
-                )
+    table = _capture._packet_table(packets)
+    n = len(table)
+    if not n:
+        return _conversation_table(())
+    ts, src_addr, src_port, dst_addr, dst_port, protocol, wire = table.columns
+    supported = _AGGREGATABLE.take(protocol, mode="clip")
+    if np.count_nonzero(supported) < n:
+        i = int(supported.argmin())
+        raise ValueError(f"packet {i}: protocol {protocol.item(i)} cannot be "
+                         "aggregated, filter to TCP/UDP first")
+    capture_start = _capture_start(ts, capture_start)
 
-    # Each record is unpacked once: a NamedTuple field read by name costs a
-    # descriptor call per access.
-    flows: dict[tuple, _FlowState] = {}
-    for ts, src_addr, src_port, dst_addr, dst_port, protocol, wire_bytes in sorted(
-            pkts, key=_timestamp):
-        src, dst = (src_addr, src_port), (dst_addr, dst_port)
-        state = flows.get((protocol, src, dst)) or flows.get((protocol, dst, src))
-        if state is None:
-            state = flows[protocol, src, dst] = _FlowState(src, ts)
-        state.last_ts = ts
-        if src == state.a_endpoint:
-            state.packets_ab += 1
-            state.bytes_ab += wire_bytes
-        else:
-            state.packets_ba += 1
-            state.bytes_ba += wire_bytes
+    src, dst = _endpoint(src_addr, src_port), _endpoint(dst_addr, dst_port)
+    lo, hk = _flow_key(src, dst, protocol)
+    order = np.lexsort((ts, hk, lo))
+    ts, lo, hk, src = ts[order], lo[order], hk[order], src[order]
+    new_flow = np.empty(n, bool)
+    new_flow[0] = True
+    np.not_equal(lo[1:], lo[:-1], out=new_flow[1:])
+    new_flow[1:] |= hk[1:] != hk[:-1]
+    starts = new_flow.nonzero()[0]
 
-    conversations = []
-    for (protocol, (a_addr, a_port), (b_addr, b_port)), st in flows.items():
-        conversations.append(Conversation(
-            protocol=protocol,
-            address_a=a_addr,
-            port_a=a_port,
-            address_b=b_addr,
-            port_b=b_port,
-            packets=st.packets_ab + st.packets_ba,
-            bytes=st.bytes_ab + st.bytes_ba,
-            packets_ab=st.packets_ab,
-            bytes_ab=st.bytes_ab,
-            packets_ba=st.packets_ba,
-            bytes_ba=st.bytes_ba,
-            rel_start=st.first_ts - capture_start,
-            duration=st.last_ts - st.first_ts,
-        ))
-    conversations.sort(key=lambda c: (c.rel_start, c.key()))
-    return conversations
+    # A flow's first packet goes from endpoint A to B.  Per packet: 1, its
+    # wire bytes, and both again if A sent it.
+    from_a = src == src[starts][new_flow.cumsum() - 1]
+    sent = np.empty((4, n), np.int64)
+    sent[0] = 1
+    sent[1] = wire[order]
+    sent[2] = from_a
+    np.multiply(sent[1], from_a, out=sent[3])
+    sums = np.add.reduceat(sent, starts, axis=1)
+    first = ts[starts]
+    rel_start = first - capture_start
+    duration = np.maximum.reduceat(ts, starts) - first
+
+    rows = np.lexsort((hk[starts], lo[starts], rel_start))
+    heads = starts[rows]
+    a, b = src[heads], dst[order[heads]]
+    # Indexing the rows of a small array costs less than unpacking it.
+    sums = sums.take(rows, axis=1)
+    npackets, nbytes, packets_ab, bytes_ab = sums[0], sums[1], sums[2], sums[3]
+    return ConversationTable((
+        hk[heads] & 0xFF, a >> 16, a & 0xFFFF, b >> 16, b & 0xFFFF,
+        npackets, nbytes, packets_ab, bytes_ab,
+        npackets - packets_ab, nbytes - bytes_ab,
+        rel_start[rows], duration[rows],
+    ))
 
 
 # -- CSV ----------------------------------------------------------------------
@@ -177,9 +230,10 @@ def parse_conversation_fields(fields: Sequence[str], line: int,
     protocol = _capture._parse_int(fields[0], line, "protocol", 0, 255)
     if protocol not in SUPPORTED_PROTOCOLS:
         raise RowError(line, f"protocol {protocol} is not TCP (6) or UDP (17)")
-    address_a = _capture._parse_address(fields[1], line, "address_a")
+    address_a, address_b = fields[1], fields[3]
+    _capture._parse_address(address_a, line, "address_a")
     port_a = _capture._parse_int(fields[2], line, "port_a", 0, 65535)
-    address_b = _capture._parse_address(fields[3], line, "address_b")
+    _capture._parse_address(address_b, line, "address_b")
     port_b = _capture._parse_int(fields[4], line, "port_b", 0, 65535)
     counts = [
         _capture._parse_int(fields[i], line, CONVERSATION_CSV_HEADER[i], 0, 2**63 - 1)
@@ -226,8 +280,7 @@ def parse_conversation_fields(fields: Sequence[str], line: int,
 
 
 def csv_to_conversations(text, strict: bool = True) -> list[Conversation]:
-    return [
-        parse_conversation_fields(row, line, strict=strict)
-        for line, row in _capture._csv_rows(text, CONVERSATION_CSV_HEADER,
-                                            "conversation")
-    ]
+    return _capture._read_csv(
+        text, CONVERSATION_CSV_HEADER, "conversation",
+        lambda row, line: parse_conversation_fields(row, line, strict=strict),
+    )[0]

@@ -1,13 +1,15 @@
 """Windowed detection: segment traffic, classify flows, emit alerts.
 
 Packets fall into half-open windows ``[start + w*i, start + (w+1)*i)``
-aligned to the capture start.  Flows are aggregated per window but keep
-capture-relative times, so a conversation confined to one window comes
-out identical to a whole-capture aggregation.  Alerts fire only for
-positive classifications, at most one per (window, conversation key),
-ordered by window then ``Conversation.key``.  ``emitted_at`` is the
-close time of the window, a value derived from the data rather than the
-wall clock, so repeated runs are byte-identical.
+aligned to the capture start; ``window_packets`` splits a packet table by
+window with one stable sort.  Flows are aggregated per window but keep
+capture-relative times, so a conversation confined to one window comes out
+identical to a whole-capture aggregation.  A window's conversation table
+is its feature matrix; ``Conversation`` rows are built only for the
+positive classifications, which alert, at most one per (window,
+conversation key), ordered by window then ``Conversation.key``.
+``emitted_at`` is the close time of the window, a value derived from the
+data rather than the wall clock, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,20 +18,24 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable
+
+import numpy as np
 
 from .capture import (
     PCAP_MAGICS,
     TCP,
     CaptureSummary,
     PacketRecord,
+    PacketTable,
+    _packet_table,
     parse_packet_csv,
     parse_packet_csv_lenient,
     parse_pcap,
 )
 from .classifiers import Prediction, TrainedModel, model_fingerprint, predict_many
-from .conversation import Conversation, aggregate
-from .errors import BadMagic, ClockSkew, InvalidHyperparams, SinkFailure
+from .conversation import Conversation, _capture_start, aggregate
+from .errors import BadMagic, InvalidHyperparams, SinkFailure
 from .features import FEATURE_NAMES, Label, encode_many
 
 
@@ -61,52 +67,51 @@ class DetectionSummary:
     skipped_malformed: int
 
 
-def window_packets(packets: Sequence[PacketRecord], spec: WindowSpec,
+def window_packets(packets: Iterable[PacketRecord], spec: WindowSpec,
                    capture_start: float | None = None,
-                   ) -> list[tuple[int, list[PacketRecord]]]:
-    """Bucket packets into windows; empty windows are omitted.
+                   ) -> list[tuple[int, PacketTable]]:
+    """Split packets into windows, each a table of its packets in input
+    order; empty windows are omitted.
 
     With an explicit ``capture_start``, a packet stamped earlier than it
     raises ClockSkew carrying the offending input position.
     """
-    if not packets:
+    table = _packet_table(packets)
+    if not len(table):
         return []
-    explicit = capture_start is not None
-    start = capture_start if explicit else min(p.timestamp for p in packets)
-    interval = spec.interval
-    buckets: dict[int, list[PacketRecord]] = {}
-    try:
-        for i, packet in enumerate(packets):
-            ts = packet.timestamp
-            if explicit and ts < start:
-                raise ClockSkew(
-                    i, f"packet {i} at {ts!r} precedes capture start {start!r}"
-                )
-            w = math.floor((ts - start) / interval)
-            bucket = buckets.get(w)     # setdefault would build a list per packet
-            if bucket is None:
-                bucket = buckets[w] = []
-            bucket.append(packet)
-    except OverflowError:   # the quotient overflowed to infinity
+    ts = table.columns[0]
+    capture_start = _capture_start(ts, capture_start)
+    # Window numbers stay float64: ``int`` of each distinct one equals
+    # ``math.floor`` of the quotient, however large.  A quotient that
+    # overflows is infinite and has no window.
+    with np.errstate(over="ignore"):
+        window = np.floor((ts - capture_start) / spec.interval)
+    if not np.isfinite(window).all():
         raise InvalidHyperparams(f"window interval {spec.interval!r} is too small "
-                                 "for the capture's time span") from None
-    return sorted(buckets.items())
+                                 "for the capture's time span")
+    order = np.argsort(window, kind="stable")
+    window = window[order]
+    cuts = np.flatnonzero(window[1:] != window[:-1]) + 1
+    return [(int(w), table[rows])
+            for w, rows in zip(window[np.r_[0, cuts]], np.split(order, cuts))]
 
 
-def detect_stream(packets: Sequence[PacketRecord], model: TrainedModel,
+def detect_stream(packets: Iterable[PacketRecord], model: TrainedModel,
                   spec: WindowSpec, sink: Callable[[Alert], None],
                   capture_start: float | None = None,
                   skipped_malformed: int = 0) -> DetectionSummary:
     """Run windowed detection over packets, pushing alerts into ``sink``.
 
-    Every packet must be TCP or UDP, as ``load_packets`` gives them: any
-    other protocol raises ValueError when its window is aggregated, after
+    ``packets`` is a packet table or any iterable of PacketRecords.  Every
+    packet must be TCP or UDP, as ``load_packets`` gives them: any other
+    protocol raises ValueError when its window is aggregated, after
     earlier windows' alerts reached the sink.  A sink exception aborts the
     run with SinkFailure carrying the summary of everything processed
     before the failure.
     """
-    if capture_start is None and packets:
-        capture_start = min(p.timestamp for p in packets)
+    packets = _packet_table(packets)
+    if len(packets):
+        capture_start = _capture_start(packets.columns[0], capture_start)
 
     fingerprint = model_fingerprint(model)
     windows = window_packets(packets, spec, capture_start)
@@ -120,23 +125,21 @@ def detect_stream(packets: Sequence[PacketRecord], model: TrainedModel,
             skipped_malformed=skipped_malformed,
         )
 
-    for position, (w, bucket) in enumerate(windows):
-        conversations = aggregate(bucket, capture_start=capture_start)
+    for position, (w, window) in enumerate(windows):
+        conversations = aggregate(window, capture_start=capture_start)
         n_conversations += len(conversations)
         vectors = encode_many(conversations)
         labels01, scores = predict_many(model, vectors)
-        positives = [
-            (conversations[j], float(scores[j]), tuple(vectors[j].tolist()))
-            for j in range(len(conversations)) if labels01[j]
-        ]
-        positives.sort(key=lambda item: item[0].key())
+        by_key = conversations.key_order()
+        hits = by_key[labels01[by_key] != 0]
         emitted_at = capture_start + (w + 1) * spec.interval
-        for conv, score, row in positives:
+        for conv, score, row in zip(conversations[hits], scores[hits].tolist(),
+                                    vectors[hits].tolist()):
             alert = Alert(
                 window_index=w, conversation=conv,
                 prediction=Prediction(label=Label.RANSOMWARE, score=score),
                 model_fingerprint=fingerprint, emitted_at=emitted_at,
-                features=row,
+                features=tuple(row),
             )
             try:
                 sink(alert)
@@ -150,7 +153,7 @@ def detect_stream(packets: Sequence[PacketRecord], model: TrainedModel,
 
 
 def load_packets(path: str | Path,
-                 lenient: bool) -> tuple[list[PacketRecord], CaptureSummary]:
+                 lenient: bool) -> tuple[PacketTable, CaptureSummary]:
     """Read a classic pcap file or packet CSV, told apart by the first bytes.
 
     A bad CSV row raises RowError, or with ``lenient`` is counted in
@@ -170,7 +173,7 @@ def load_packets(path: str | Path,
                                    rows_skipped_malformed=malformed)
 
 
-def read_packet_source(path: str | Path) -> tuple[list[PacketRecord], int, int]:
+def read_packet_source(path: str | Path) -> tuple[PacketTable, int, int]:
     """(packets, malformed CSV rows, skipped frames) of a lenient ``load_packets``."""
     records, s = load_packets(path, lenient=True)
     return (records, s.rows_skipped_malformed,

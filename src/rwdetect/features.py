@@ -11,15 +11,16 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .capture import _csv_rows, _csv_text, ip_to_u32
+from .capture import _csv_text, _read_csv, ip_to_u32
 from .conversation import (
     CONVERSATION_CSV_HEADER,
     Conversation,
     parse_conversation_fields,
+    _conversation_table,
     _format_row,
 )
 from .errors import DimensionMismatch, EmptyDataset, EmptyInput, RowError
@@ -75,33 +76,21 @@ class ScalingParams:
     fitted_on: str = ""
 
 
-def _features(c: Conversation, u32: Callable[[str], int]) -> tuple:
-    """The 13 features of one conversation in ``FEATURE_NAMES`` order, each
-    address as ``u32`` gives its integer value."""
-    return (c.protocol, u32(c.address_a), c.port_a, u32(c.address_b), c.port_b,
-            c.packets, c.bytes, c.packets_ab, c.bytes_ab, c.packets_ba, c.bytes_ba,
-            c.rel_start, c.duration)
-
-
 def encode(conversation: Conversation) -> np.ndarray:
     """Conversation as a 13-element float vector in the fixed column order."""
-    return np.array(_features(conversation, ip_to_u32), dtype=np.float64)
-
-
-class _AddressValues(dict):
-    """Dotted quad -> u32 address, each parsed on first use."""
-
-    def __missing__(self, text: str) -> int:
-        value = self[text] = ip_to_u32(text)
-        return value
+    c = conversation
+    return np.array((c.protocol, ip_to_u32(c.address_a), c.port_a,
+                     ip_to_u32(c.address_b), c.port_b, c.packets, c.bytes,
+                     c.packets_ab, c.bytes_ab, c.packets_ba, c.bytes_ba,
+                     c.rel_start, c.duration), dtype=np.float64)
 
 
 def encode_many(conversations: Sequence[Conversation]) -> np.ndarray:
     """``encode`` of each conversation as one row of an (n, 13) float64
-    matrix; each distinct address is parsed once per call."""
-    u32 = _AddressValues().__getitem__
-    rows = [_features(c, u32) for c in conversations]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), N_FEATURES)
+    matrix: the columns of a ``ConversationTable`` (or of Conversation
+    rows turned into one) stacked side by side."""
+    return np.stack(_conversation_table(conversations).columns, axis=1,
+                    dtype=np.float64, casting="unsafe")
 
 
 def dataset_fingerprint(dataset: Dataset) -> str:
@@ -158,14 +147,13 @@ def label_and_merge(conv_sets: Sequence[tuple[Sequence[Conversation], Label]]) -
     """
     if not conv_sets:
         raise EmptyInput("no conversation sets to merge")
-    merged, labels = [], []
+    matrices, labels = [], []
     for i, (convs, label) in enumerate(conv_sets):
-        convs = list(convs)
-        if not convs:
+        matrices.append(encode_many(convs))
+        if not len(matrices[-1]):
             raise EmptyInput(f"conversation set {i} is empty")
-        merged.extend(convs)
-        labels.extend([label] * len(convs))
-    return _dataset(encode_many(merged), labels)
+        labels.extend([label] * len(matrices[-1]))
+    return _dataset(np.concatenate(matrices), labels)
 
 
 def zero_address_columns(dataset: Dataset) -> Dataset:
@@ -188,16 +176,18 @@ def write_dataset_csv(conv_sets: Sequence[tuple[Sequence[Conversation], Label]])
     ))
 
 
+def _dataset_row(row: list[str], line: int) -> tuple[np.ndarray, Label]:
+    if len(row) != len(DATASET_CSV_HEADER):
+        raise RowError(line, f"expected {len(DATASET_CSV_HEADER)} fields, got {len(row)}")
+    conv = parse_conversation_fields(row[:-1], line)
+    try:
+        label = Label(row[-1])
+    except ValueError:
+        raise RowError(line, f"label {row[-1]!r} is not ransomware|benign") from None
+    return encode(conv), label
+
+
 def read_dataset_csv(text) -> Dataset:
-    rows, labels = [], []
-    for line, row in _csv_rows(text, DATASET_CSV_HEADER, "dataset"):
-        if len(row) != len(DATASET_CSV_HEADER):
-            raise RowError(line, f"expected {len(DATASET_CSV_HEADER)} fields, got {len(row)}")
-        conv = parse_conversation_fields(row[:-1], line)
-        try:
-            label = Label(row[-1])
-        except ValueError:
-            raise RowError(line, f"label {row[-1]!r} is not ransomware|benign") from None
-        rows.append(encode(conv))
-        labels.append(label)
-    return _dataset(rows, labels)
+    rows, _skipped = _read_csv(text, DATASET_CSV_HEADER, "dataset", _dataset_row)
+    return _dataset([vector for vector, _label in rows],
+                    [label for _vector, label in rows])

@@ -107,6 +107,19 @@ class TestExtract:
         err = capsys.readouterr().err
         assert "skipped 1 malformed" in err
 
+    def test_oversized_field_is_a_row_error(self, tmp_path, capsys):
+        """A field past the csv module's 131,072-character limit."""
+        source = tmp_path / "big.csv"
+        source.write_text(write_packet_csv([make_packet(1.0)])
+                          + "2.0," + "1" * 131_073 + "\n"
+                          + write_packet_csv([make_packet(3.0)]).split("\n", 1)[1])
+        assert run(["extract", str(source)]) == 1
+        assert "line 3: unreadable CSV row: field larger than field limit" in \
+            capsys.readouterr().err
+        assert run(["extract", str(source), "--lenient"]) == 0
+        err = capsys.readouterr().err
+        assert "extract: 2 packets -> 1 conversations (skipped 1 malformed" in err
+
 
 class TestLabel:
     def test_dataset_has_both_labels(self, workspace):
