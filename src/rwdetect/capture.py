@@ -117,9 +117,23 @@ class _Table(Sequence):
 
     __slots__ = ("columns",)
     _row: Callable
+    _values: Callable   # a row's values in column order
+    _dtypes: tuple      # the column types ``of`` builds
 
     def __init__(self, columns: Iterable[np.ndarray]):
         self.columns = tuple(columns)
+
+    @classmethod
+    def of(cls, rows: Iterable):
+        """``rows`` as a table: a table of this kind as it is, rows
+        transposed once, with each distinct address parsed once."""
+        if isinstance(rows, cls):
+            return rows
+        columns = list(zip(*map(cls._values, rows))) or [()] * len(cls._dtypes)
+        u32 = {text: ip_to_u32(text) for text in {*columns[1], *columns[3]}}
+        columns[1] = [u32[a] for a in columns[1]]
+        columns[3] = [u32[a] for a in columns[3]]
+        return cls(map(np.array, columns, cls._dtypes))
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -152,19 +166,8 @@ class PacketTable(_Table):
 
     __slots__ = ()
     _row = PacketRecord
-
-
-def _packet_table(packets: Iterable[PacketRecord]) -> PacketTable:
-    """``packets`` as a table: a table as it is, PacketRecords transposed
-    once, with each distinct address parsed once."""
-    if isinstance(packets, PacketTable):
-        return packets
-    ts, src, sport, dst, dport, protocol, wire = list(zip(*packets)) or [()] * 7
-    u32 = {text: ip_to_u32(text) for text in {*src, *dst}}
-    ints = np.array(([u32[a] for a in src], sport, [u32[a] for a in dst], dport,
-                     protocol, wire), np.int64).reshape(6, len(ts))
-    return PacketTable((np.array(ts, np.float64),
-                        ints[0], ints[1], ints[2], ints[3], ints[4], ints[5]))
+    _values = tuple
+    _dtypes = (np.float64,) + (np.int64,) * 6
 
 
 @dataclass
@@ -223,7 +226,7 @@ def parse_pcap(data: bytes) -> tuple[PacketTable, CaptureSummary]:
     summary = CaptureSummary()
     if len(data) < 24:
         summary.error = "truncated_header"
-        return _packet_table(()), summary
+        return PacketTable.of(()), summary
 
     _vmaj, _vmin, _zone, _sigfigs, _snaplen, network = struct.unpack(
         byte_order + "HHiIII", data[4:24]
@@ -420,7 +423,7 @@ def _csv_text(header: list[str], rows: Iterable[list]) -> str:
 def _read_packet_csv(text, skip_bad: bool) -> tuple[PacketTable, int]:
     records, skipped = _read_csv(text, PACKET_CSV_HEADER, "packet",
                                  _parse_packet_row, skip_bad)
-    return _packet_table(records), skipped
+    return PacketTable.of(records), skipped
 
 
 def parse_packet_csv(text) -> PacketTable:

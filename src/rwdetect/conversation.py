@@ -72,19 +72,18 @@ class Conversation:
         return (*min(a, b), *max(a, b), self.protocol)
 
 
+_fields = attrgetter(*CONVERSATION_CSV_HEADER)
+
+
 class ConversationTable(_capture._Table):
     """Conversations as 13 columns in ``CONVERSATION_CSV_HEADER`` order,
-    addresses as u32 values."""
+    addresses as u32 values.  Rows turned into a table keep each value
+    unchanged in object columns, which cast as ``float(value)`` does."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ()
     _row = Conversation
-
-    def __iter__(self):
-        # Built on the first pass and kept: callers read a table repeatedly.
-        rows = getattr(self, "_rows", None)
-        if rows is None:
-            rows = self._rows = list(super().__iter__())
-        return iter(rows)
+    _values = _fields
+    _dtypes = (object,) * 13
 
     def key_order(self) -> np.ndarray:
         """Row indices in ``Conversation.key()`` order."""
@@ -94,23 +93,9 @@ class ConversationTable(_capture._Table):
         return np.lexsort((hk, lo))
 
 
-_fields = attrgetter(*CONVERSATION_CSV_HEADER)
 #: Protocol number -> whether ``aggregate`` takes it; numbers past either
 #: end read False.
 _AGGREGATABLE = np.isin(np.arange(256), SUPPORTED_PROTOCOLS)
-
-
-def _conversation_table(conversations: Iterable[Conversation]) -> ConversationTable:
-    """``conversations`` as a table: a table as it is, rows as object columns
-    holding each value unchanged (addresses as u32), which cast as
-    ``float(value)`` does."""
-    if isinstance(conversations, ConversationTable):
-        return conversations
-    columns = list(zip(*map(_fields, conversations))) or [()] * 13
-    u32 = {text: ip_to_u32(text) for text in {*columns[1], *columns[3]}}
-    columns[1] = [u32[a] for a in columns[1]]
-    columns[3] = [u32[a] for a in columns[3]]
-    return ConversationTable(np.array(column, dtype=object) for column in columns)
 
 
 def _endpoint(address: np.ndarray, port: np.ndarray) -> np.ndarray:
@@ -155,10 +140,10 @@ def aggregate(packets: Iterable[PacketRecord],
     timestamp is used.  A timestamp before an explicit capture_start
     raises ClockSkew with the offending input index.
     """
-    table = _capture._packet_table(packets)
+    table = _capture.PacketTable.of(packets)
     n = len(table)
     if not n:
-        return _conversation_table(())
+        return ConversationTable.of(())
     ts, src_addr, src_port, dst_addr, dst_port, protocol, wire = table.columns
     supported = _AGGREGATABLE.take(protocol, mode="clip")
     if np.count_nonzero(supported) < n:
@@ -230,10 +215,9 @@ def parse_conversation_fields(fields: Sequence[str], line: int,
     protocol = _capture._parse_int(fields[0], line, "protocol", 0, 255)
     if protocol not in SUPPORTED_PROTOCOLS:
         raise RowError(line, f"protocol {protocol} is not TCP (6) or UDP (17)")
-    address_a, address_b = fields[1], fields[3]
-    _capture._parse_address(address_a, line, "address_a")
+    address_a = _capture._parse_address(fields[1], line, "address_a")
     port_a = _capture._parse_int(fields[2], line, "port_a", 0, 65535)
-    _capture._parse_address(address_b, line, "address_b")
+    address_b = _capture._parse_address(fields[3], line, "address_b")
     port_b = _capture._parse_int(fields[4], line, "port_b", 0, 65535)
     counts = [
         _capture._parse_int(fields[i], line, CONVERSATION_CSV_HEADER[i], 0, 2**63 - 1)

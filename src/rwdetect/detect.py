@@ -28,7 +28,6 @@ from .capture import (
     CaptureSummary,
     PacketRecord,
     PacketTable,
-    _packet_table,
     parse_packet_csv,
     parse_packet_csv_lenient,
     parse_pcap,
@@ -76,7 +75,7 @@ def window_packets(packets: Iterable[PacketRecord], spec: WindowSpec,
     With an explicit ``capture_start``, a packet stamped earlier than it
     raises ClockSkew carrying the offending input position.
     """
-    table = _packet_table(packets)
+    table = PacketTable.of(packets)
     if not len(table):
         return []
     ts = table.columns[0]
@@ -109,7 +108,7 @@ def detect_stream(packets: Iterable[PacketRecord], model: TrainedModel,
     run with SinkFailure carrying the summary of everything processed
     before the failure.
     """
-    packets = _packet_table(packets)
+    packets = PacketTable.of(packets)
     if len(packets):
         capture_start = _capture_start(packets.columns[0], capture_start)
 

@@ -19,8 +19,9 @@ from .capture import _csv_text, _read_csv, ip_to_u32
 from .conversation import (
     CONVERSATION_CSV_HEADER,
     Conversation,
+    ConversationTable,
     parse_conversation_fields,
-    _conversation_table,
+    _fields,
     _format_row,
 )
 from .errors import DimensionMismatch, EmptyDataset, EmptyInput, RowError
@@ -78,18 +79,16 @@ class ScalingParams:
 
 def encode(conversation: Conversation) -> np.ndarray:
     """Conversation as a 13-element float vector in the fixed column order."""
-    c = conversation
-    return np.array((c.protocol, ip_to_u32(c.address_a), c.port_a,
-                     ip_to_u32(c.address_b), c.port_b, c.packets, c.bytes,
-                     c.packets_ab, c.bytes_ab, c.packets_ba, c.bytes_ba,
-                     c.rel_start, c.duration), dtype=np.float64)
+    values = list(_fields(conversation))
+    values[1], values[3] = ip_to_u32(values[1]), ip_to_u32(values[3])
+    return np.array(values, dtype=np.float64)
 
 
 def encode_many(conversations: Sequence[Conversation]) -> np.ndarray:
     """``encode`` of each conversation as one row of an (n, 13) float64
     matrix: the columns of a ``ConversationTable`` (or of Conversation
     rows turned into one) stacked side by side."""
-    return np.stack(_conversation_table(conversations).columns, axis=1,
+    return np.stack(ConversationTable.of(conversations).columns, axis=1,
                     dtype=np.float64, casting="unsafe")
 
 
