@@ -22,9 +22,9 @@ def array(obj, shape: tuple) -> np.ndarray:
         raise ValueError(f"expected shape {shape}, got {arr.shape}")
     cells = obj
     for _ in range(arr.ndim - 1):
-        cells = chain.from_iterable(cells)
-    if not all(type(v) is float for v in cells):
-        raise ValueError("expected an array of floats")
+        cells = list(chain.from_iterable(cells))
+    if not set(map(type, cells)) <= {float}:
+        number(next(v for v in cells if type(v) is not float))
     if not np.isfinite(arr).all():
         raise ValueError("non-finite number")
     return arr
@@ -43,16 +43,6 @@ def integer(obj) -> int:
     if type(obj) is not int:
         raise ValueError(f"expected an integer, got {obj!r}")
     return obj
-
-
-def floats(values) -> np.ndarray:
-    """A sequence of ``number`` values as a float64 array."""
-    if not set(map(type, values)) <= {float}:
-        number(next(v for v in values if type(v) is not float))
-    arr = np.array(values, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite number")
-    return arr
 
 
 def integers(values) -> np.ndarray:

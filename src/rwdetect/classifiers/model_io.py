@@ -96,7 +96,7 @@ def load_model(data: bytes) -> TrainedModel:
 
     try:
         payload = json.loads(buf[header_end:body_end].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:   # bad UTF-8 or JSON, too deep, huge int
         raise MalformedModel(f"model payload is not valid JSON: {exc}") from exc
     try:
         kind = ClassifierKind(payload["kind"])

@@ -11,9 +11,11 @@ random feature subset.
 
 In memory a tree, or every tree of a forest, is one ``Nodes``: flat
 columns over all the nodes, child indexes absolute.  A leaf's children
-are the leaf itself, so ``scores`` steps every (query, tree) pair
-``depth`` times from its root and each pair ends at its leaf, whatever
-the leaf's feature (0) and threshold (as read).  The model file keeps
+are the leaf itself, which is how ``scores`` tells a leaf: it steps the
+(query, tree) pairs still at a split, drops those that reached a leaf,
+and stops when none are left.  A child comes after its parent in its
+tree (``nodes_in`` checks it), so every walk ends at a leaf; a leaf's
+feature (0) and threshold (as read) are never read.  The model file keeps
 one list of ``[feature, threshold, left, right, pos, total]`` rows per
 tree, in preorder, with child indexes counted from the tree's first row
 and a leaf written as ``feature = -1`` with ``-1`` children;
@@ -25,12 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
 from ..features import N_FEATURES
-from ._arrays import floats, integers
+from ._arrays import array, integers
 
 ALIAS = "j48"
 SCALED = False
@@ -55,7 +56,6 @@ class Nodes:
     pos: np.ndarray         # positive training samples that reached the node
     total: np.ndarray
     roots: np.ndarray       # each tree's root, its first node, in tree order
-    depth: int              # most steps from a root to a leaf
 
     def __len__(self) -> int:
         return len(self.feature)
@@ -156,10 +156,13 @@ CHUNK_PAIRS = 1 << 14
 def scores(nodes: Nodes, queries: np.ndarray) -> np.ndarray:
     """Mean over the trees of the positive fraction of each query's leaf.
 
-    A query goes left when its value is ``<=`` the node's threshold, so
-    right when it is ``>``: queries and thresholds are finite.  The leaf
-    fractions ``pos / total`` are added tree by tree, in tree order, then
-    divided by the tree count.
+    Up to ``CHUNK_PAIRS`` (query, tree) pairs start at their roots
+    together.  Each step moves the pairs at a split to a child and keeps
+    only those still at a split, until none is left.  A query goes left
+    when its value is ``<=`` the node's threshold, so right when it is
+    ``>``: queries and thresholds are finite.  The leaf fractions
+    ``pos / total`` are added tree by tree, in tree order, then divided
+    by the tree count.
     """
     feature, threshold, children = nodes.feature, nodes.threshold, nodes.children
     n_trees = len(nodes.roots)
@@ -168,13 +171,22 @@ def scores(nodes: Nodes, queries: np.ndarray) -> np.ndarray:
     for lo in range(0, len(queries), chunk_rows):
         chunk = queries[lo:lo + chunk_rows]
         flat = chunk.ravel()
-        row_start = np.arange(0, flat.size, chunk.shape[1])
-        node = np.repeat(nodes.roots[:, None], len(chunk), axis=1)  # (trees, rows)
-        for _ in range(nodes.depth):
-            goes_right = flat.take(row_start + feature.take(node)) > threshold.take(node)
-            node = children.take(2 * node + goes_right)    # children[node, goes_right]
+        # Pair t * len(chunk) + r is tree t and row r; ``node`` is where
+        # each pair is, and (pair, at, row_start) where the walking ones are.
+        node = np.repeat(nodes.roots, len(chunk))
+        pair, at = np.arange(node.size), node
+        row_start = np.tile(np.arange(0, flat.size, chunk.shape[1]), n_trees)
+        while True:
+            walking = np.flatnonzero(children.take(2 * at) != at)  # a leaf is its own child
+            if not walking.size:
+                break
+            pair, at, row_start = (a.take(walking) for a in (pair, at, row_start))
+            goes_right = flat.take(row_start + feature.take(at)) > threshold.take(at)
+            at = children.take(2 * at + goes_right)    # children[at, goes_right]
+            node[pair] = at
+        fractions = nodes.pos.take(node) / nodes.total.take(node)
         part = total[lo:lo + chunk_rows]
-        for fraction in nodes.pos.take(node) / nodes.total.take(node):
+        for fraction in fractions.reshape(n_trees, len(chunk)):
             part += fraction
     return total / n_trees
 
@@ -192,8 +204,8 @@ def nodes_in(trees) -> Nodes:
     if set(map(len, flat)) != {6}:
         raise ValueError("a node row does not have six fields")
     feature, threshold, left, right, pos, total = (
-        (floats if k == 1 else integers)(list(map(itemgetter(k), flat)))
-        for k in range(6))
+        array(column, (None,)) if k == 1 else integers(column)
+        for k, column in enumerate(map(list, zip(*flat))))
 
     n = len(flat)
     start = np.cumsum(sizes) - sizes
@@ -218,24 +230,7 @@ def nodes_in(trees) -> Nodes:
     children[leaf] = np.flatnonzero(leaf)[:, None]
     feature[leaf] = 0
     return Nodes(feature=feature, threshold=threshold, children=children,
-                 pos=pos, total=total, roots=start, depth=_depth(children, start))
-
-
-def _depth(children: np.ndarray, roots: np.ndarray) -> int:
-    """Most steps from a root to a leaf, one level of nodes at a time."""
-    slot = np.empty(len(children), dtype=np.intp)
-    level, depth = roots, 0
-    while True:
-        level = level[children[level, 0] != level]     # the level's split nodes
-        if not level.size:
-            return depth
-        # A file may give two parents one child: keep one copy per level,
-        # the one whose position its slot holds.
-        below = children[level].ravel()
-        at = np.arange(len(below))
-        slot[below] = at
-        level = below[slot[below] == at]
-        depth += 1
+                 pos=pos, total=total, roots=start)
 
 
 def rows(nodes: Nodes) -> list[list[tuple]]:

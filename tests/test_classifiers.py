@@ -498,7 +498,25 @@ class TestTreeRouting:
         for trees in ([lone], [chain_tree(400)], [lone, chain_tree(60), lone]):
             got, want = scored_by_walk(trees, queries)
             assert np.array_equal(got, want)
-        assert tree_mod.params_in({"nodes": chain_tree(400)}, TreeParams()).depth == 400
+
+    def test_shared_children(self):
+        # Both children of every split are the next node: a 400-level ladder.
+        ladder = [[d % 13, float(d % 7) / 2.0, d + 1, d + 1, d, 2 * d + 1] for d in range(400)]
+        ladder.append([-1, 0.0, -1, -1, 1, 3])
+        # Two splits whose right child is one subtree (rows 4-6).
+        shared = [
+            [0, 0.25, 1, 4, 5, 10],
+            [1, 0.0, 2, 3, 2, 6],
+            [-1, 0.0, -1, -1, 0, 3],
+            [2, 1.0, 4, 4, 2, 3],
+            [3, 0.0, 5, 6, 3, 4],
+            [-1, 0.0, -1, -1, 1, 2],
+            [-1, 0.0, -1, -1, 2, 2],
+        ]
+        queries = level_queries(np.random.Generator(np.random.PCG64(44)), 300)
+        for trees in ([ladder], [shared], [shared, ladder, shared]):
+            got, want = scored_by_walk(trees, queries)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n_trees", [1, 3])
     def test_batches_across_the_chunk_size(self, monkeypatch, n_trees):

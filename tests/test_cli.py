@@ -298,6 +298,15 @@ class TestDetect:
         assert run(["detect", self.capture_csv(workspace),
                     "--model", str(workspace / "nope.bin")]) == 1
 
+    @pytest.mark.parametrize("payload", [b"[" * 100_000, b"9" * 5_000],
+                             ids=["too-deep", "huge-integer"])
+    def test_resealed_unparseable_json_exit_1(self, workspace, capsys, payload):
+        head = MODEL_MAGIC + struct.pack(">HI", 1, len(payload)) + payload
+        path = workspace / "resealed.bin"
+        path.write_bytes(head + hashlib.sha256(head).digest())
+        assert run(["detect", self.capture_csv(workspace), "--model", str(path)]) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_resealed_bad_tree_exit_1(self, workspace):
         blob = Path(trained_model_path(workspace)).read_bytes()
         head = len(MODEL_MAGIC) + 6

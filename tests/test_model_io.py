@@ -218,6 +218,14 @@ class TestTampering:
         with pytest.raises(MalformedModel):
             load_model(container(b"{not json"))
 
+    #: Sealed JSON that ``json.loads`` cannot parse: nested past the
+    #: recursion limit, and an integer past Python's digit limit.
+    @pytest.mark.parametrize("payload", [b"[" * 100_000, b"9" * 5_000],
+                             ids=["too-deep", "huge-integer"])
+    def test_unparseable_json_payload(self, payload):
+        with pytest.raises(MalformedModel, match="not valid JSON"):
+            load_model(container(payload))
+
     def test_json_wrong_shape(self):
         with pytest.raises(MalformedModel):
             load_model(container(json.dumps([1, 2, 3]).encode()))
@@ -488,6 +496,76 @@ class TestTreePayloadFuzz:
                 rows[i][field] = value
             else:
                 rows[i] = value
+        blob = sealed(payload)
+        started = time.perf_counter()
+        try:
+            model = load_model(blob)
+        except MalformedModel:
+            return
+        scores = predict_many(model, FUZZ_QUERIES)[1]
+        assert time.perf_counter() - started < 2.0
+        assert np.isfinite(scores).all()
+        assert ((scores >= 0.0) & (scores <= 1.0)).all()
+        assert save_model(model) == blob
+
+
+@functools.cache
+def fitted_payload(kind: ClassifierKind) -> dict:
+    return valid_payload_dict(kind)
+
+
+def slots(obj):
+    """(container, key) of every value nested in ``obj``'s lists and objects."""
+    keys = range(len(obj)) if isinstance(obj, list) else obj
+    for key in keys:
+        yield obj, key
+        if isinstance(obj[key], (list, dict)):
+            yield from slots(obj[key])
+
+
+#: The payload parts ``TestTreePayloadFuzz`` leaves out, by kind.
+FUZZ_PARTS = {
+    ClassifierKind.KNN: lambda p: [p["params"], p["scaler"]],
+    ClassifierKind.MLP: lambda p: [p["params"], p["scaler"]],
+    ClassifierKind.SVM: lambda p: [p["params"], p["scaler"]],
+    ClassifierKind.BAYES: lambda p: [p["params"]],
+    ClassifierKind.RANDOM_FOREST: lambda p: [p["params"]["features_used"]],
+}
+
+#: Values of a JSON type other than the float or integer they replace.
+SWAPS = {
+    float: st.one_of(st.integers(-2, 2), st.booleans(), st.none(), st.text(max_size=2),
+                     st.just([]), st.just({})),
+    int: st.one_of(st.floats(-2.0, 2.0), st.booleans(), st.none(), st.text(max_size=2),
+                   st.just([]), st.just({})),
+}
+
+
+class TestPayloadFuzz:
+    """A resealed KNN, MLP, SVM or Bayes payload, scaler or forest
+    ``features_used`` with one value mutated either fails to load with
+    MalformedModel, or scores every query in [0, 1] within a time bound
+    and writes back to the same bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(FUZZ_PARTS, key=lambda k: k.value)), data=st.data())
+    def test_mutated_value_fails_typed_or_scores(self, kind, data):
+        payload = copy.deepcopy(fitted_payload(kind))
+        mutation = data.draw(st.sampled_from(["swap", "non-finite", "drop", "add", "nest"]))
+        places = [(box, key) for part in FUZZ_PARTS[kind](payload) for box, key in slots(part)
+                  if mutation != "add" or isinstance(box, list)]
+        box, key = data.draw(st.sampled_from(places))
+        value = box[key]
+        if mutation == "swap":
+            box[key] = data.draw(SWAPS.get(type(value), st.none()))
+        elif mutation == "non-finite":
+            box[key] = data.draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+        elif mutation == "drop":
+            del box[key]
+        elif mutation == "add":
+            box.insert(key, copy.deepcopy(value))
+        else:
+            box[key] = [value]
         blob = sealed(payload)
         started = time.perf_counter()
         try:
