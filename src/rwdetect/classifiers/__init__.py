@@ -6,7 +6,8 @@ inputs or raw), ``Params`` (frozen hyperparameter dataclass with a
 ``seed``), ``CHECKS`` (``(predicate, message)`` range checks),
 ``fit(x, y, hp) -> state``, ``scores(state, queries)`` (positive-class
 scores in [0, 1]) and ``params_out(state)``/``params_in(obj, hp)``, which
-map the state to the model file's ``params`` JSON and back.  ``params_in``
+map the state to the model file's ``params`` JSON and back; ``KEYS`` names
+the keys of ``params``, and the reader rejects any other.  ``params_in``
 reads every float through ``_arrays`` (a finite JSON float, in the
 expected shape) and rejects a structure by raising ``KeyError``,
 ``TypeError``, ``ValueError``, ``OverflowError`` or ``InvalidHyperparams``;

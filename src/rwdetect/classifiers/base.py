@@ -119,6 +119,7 @@ class TrainedModel:
     training_time: float            # seconds; excluded from serialization
     train_fingerprint: str
     zero_addresses: bool = False
+    file_sha256: str | None = None  # of the bytes ``load_model`` read; not serialized
 
 
 def train(kind: ClassifierKind, dataset: Dataset,

@@ -5,7 +5,8 @@ variance (ddof=0).  Variances get an additive smoothing term of
 ``var_smoothing`` times the largest overall feature variance, floored
 at the smallest positive double so all-constant features stay usable.
 Scores are the positive-class posterior computed with a stable
-log-sum-exp.
+log-sum-exp; where both class densities underflow to zero, the priors
+alone give the score.
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def fit(x: np.ndarray, y: np.ndarray, hp: BayesParams) -> BayesState:
 
 
 def _log_likelihood(queries, mean, var, log_prior):
-    quad = ((queries - mean) ** 2) / var
+    with np.errstate(over="ignore"):    # a density that underflows is -inf
+        quad = ((queries - mean) ** 2) / var
     return log_prior - 0.5 * (np.log(var) + _LOG_2PI + quad).sum(axis=1)
 
 
@@ -70,6 +72,9 @@ def scores(state: BayesState, queries: np.ndarray) -> np.ndarray:
                              state.log_prior_pos)
     ll_neg = _log_likelihood(queries, state.mean_neg, state.var_neg,
                              state.log_prior_neg)
+    lost = (ll_pos == -np.inf) & (ll_neg == -np.inf)
+    if lost.any():      # both densities underflowed: the priors decide
+        ll_pos[lost], ll_neg[lost] = state.log_prior_pos, state.log_prior_neg
     peak = np.maximum(ll_pos, ll_neg)
     e_pos = np.exp(ll_pos - peak)
     e_neg = np.exp(ll_neg - peak)
@@ -83,6 +88,9 @@ def params_out(state: BayesState) -> dict:
             "var_pos": state.var_pos.tolist(),
             "mean_neg": state.mean_neg.tolist(),
             "var_neg": state.var_neg.tolist()}
+
+
+KEYS = ("log_prior_neg", "log_prior_pos", "mean_neg", "mean_pos", "var_neg", "var_pos")
 
 
 def params_in(obj: dict, hp: BayesParams) -> BayesState:

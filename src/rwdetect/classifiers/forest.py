@@ -74,6 +74,9 @@ def params_out(nodes: tree.Nodes) -> dict:
     return {"trees": tree.rows(nodes), "features_used": _features_used(nodes)}
 
 
+KEYS = ("features_used", "trees")
+
+
 def params_in(obj: dict, hp: ForestParams) -> tree.Nodes:
     if not obj["trees"]:
         raise ValueError("a forest needs at least one tree")

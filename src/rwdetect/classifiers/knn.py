@@ -65,6 +65,9 @@ def params_out(state: KnnState) -> dict:
     return {"points": state.points.tolist(), "labels": state.labels.tolist()}
 
 
+KEYS = ("labels", "points")
+
+
 def params_in(obj: dict, hp: KnnParams) -> KnnState:
     labels = np.array([integer(label) for label in obj["labels"]], dtype=np.uint8)
     points = array(obj["points"], (None, N_FEATURES))

@@ -105,6 +105,9 @@ def params_out(state: MlpState) -> dict:
             "w2": state.w2.tolist(), "b2": state.b2.tolist()}
 
 
+KEYS = ("b1", "b2", "w1", "w2")
+
+
 def params_in(obj: dict, hp: MlpParams) -> MlpState:
     w1 = array(obj["w1"], (N_FEATURES, None))
     hidden = w1.shape[1]

@@ -12,7 +12,8 @@ Layout (big-endian):
 Canonical JSON plus repr-exact floats make serialization deterministic:
 the same kind, hyperparameters, seed and training data always produce
 byte-identical files.  ``training_time`` is measurement, not state, so
-it never enters the payload.
+it never enters the payload; nor does ``file_sha256``, the digest of the
+bytes a model was loaded from, which is its fingerprint.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ MODEL_FORMAT_VERSION = 1
 
 _HEADER = struct.Struct(">HI")   # version, payload length
 _DIGEST_SIZE = 32
+_KEYS = ("hyperparams", "kind", "params", "scaler", "train_fingerprint", "zero_addresses")
+_SCALER_KEYS = ("fitted_on", "maxs", "mins")
 
 
 def save_model(model: TrainedModel) -> bytes:
@@ -99,14 +102,17 @@ def load_model(data: bytes) -> TrainedModel:
     except (ValueError, RecursionError) as exc:   # bad UTF-8 or JSON, too deep, huge int
         raise MalformedModel(f"model payload is not valid JSON: {exc}") from exc
     try:
+        _known(payload, _KEYS)
         kind = ClassifierKind(payload["kind"])
         family = FAMILIES[kind]
         hp = family.Params(**payload["hyperparams"])
         validate_hyperparams(kind, hp)
+        _known(payload["params"], family.KEYS)
         state = family.params_in(payload["params"], hp)
         scaler_obj = payload["scaler"]
         scaler = None
         if scaler_obj is not None:
+            _known(scaler_obj, _SCALER_KEYS)
             mins, maxs = (array(scaler_obj[key], (N_FEATURES,))
                           for key in ("mins", "maxs"))
             if (mins > maxs).any():
@@ -119,7 +125,15 @@ def load_model(data: bytes) -> TrainedModel:
         raise MalformedModel(f"model payload structure invalid: {exc}") from exc
     return TrainedModel(kind=kind, hyperparams=hp, state=state, scaler=scaler,
                         training_time=0.0, train_fingerprint=fingerprint,
-                        zero_addresses=zero_addresses)
+                        zero_addresses=zero_addresses,
+                        file_sha256=hashlib.sha256(buf).hexdigest())
+
+
+def _known(obj: dict, keys: tuple[str, ...]) -> None:
+    """Reject a key of ``obj`` outside ``keys``: it would not be written back."""
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown key {min(unknown)!r}")
 
 
 def _typed(obj: dict, key: str, kind: type):
@@ -130,8 +144,9 @@ def _typed(obj: dict, key: str, kind: type):
 
 
 def model_fingerprint(model: TrainedModel) -> str:
-    """SHA-256 hex digest of the serialized model."""
-    return hashlib.sha256(save_model(model)).hexdigest()
+    """SHA-256 hex digest of the model file: of the bytes the model was
+    loaded from, or of ``save_model(model)`` for a model never loaded."""
+    return model.file_sha256 or hashlib.sha256(save_model(model)).hexdigest()
 
 
 def write_model(path: str | Path, model: TrainedModel) -> None:

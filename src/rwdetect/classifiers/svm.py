@@ -69,6 +69,9 @@ def params_out(state: SvmState) -> dict:
     return {"weights": state.weights.tolist(), "bias": state.bias}
 
 
+KEYS = ("bias", "weights")
+
+
 def params_in(obj: dict, hp: SvmParams) -> SvmState:
     return SvmState(weights=array(obj["weights"], (N_FEATURES,)),
                     bias=number(obj["bias"]))

@@ -11,16 +11,15 @@ random feature subset.
 
 In memory a tree, or every tree of a forest, is one ``Nodes``: flat
 columns over all the nodes, child indexes absolute.  A leaf's children
-are the leaf itself, which is how ``scores`` tells a leaf: it steps the
-(query, tree) pairs still at a split, drops those that reached a leaf,
-and stops when none are left.  A child comes after its parent in its
-tree (``nodes_in`` checks it), so every walk ends at a leaf; a leaf's
-feature (0) and threshold (as read) are never read.  The model file keeps
-one list of ``[feature, threshold, left, right, pos, total]`` rows per
-tree, in preorder, with child indexes counted from the tree's first row
-and a leaf written as ``feature = -1`` with ``-1`` children;
-``nodes_in`` reads such lists into columns and ``rows`` writes them
-back.
+are the leaf itself, which is how ``scores`` tells a leaf, and why a
+(query, tree) pair at a leaf can step in place: its feature (0) and
+threshold (as read) choose between two equal children.  A child comes
+after its parent in its tree (``nodes_in`` checks it), so every walk
+ends at a leaf.  The model file keeps one list of ``[feature, threshold,
+left, right, pos, total]`` rows per tree, in preorder, with child
+indexes counted from the tree's first row and a leaf written as
+``feature = -1`` with ``-1`` children; ``nodes_in`` reads such lists
+into columns and ``rows`` writes them back.
 """
 
 from __future__ import annotations
@@ -157,10 +156,12 @@ def scores(nodes: Nodes, queries: np.ndarray) -> np.ndarray:
     """Mean over the trees of the positive fraction of each query's leaf.
 
     Up to ``CHUNK_PAIRS`` (query, tree) pairs start at their roots
-    together.  Each step moves the pairs at a split to a child and keeps
-    only those still at a split, until none is left.  A query goes left
-    when its value is ``<=`` the node's threshold, so right when it is
-    ``>``: queries and thresholds are finite.  The leaf fractions
+    together.  Each step moves every pair it holds to a child, a pair at
+    a leaf to that leaf.  Once fewer than three in four of them are at a
+    split, the pairs at a leaf are written out and dropped; the walk
+    stops when none is left.  A query goes left when its value is ``<=``
+    the node's threshold, so right when it is ``>``: queries and
+    thresholds are finite.  The leaf fractions
     ``pos / total`` are added tree by tree, in tree order, then divided
     by the tree count.
     """
@@ -177,13 +178,16 @@ def scores(nodes: Nodes, queries: np.ndarray) -> np.ndarray:
         pair, at = np.arange(node.size), node
         row_start = np.tile(np.arange(0, flat.size, chunk.shape[1]), n_trees)
         while True:
-            walking = np.flatnonzero(children.take(2 * at) != at)  # a leaf is its own child
-            if not walking.size:
-                break
-            pair, at, row_start = (a.take(walking) for a in (pair, at, row_start))
+            walking = children.take(2 * at) != at   # a leaf is its own child
+            n_walking = np.count_nonzero(walking)
+            if 4 * n_walking < 3 * walking.size:
+                node[pair] = at
+                if not n_walking:
+                    break
+                keep = np.flatnonzero(walking)
+                pair, at, row_start = (a.take(keep) for a in (pair, at, row_start))
             goes_right = flat.take(row_start + feature.take(at)) > threshold.take(at)
             at = children.take(2 * at + goes_right)    # children[at, goes_right]
-            node[pair] = at
         fractions = nodes.pos.take(node) / nodes.total.take(node)
         part = total[lo:lo + chunk_rows]
         for fraction in fractions.reshape(n_trees, len(chunk)):
@@ -248,6 +252,9 @@ def rows(nodes: Nodes) -> list[list[tuple]]:
 
 def params_out(nodes: Nodes) -> dict:
     return {"nodes": rows(nodes)[0]}
+
+
+KEYS = ("nodes",)
 
 
 def params_in(obj: dict, hp: TreeParams) -> Nodes:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str   # json.dumps of a str
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -131,7 +132,7 @@ def detect_stream(packets: Iterable[PacketRecord], model: TrainedModel,
         labels01, scores = predict_many(model, vectors)
         by_key = conversations.key_order()
         hits = by_key[labels01[by_key] != 0]
-        emitted_at = capture_start + (w + 1) * spec.interval
+        emitted_at = float(capture_start + (w + 1) * spec.interval)  # no numpy scalar
         for conv, score, row in zip(conversations[hits], scores[hits].tolist(),
                                     vectors[hits].tolist()):
             alert = Alert(
@@ -179,26 +180,27 @@ def read_packet_source(path: str | Path) -> tuple[PacketTable, int, int]:
             s.packets_skipped_non_ip + s.packets_skipped_unsupported_protocol)
 
 
+#: ``alert_to_json``'s line: ``json.dumps(payload, sort_keys=True)`` of the
+#: alert's payload, with a slot per value (``%s`` a JSON string, ``%r`` a
+#: finite float, ``%d`` an int) and the features in sorted-name order.
+_FEATURE_ORDER = sorted(range(len(FEATURE_NAMES)), key=FEATURE_NAMES.__getitem__)
+_ALERT_LINE = (
+    '{"address_a": %s, "address_b": %s, "emitted_at": %r, "features": {'
+    + ", ".join(f"{json.dumps(FEATURE_NAMES[i])}: %r" for i in _FEATURE_ORDER)
+    + '}, "label": %s, "model_fingerprint": %s, "port_a": %d, "port_b": %d, '
+      '"protocol": %d, "score": %r, "window": %d}')
+
+
 def alert_to_json(alert: Alert) -> str:
-    """One-line JSON rendering of an alert."""
+    """One-line JSON rendering of an alert, keys sorted."""
     conv = alert.conversation
-    payload = {
-        "window": alert.window_index,
-        "emitted_at": alert.emitted_at,
-        "protocol": conv.protocol,
-        "address_a": conv.address_a,
-        "port_a": conv.port_a,
-        "address_b": conv.address_b,
-        "port_b": conv.port_b,
-        "label": alert.prediction.label.value,
-        "score": alert.prediction.score,
-        "model_fingerprint": alert.model_fingerprint,
-        "features": {
-            name: value
-            for name, value in zip(FEATURE_NAMES, alert.features)
-        },
-    }
-    return json.dumps(payload, sort_keys=True)
+    features = alert.features
+    return _ALERT_LINE % (
+        _json_str(conv.address_a), _json_str(conv.address_b), alert.emitted_at,
+        *[features[i] for i in _FEATURE_ORDER],
+        _json_str(alert.prediction.label.value), _json_str(alert.model_fingerprint),
+        conv.port_a, conv.port_b, conv.protocol, alert.prediction.score,
+        alert.window_index)
 
 
 def alert_warning_line(alert: Alert) -> str:

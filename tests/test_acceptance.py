@@ -215,7 +215,7 @@ def test_02_conversation_oracle():
                     protocol=int(rng.choice([6, 17])),
                     wire_bytes=int(rng.integers(60, 1501)),
                 ))
-            convs = aggregate(stream)
+            convs = list(aggregate(stream))     # rows built once, read four times
             assert sum(c.packets for c in convs) == n
             assert sum(c.bytes for c in convs) == sum(
                 p.wire_bytes for p in stream)

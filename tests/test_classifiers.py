@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -499,6 +500,18 @@ class TestTreeRouting:
             got, want = scored_by_walk(trees, queries)
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("lone_leaves", [0, 1, 2, 5, 20])
+    def test_lone_leaves_among_deep_chains(self, lone_leaves):
+        # The share of pairs at a split starts at chains / trees and falls
+        # as queries leave each chain, so pairs are dropped at other steps
+        # for each mix.
+        rng = np.random.Generator(np.random.PCG64(45 + lone_leaves))
+        trees = [[[-1, 0.5, -1, -1, 1, 4]]] * lone_leaves + [
+            chain_tree(d) for d in (1, 3, 8, 30, 120)]
+        trees = [trees[i] for i in rng.permutation(len(trees))]
+        got, want = scored_by_walk(trees, level_queries(rng, 300))
+        assert np.array_equal(got, want)
+
     def test_shared_children(self):
         # Both children of every split are the next node: a 400-level ladder.
         ladder = [[d % 13, float(d % 7) / 2.0, d + 1, d + 1, d, 2 * d + 1] for d in range(400)]
@@ -703,6 +716,35 @@ class TestBayes:
         model = train(ClassifierKind.BAYES, toy_dataset(rows))
         assert predict(model, np.ones(13) * 0.9).label is Label.RANSOMWARE
         assert predict(model, np.ones(13) * 0.1).label is Label.BENIGN
+
+    def underflow_model(self):
+        """30 ransomware and 10 benign rows whose feature 5 is constant,
+        trained without smoothing: feature 5's variance is the floor."""
+        x = np.random.Generator(np.random.PCG64(5)).normal(size=(40, 13))
+        x[:, 5] = 3.0
+        y = np.r_[np.ones(30), np.zeros(10)]
+        return train(ClassifierKind.BAYES, Dataset(x, y), BayesParams(var_smoothing=0.0))
+
+    def assert_prior_scores(self, model, queries):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = predict_many(model, queries)[1]
+        assert np.isfinite(scores).all()
+        assert ((scores >= 0.0) & (scores <= 1.0)).all()
+        assert scores == pytest.approx(0.75)    # the positive prior alone
+
+    def test_both_densities_underflow_at_the_variance_floor(self):
+        model = self.underflow_model()
+        queries = np.random.Generator(np.random.PCG64(6)).normal(size=(5, 13))
+        queries[:, 5] = 10.0
+        self.assert_prior_scores(model, queries)
+
+    def test_both_densities_underflow_at_subnormal_variances(self):
+        model = self.underflow_model()
+        model.state.var_pos[0] = model.state.var_neg[0] = 1e-320
+        queries = np.random.Generator(np.random.PCG64(7)).normal(size=(64, 13))
+        queries[:, 0] += 5.0    # off both class means of feature 0
+        self.assert_prior_scores(model, queries)
 
 
 class TestSharedContract:

@@ -64,6 +64,20 @@ def trained_model_path(workspace) -> str:
     return str(model_path)
 
 
+def reseal(source, edit, target=None) -> str:
+    """Write the model file ``source`` again, sealed, with ``edit`` applied
+    to its parsed payload and the JSON re-spaced; returns the new path."""
+    blob = Path(source).read_bytes()
+    head = len(MODEL_MAGIC) + 6
+    payload = json.loads(blob[head:-32])
+    edit(payload)
+    body = json.dumps(payload).encode()
+    resealed = blob[:head - 4] + struct.pack(">I", len(body)) + body
+    target = Path(target or source)
+    target.write_bytes(resealed + hashlib.sha256(resealed).digest())
+    return str(target)
+
+
 class TestExtract:
     def test_matches_library_output(self, tmp_path, capsys):
         packets = flow_packets(0.0, "10.0.0.1", 5, "10.0.0.2", 6, n=3,
@@ -308,45 +322,30 @@ class TestDetect:
         assert "not valid JSON" in capsys.readouterr().err
 
     def test_resealed_bad_tree_exit_1(self, workspace):
-        blob = Path(trained_model_path(workspace)).read_bytes()
-        head = len(MODEL_MAGIC) + 6
-        payload = json.loads(blob[head:-32])
-        root = payload["params"]["nodes"][0]
-        assert root[0] >= 0                     # the root splits
-        root[0] = 40                            # no such feature
-        body = json.dumps(payload).encode()
-        resealed = blob[:head - 4] + struct.pack(">I", len(body)) + body
-        path = workspace / "resealed.bin"
-        path.write_bytes(resealed + hashlib.sha256(resealed).digest())
-        assert run(["detect", self.capture_csv(workspace),
-                    "--model", str(path)]) == 1
+        def edit(payload):
+            root = payload["params"]["nodes"][0]
+            assert root[0] >= 0                 # the root splits
+            root[0] = 40                        # no such feature
+
+        path = reseal(trained_model_path(workspace), edit, workspace / "resealed.bin")
+        assert run(["detect", self.capture_csv(workspace), "--model", path]) == 1
 
     def test_resealed_boolean_threshold_exit_1(self, workspace, capsys):
-        blob = Path(trained_model_path(workspace)).read_bytes()
-        head = len(MODEL_MAGIC) + 6
-        payload = json.loads(blob[head:-32])
-        root = payload["params"]["nodes"][0]
-        assert root[0] >= 0                     # the root splits
-        root[1] = True                          # a threshold must be a float
-        body = json.dumps(payload).encode()
-        resealed = blob[:head - 4] + struct.pack(">I", len(body)) + body
-        path = workspace / "resealed.bin"
-        path.write_bytes(resealed + hashlib.sha256(resealed).digest())
-        assert run(["detect", self.capture_csv(workspace),
-                    "--model", str(path)]) == 1
+        def edit(payload):
+            root = payload["params"]["nodes"][0]
+            assert root[0] >= 0                 # the root splits
+            root[1] = True                      # a threshold must be a float
+
+        path = reseal(trained_model_path(workspace), edit, workspace / "resealed.bin")
+        assert run(["detect", self.capture_csv(workspace), "--model", path]) == 1
         assert "expected a float, got True" in capsys.readouterr().err
 
     def test_resealed_narrow_svm_exit_1(self, workspace, capsys):
         model = workspace / "svm.bin"
         assert run(["train", str(workspace / "data.csv"), "--kind", "svm",
                     "--param", "iterations=200", "-o", str(model)]) == 0
-        blob = model.read_bytes()
-        head = len(MODEL_MAGIC) + 6
-        payload = json.loads(blob[head:-32])
-        payload["params"]["weights"] = [1.0, 2.0]     # 2 features, not 13
-        body = json.dumps(payload).encode()
-        resealed = blob[:head - 4] + struct.pack(">I", len(body)) + body
-        model.write_bytes(resealed + hashlib.sha256(resealed).digest())
+        reseal(model, lambda payload: payload["params"].update(
+            weights=[1.0, 2.0]))                # 2 features, not 13
         assert run(["detect", self.capture_csv(workspace),
                     "--model", str(model)]) == 1
         assert "model payload structure invalid" in capsys.readouterr().err
@@ -355,14 +354,11 @@ class TestDetect:
         model = workspace / "forest.bin"
         assert run(["train", str(workspace / "data.csv"), "--kind", "forest",
                     "--param", "trees=3", "-o", str(model)]) == 0
-        blob = model.read_bytes()
-        head = len(MODEL_MAGIC) + 6
-        payload = json.loads(blob[head:-32])
-        used = payload["params"]["features_used"]
-        used[0] = sorted(set(range(13)) - set(used[0]))  # not what tree 0 splits on
-        body = json.dumps(payload).encode()
-        resealed = blob[:head - 4] + struct.pack(">I", len(body)) + body
-        model.write_bytes(resealed + hashlib.sha256(resealed).digest())
+        def edit(payload):
+            used = payload["params"]["features_used"]
+            used[0] = sorted(set(range(13)) - set(used[0]))  # not what tree 0 splits on
+
+        reseal(model, edit)
         assert run(["detect", self.capture_csv(workspace),
                     "--model", str(model)]) == 1
         assert "features_used disagrees with the trees" in capsys.readouterr().err
@@ -371,29 +367,39 @@ class TestDetect:
         model = workspace / "knn.bin"
         assert run(["train", str(workspace / "data.csv"), "--kind", "knn",
                     "-o", str(model)]) == 0
-        blob = model.read_bytes()
-        head = len(MODEL_MAGIC) + 6
-        payload = json.loads(blob[head:-32])
-        payload["hyperparams"]["k"] = 2.5
-        body = json.dumps(payload).encode()
-        resealed = blob[:head - 4] + struct.pack(">I", len(body)) + body
-        model.write_bytes(resealed + hashlib.sha256(resealed).digest())
+        reseal(model, lambda payload: payload["hyperparams"].update(k=2.5))
         assert run(["detect", self.capture_csv(workspace),
                     "--model", str(model)]) == 1
         assert "k must be int" in capsys.readouterr().err
 
     def test_resealed_string_zero_addresses_exit_1(self, workspace, capsys):
-        blob = Path(trained_model_path(workspace)).read_bytes()
-        head = len(MODEL_MAGIC) + 6
-        payload = json.loads(blob[head:-32])
-        payload["zero_addresses"] = "no"        # bool("no") would be True
-        body = json.dumps(payload).encode()
-        resealed = blob[:head - 4] + struct.pack(">I", len(body)) + body
-        path = workspace / "resealed.bin"
-        path.write_bytes(resealed + hashlib.sha256(resealed).digest())
-        assert run(["detect", self.capture_csv(workspace),
-                    "--model", str(path)]) == 1
+        path = reseal(trained_model_path(workspace),
+                      lambda payload: payload.update(zero_addresses="no"),  # bool("no") is True
+                      workspace / "resealed.bin")
+        assert run(["detect", self.capture_csv(workspace), "--model", path]) == 1
         assert "zero_addresses must be bool, got 'no'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["top", "params", "scaler"])
+    def test_resealed_unknown_key_exit_1(self, workspace, capsys, level):
+        model = workspace / "knn.bin"
+        assert run(["train", str(workspace / "data.csv"), "--kind", "knn",
+                    "-o", str(model)]) == 0
+        reseal(model, lambda payload: (payload if level == "top" else payload[level])
+               .update(extra=1.0))
+        assert run(["detect", self.capture_csv(workspace), "--model", str(model)]) == 1
+        assert "unknown key 'extra'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("respaced", [False, True], ids=["as-written", "respaced"])
+    def test_alert_fingerprint_is_the_model_file_hash(self, workspace, respaced):
+        model = trained_model_path(workspace)
+        if respaced:
+            model = reseal(model, lambda payload: None, workspace / "respaced.bin")
+        out = workspace / "alerts.jsonl"
+        assert run(["detect", self.capture_csv(workspace), "--model", model,
+                    "-o", str(out)]) == 0
+        digest = hashlib.sha256(Path(model).read_bytes()).hexdigest()
+        alerts = [json.loads(line) for line in out.read_text().splitlines()]
+        assert alerts and {a["model_fingerprint"] for a in alerts} == {digest}
 
 
 def pinned_capture() -> list:

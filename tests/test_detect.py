@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rwdetect.capture import PacketRecord, write_packet_csv
 from rwdetect.classifiers import (
     ClassifierKind,
+    Prediction,
+    load_model,
     model_fingerprint,
     predict_many,
+    save_model,
     train,
 )
+from rwdetect.classifiers import model_io
 from rwdetect.conversation import aggregate
 from rwdetect.detect import (
     Alert,
@@ -29,7 +36,7 @@ from rwdetect.detect import (
 from rwdetect.errors import BadMagic, ClockSkew, InvalidHyperparams, SinkFailure
 from rwdetect.features import FEATURE_NAMES, Dataset, Label, encode
 
-from conftest import build_pcap, make_packet, tcp_udp_frame
+from conftest import build_pcap, make_conversation, make_packet, tcp_udp_frame
 
 
 def bytes_threshold_model():
@@ -118,6 +125,18 @@ class TestDetectStream:
         assert alert.conversation.address_a == "192.168.1.4"
         assert alert.prediction.label is Label.RANSOMWARE
         assert alert.model_fingerprint == model_fingerprint(model)
+
+    def test_loaded_model_is_not_serialized_again(self, monkeypatch):
+        blob = save_model(bytes_threshold_model())
+        model = load_model(blob)
+
+        def refuse(_model):
+            raise AssertionError("save_model called")
+
+        monkeypatch.setattr(model_io, "save_model", refuse)
+        packets = flow(2.0, "192.168.1.4", 2222, "192.168.1.5", 443, n=6, size=600)
+        [alert], _, _ = self.run(packets, model)
+        assert alert.model_fingerprint == hashlib.sha256(blob).hexdigest()
 
     def test_alert_order_within_window(self):
         packets = (
@@ -298,6 +317,37 @@ class TestPacketSource:
             read_packet_source(path)
 
 
+def dumped_alert(alert: Alert) -> str:
+    """An alert line as ``json.dumps`` renders the alert's payload."""
+    conv = alert.conversation
+    payload = {
+        "window": alert.window_index,
+        "emitted_at": alert.emitted_at,
+        "protocol": conv.protocol,
+        "address_a": conv.address_a,
+        "port_a": conv.port_a,
+        "address_b": conv.address_b,
+        "port_b": conv.port_b,
+        "label": alert.prediction.label.value,
+        "score": alert.prediction.score,
+        "model_fingerprint": alert.model_fingerprint,
+        "features": dict(zip(FEATURE_NAMES, alert.features)),
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+#: Finite floats, with the values whose repr takes an exponent, a sign or
+#: no fraction drawn often.
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 1e-5, 1e22,
+                     -0.0, 0.0, 3.0, 1e15 + 0.5, 123456789012345678.0]),
+    st.integers(-2 ** 53, 2 ** 53).map(float),
+)
+INTS = st.one_of(st.integers(0, 65535),
+                 st.sampled_from([0, 1, 255, 65535, -1, 2 ** 63 - 1, -2 ** 63, 2 ** 80]))
+
+
 class TestAlertRendering:
     def one_alert(self):
         packets = flow(2.0, "192.168.1.4", 2222, "192.168.1.5", 443,
@@ -316,6 +366,31 @@ class TestAlertRendering:
         assert payload["model_fingerprint"] == alert.model_fingerprint
         assert set(payload["features"]) == set(FEATURE_NAMES)
         assert payload["features"]["bytes"] == 3600.0
+
+    def test_numpy_capture_start_renders_json(self):
+        packets = flow(2.0, "192.168.1.4", 2222, "192.168.1.5", 443, n=6, size=600)
+        alerts: list[Alert] = []
+        detect_stream(packets, bytes_threshold_model(), WindowSpec(10.0),
+                      alerts.append, capture_start=np.float64(0.0))
+        assert json.loads(alert_to_json(alerts[0]))["emitted_at"] == 10.0
+        assert alert_to_json(alerts[0]) == dumped_alert(alerts[0])
+
+    @given(floats=st.lists(FLOATS, min_size=15, max_size=15),
+           ints=st.lists(INTS, min_size=4, max_size=4),
+           texts=st.lists(st.text(), min_size=3, max_size=3),
+           label=st.sampled_from(Label))
+    def test_json_matches_json_dumps(self, floats, ints, texts, label):
+        window, protocol, port_a, port_b = ints
+        alert = Alert(
+            window_index=window,
+            conversation=make_conversation(protocol=protocol, address_a=texts[0],
+                                           port_a=port_a, address_b=texts[1],
+                                           port_b=port_b),
+            prediction=Prediction(label=label, score=floats[0]),
+            model_fingerprint=texts[2], emitted_at=floats[1],
+            features=tuple(floats[2:]),
+        )
+        assert alert_to_json(alert) == dumped_alert(alert)
 
     def test_warning_line(self):
         line = alert_warning_line(self.one_alert())

@@ -29,6 +29,8 @@ from rwdetect.classifiers import (
     train,
     write_model,
 )
+from rwdetect.classifiers import model_io
+from rwdetect.classifiers.base import FAMILIES
 from rwdetect.classifiers.model_io import MODEL_FORMAT_VERSION, MODEL_MAGIC
 from rwdetect.errors import ChecksumFailure, MalformedModel, VersionMismatch
 
@@ -165,6 +167,19 @@ class TestFingerprint:
         prints = {model_fingerprint(quick_model(k)) for k in ALL_KINDS}
         assert len(prints) == len(ALL_KINDS)
 
+    def test_loaded_model_takes_the_hash_of_its_file(self, monkeypatch):
+        blob = save_model(quick_model(ClassifierKind.RANDOM_FOREST))
+        model = load_model(blob)
+        monkeypatch.setattr(model_io, "save_model", None)   # not serialized again
+        assert model_fingerprint(model) == hashlib.sha256(blob).hexdigest()
+
+    def test_respaced_file_loads_with_its_own_hash(self):
+        payload = valid_payload_dict(ClassifierKind.SVM)
+        blob = container(json.dumps(payload, indent=2).encode())
+        model = load_model(blob)
+        assert save_model(model) == sealed(payload) != blob
+        assert model_fingerprint(model) == hashlib.sha256(blob).hexdigest()
+
 
 class TestTampering:
     def test_wrong_magic(self):
@@ -246,6 +261,21 @@ class TestTampering:
         payload = valid_payload_dict(ClassifierKind.KNN)
         (payload["scaler"] if key == "fitted_on" else payload)[key] = value
         with pytest.raises(MalformedModel, match=f"{key} must be"):
+            load_model(sealed(payload))
+
+    @pytest.mark.parametrize("level", ["top", "scaler"])
+    def test_unknown_key(self, level):
+        payload = valid_payload_dict(ClassifierKind.SVM)
+        (payload if level == "top" else payload[level])["extra"] = 1.0
+        with pytest.raises(MalformedModel, match="unknown key 'extra'"):
+            load_model(sealed(payload))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_unknown_params_key_of_each_family(self, kind):
+        payload = valid_payload_dict(kind)
+        assert sorted(payload["params"]) == sorted(FAMILIES[kind].KEYS)
+        payload["params"]["extra"] = []
+        with pytest.raises(MalformedModel, match="unknown key 'extra'"):
             load_model(sealed(payload))
 
     def test_unknown_kind_name(self):
