@@ -1,9 +1,11 @@
 """Random forest over the gain-ratio trees.
 
 Per-tree randomness comes from independent generators spawned off the
-forest seed, consumed in tree order: first the bootstrap draw (when
-enabled), then the per-node feature subsets.  The ensemble score is the
-unweighted mean of the tree leaf scores.
+forest seed, one per tree in tree order.  Each draws first its tree's
+bootstrap sample (when enabled), then its nodes' feature subsets.  A
+bootstrap sample is an array of row indices into the training matrix,
+not a copy of its rows; ``tree.grow`` grows all the trees together.
+The ensemble score is the unweighted mean of the tree leaf scores.
 
 A forest is one ``tree.Nodes`` over all its trees, scored by
 ``tree.scores``; the model file keeps one list of node rows per tree.
@@ -45,18 +47,12 @@ CHECKS = (
 
 def fit(x: np.ndarray, y: np.ndarray, hp: ForestParams) -> tree.Nodes:
     n = len(y)
-    children = np.random.SeedSequence(hp.seed).spawn(hp.trees)
-    trees = []
-    for child in children:
-        rng = np.random.Generator(np.random.PCG64(child))
-        if hp.bootstrap:
-            picks = rng.integers(0, n, size=n)
-            xb, yb = x[picks], y[picks]
-        else:
-            xb, yb = x, y
-        trees.append(tree.build(xb, yb, min_leaf=hp.min_leaf,
-                                rng=rng, features_per_split=hp.features_per_split))
-    return tree.nodes_in(trees)
+    rngs = [np.random.Generator(np.random.PCG64(child))
+            for child in np.random.SeedSequence(hp.seed).spawn(hp.trees)]
+    # A generator, so that each bootstrap sample is freed once its root splits.
+    samples = (rng.integers(0, n, size=n) if hp.bootstrap else np.arange(n)
+               for rng in rngs)
+    return tree.grow(x, y, samples, hp.min_leaf, hp.features_per_split, rngs)
 
 
 scores = tree.scores

@@ -1,13 +1,21 @@
 """C4.5-style decision tree: gain-ratio splits on numeric features.
 
-Split candidates are the midpoints between sorted distinct values of a
-feature.  A node scores every candidate of every feature it considers in
-one gain-ratio table and takes the first maximum: ties go to the lowest
-feature index, then to the smallest threshold.  A node stops when it is
-pure, holds fewer than ``min_leaf`` samples, or no candidate split has
-strictly positive information gain.  No pruning.  When an RNG and a
-subset size are supplied (random forest mode) each node considers only a
-random feature subset.
+A split cuts a feature between two adjacent distinct values ``a < b`` of
+the node's samples.  Its threshold is the midpoint ``(a + b) / 2`` when
+that lies in ``[a, b)``, else ``a``: the midpoint of adjacent doubles can
+round to ``b``, and a sum past the largest double overflows.  A node
+scores every cut of every feature it considers and takes the first
+maximum of the gain ratio: ties go to the lowest feature index, then to
+the smallest threshold.  A node stops when it is pure, holds fewer than
+``min_leaf`` samples, or no cut has strictly positive information gain.
+No pruning.  In random forest mode each node searched considers a
+feature subset drawn from its tree's generator.
+
+``grow`` grows every tree of a forest, or J48's one, in lockstep.  Each
+tree pops nodes off its own stack in preorder, so its generator draws
+subsets in the order of a tree grown alone.  On each step every live
+tree pops leaves up to its next node to search, and one search scores
+all those nodes in batches of at most ``CHUNK_CELLS`` cells.
 
 In memory a tree, or every tree of a forest, is one ``Nodes``: flat
 columns over all the nodes, child indexes absolute.  A leaf's children
@@ -63,89 +71,136 @@ class Nodes:
 def _binary_entropy(pos, total):
     p = pos / total
     q = 1.0 - p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -(np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-              + np.where(q > 0, q * np.log2(np.where(q > 0, q, 1.0)), 0.0))
-    return h
+    return -(np.where(p > 0, p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+             + np.where(q > 0, q * np.log2(np.where(q > 0, q, 1.0)), 0.0))
 
 
-def _split_table(cols: np.ndarray, labels: np.ndarray):
-    """Gain-ratio table of every cut of every column of ``cols`` (n, m).
-
-    Row ``i`` is the cut between the ``i``-th and ``i+1``-th smallest
-    values of each column.  Returns the sorted columns and the (n-1, m)
-    gain and ratio tables; a ratio cell is ``-inf`` where the cut falls
-    between equal values or its gain is not strictly positive.
-    """
-    order = np.argsort(cols, axis=0, kind="stable")
-    v = cols[order, np.arange(cols.shape[1])]
-    cum_pos = np.cumsum(labels[order], axis=0, dtype=np.float64)
-    n = len(v)
-    total_pos = cum_pos[-1]
-
-    n_left = np.arange(1.0, n)[:, None]
-    pos_left = cum_pos[:-1]
+def _gain_ratio(n, n_left, parent, left, right):
+    """Gain and gain ratio (``-inf`` unless the gain is positive) of cuts
+    sending ``n_left`` of ``n`` samples left, from the entropies of the
+    samples (``parent``) and of each side."""
     n_right = n - n_left
-    pos_right = total_pos - pos_left
-
-    parent = _binary_entropy(total_pos[0], float(n))
-    frac_left = n_left / n
-    frac_right = n_right / n
-    gain = parent - frac_left * _binary_entropy(pos_left, n_left) \
-        - frac_right * _binary_entropy(pos_right, n_right)
+    frac_left, frac_right = n_left / n, n_right / n
+    gain = parent - frac_left * left - frac_right * right
     split_info = -(frac_left * np.log2(frac_left) + frac_right * np.log2(frac_right))
-    usable = (v[1:] != v[:-1]) & (gain > 0.0)
-    return v, gain, np.where(usable, gain / split_info, -np.inf)
+    return gain, np.where(gain > 0.0, gain / split_info, -np.inf)
 
 
-def _choose_split(x: np.ndarray, y: np.ndarray, idx: np.ndarray,
-                  rng, features_per_split):
+#: Cells (a node's sample under one candidate feature) per search batch,
+#: unless one node needs more.
+CHUNK_CELLS = 1 << 15
+
+
+def _order_codes(x: np.ndarray) -> np.ndarray:
+    """Each value's rank among the distinct values of its column, in the
+    smallest unsigned type that holds it; equal values share a code."""
+    return np.stack([np.unique(column, return_inverse=True)[1] for column in x.T],
+                    axis=1).astype(np.min_scalar_type(len(x)))
+
+
+def _search(x, codes, y, rows, candidates, pos):
+    """Each node's best split, None or ``(feature, threshold, left rows,
+    right rows, left positives)``, from its rows, candidates and positives.
+
+    A node's rows under one candidate are a block of cells, sorted within
+    the block by ``codes``; only cuts between distinct values are scored.
+    """
+    size = np.array([len(r) for r in rows])
+    width = np.array([len(c) for c in candidates])
+    block_size = np.repeat(size, width)
+    end = np.cumsum(block_size)
+    start = end - block_size
+    # Small unsigned keys, so that the stable sorts below are radix sorts.
+    block = np.repeat(np.arange(len(block_size), dtype=np.min_scalar_type(len(block_size))),
+                      block_size)
+    row = np.concatenate([r for r, c in zip(rows, candidates) for _ in c])
+    feature = np.concatenate(candidates)
+    code = codes[row, feature[block]]
+    order = np.argsort(code, kind="stable")
+    order = order[np.argsort(block[order], kind="stable")]
+    row, code = row[order], code[order]
+    cum = np.concatenate(([0], np.cumsum(y[row], dtype=np.int64)))
+    cut = np.flatnonzero((code[1:] != code[:-1]) & (block[1:] == block[:-1]))
+    cut_block = block[cut]
+    node = np.repeat(np.arange(len(rows)), width)[cut_block]
+    n, pos = size.astype(np.float64), np.array(pos, dtype=np.float64)
+    n_left = (cut + 1 - start[cut_block]).astype(np.float64)
+    pos_left = (cum[cut + 1] - cum[start[cut_block]]).astype(np.float64)
+    # Every entropy in one call: the nodes', then each side's of each cut.
+    parent, left, right = np.split(
+        _binary_entropy(np.concatenate([pos, pos_left, pos[node] - pos_left]),
+                        np.concatenate([n, n_left, n[node] - n_left])),
+        [len(rows), len(rows) + len(cut)])
+    ratio = _gain_ratio(n[node], n_left, parent[node], left, right)[1]
+    # First maximum per node, candidate-major then by cut: the tie rule.
+    best = np.full(len(rows), -np.inf)
+    np.maximum.at(best, node, ratio)
+    hit = np.flatnonzero(ratio == best[node])
+    top = np.full(len(rows), len(cut))
+    np.minimum.at(top, node[hit], hit)
+    top = top[best > -np.inf]
+    at, chosen = cut[top], cut_block[top]
+    f = feature[chosen]
+    out = [None] * len(rows)
+    for k, feat, i, lo, hi, a, b, left_pos in zip(*(v.tolist() for v in (
+            node[top], f, at, start[chosen], end[chosen],
+            x[row[at], f], x[row[at + 1], f], pos_left[top]))):
+        mid = (a + b) / 2.0
+        out[k] = (feat, mid if a <= mid < b else a, row[lo:i + 1].copy(),
+                  row[i + 1:hi].copy(), int(left_pos))
+    return out
+
+
+def grow(x: np.ndarray, y: np.ndarray, samples, min_leaf: int,
+         features_per_split: int = N_FEATURES, rngs=None) -> Nodes:
+    """Grow one tree per sample in lockstep: one ``Nodes``, in sample order.
+
+    A sample holds row indices into ``x`` (repeats allowed); ``y`` is 0 or
+    1.  A node keeps its own rows, so a sample the caller does not hold is
+    freed once its root splits.  With ``features_per_split`` below the
+    feature count, each search draws a subset from its tree's ``rngs``.
+    """
     n_features = x.shape[1]
-    if rng is not None and features_per_split is not None \
-            and features_per_split < n_features:
-        candidates = np.sort(rng.choice(n_features, size=features_per_split,
-                                        replace=False))
-    else:
-        candidates = np.arange(n_features)
-
-    v, _gain, ratio = _split_table(x[idx[:, None], candidates], y[idx])
-    # First maximum over (candidate, cut): the tie rule of the module docstring.
-    col, cut = divmod(int(np.argmax(ratio.T)), len(ratio))
-    if ratio[cut, col] == -np.inf:
-        return None
-    return int(candidates[col]), float((v[cut, col] + v[cut + 1, col]) / 2.0)
-
-
-def build(x: np.ndarray, y: np.ndarray, min_leaf: int = 2,
-          rng=None, features_per_split: int | None = None) -> list[list]:
-    """Grow a tree over samples (x, y in {0,1}); its model-file rows in preorder."""
-    # Explicit stack: unpruned chains can outgrow the recursion limit.
-    raw: list[list] = []  # [feature, threshold, left, right, pos, total]
-    stack: list[tuple[np.ndarray, int, int]] = [(np.arange(len(y)), -1, 0)]
-    while stack:
-        idx, parent, side = stack.pop()
-        node_id = len(raw)
-        if parent >= 0:
-            raw[parent][2 + side] = node_id
-        pos = int(y[idx].sum())
-        total = int(idx.size)
-        split = None
-        if total >= min_leaf and 0 < pos < total:
-            split = _choose_split(x, y, idx, rng, features_per_split)
-        if split is None:
-            raw.append([-1, 0.0, -1, -1, pos, total])
-            continue
-        feature, threshold = split
-        raw.append([feature, threshold, -1, -1, pos, total])
-        mask = x[idx, feature] <= threshold
-        # Right pushed first so the left subtree is numbered first.
-        stack.append((idx[~mask], node_id, 1))
-        stack.append((idx[mask], node_id, 0))
-    return raw
+    codes = _order_codes(x)
+    # Explicit stacks: unpruned chains can outgrow the recursion limit.
+    stacks = [[(rows.astype(codes.dtype), -1, 0, int(y[rows].sum()))] for rows in samples]
+    trees = [[] for _ in stacks]    # model-file rows
+    live = range(len(stacks))
+    while live:
+        pending = []    # each live tree's next node to search, its last row
+        for t in live:
+            raw, stack = trees[t], stacks[t]
+            while stack:
+                rows, parent, side, pos = stack.pop()
+                if parent >= 0:
+                    raw[parent][2 + side] = len(raw)
+                raw.append([-1, 0.0, -1, -1, pos, len(rows)])
+                if len(rows) >= min_leaf and 0 < pos < len(rows):
+                    candidates = np.arange(n_features)
+                    if features_per_split < n_features:
+                        candidates = np.sort(rngs[t].choice(
+                            n_features, features_per_split, replace=False))
+                    pending.append((rows, candidates, pos, t))
+                    break
+        while pending:
+            cells = np.cumsum([len(p[0]) * len(p[1]) for p in pending])
+            take = max(1, int(np.searchsorted(cells, CHUNK_CELLS, side="right")))
+            rows, candidates, pos, tree_of = zip(*pending[:take])
+            del pending[:take]
+            for t, split in zip(tree_of, _search(x, codes, y, rows, candidates, pos)):
+                if split is not None:
+                    feature, threshold, left, right, left_pos = split
+                    raw, node = trees[t], len(trees[t]) - 1
+                    raw[node][:2] = feature, threshold
+                    # Right pushed first so the left subtree is numbered first.
+                    stacks[t] += [(right, node, 1, raw[node][4] - left_pos),
+                                  (left, node, 0, left_pos)]
+        live = [t for t in live if stacks[t]]
+    return nodes_in(trees)
 
 
 def fit(x: np.ndarray, y: np.ndarray, hp: TreeParams) -> Nodes:
-    return nodes_in([build(x, y, min_leaf=hp.min_leaf)])
+    return grow(x, y, [np.arange(len(y))], hp.min_leaf)
 
 
 #: (query, tree) pairs ``scores`` routes at once; bounds its index arrays.

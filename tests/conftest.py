@@ -7,6 +7,8 @@ implementation of the format rather than the parser's own output.
 
 from __future__ import annotations
 
+import contextlib
+import signal
 import struct
 
 import numpy as np
@@ -21,6 +23,28 @@ settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("ci")
+
+#: Pairs of feature values ``a < b`` whose midpoint ``(a + b) / 2`` is not
+#: below ``b``: adjacent doubles, where it rounds to ``b``, and a sum that
+#: overflows to ``inf``.
+CLOSE_VALUES = [(1.0 + 2.0**-52, 1.0 + 2.0**-51), (1e308, 1.7e308)]
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the block once it has run ``seconds``, so a
+    hang fails the test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 MAGIC_MICROS = 0xA1B2C3D4
 MAGIC_NANOS = 0xA1B23C4D

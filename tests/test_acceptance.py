@@ -201,20 +201,23 @@ def test_02_conversation_oracle():
 
         # conservation invariants across randomly generated streams
         rng = np.random.Generator(np.random.PCG64(2002))
-        addresses = ["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"]
+        addresses = np.array(["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"])
         ports = [80, 443, 5000]
-        for _ in range(10_000):
-            n = int(rng.integers(2, 7))
-            stream = []
-            for i in range(n):
-                src, dst = rng.choice(4, size=2, replace=False)
-                stream.append(make_packet(
-                    t=float(rng.integers(0, 10_000_000)) / 1e6,
-                    src=addresses[src], sport=int(rng.choice(ports)),
-                    dst=addresses[dst], dport=int(rng.choice(ports)),
-                    protocol=int(rng.choice([6, 17])),
-                    wire_bytes=int(rng.integers(60, 1501)),
-                ))
+        lengths = rng.integers(2, 7, size=10_000)
+        # Every packet's fields drawn at once, each uniform as in a per-packet
+        # draw: an ordered pair of distinct addresses, two ports, protocol,
+        # time and size.
+        total = int(lengths.sum())
+        src = rng.integers(0, 4, size=total)
+        dst = (src + rng.integers(1, 4, size=total)) % 4
+        packets = list(map(
+            make_packet, (rng.integers(0, 10_000_000, size=total) / 1e6).tolist(),
+            addresses[src].tolist(), rng.choice(ports, size=total).tolist(),
+            addresses[dst].tolist(), rng.choice(ports, size=total).tolist(),
+            rng.choice([6, 17], size=total).tolist(),
+            rng.integers(60, 1501, size=total).tolist()))
+        for n, end in zip(lengths.tolist(), np.cumsum(lengths).tolist()):
+            stream = packets[end - n:end]
             convs = list(aggregate(stream))     # rows built once, read four times
             assert sum(c.packets for c in convs) == n
             assert sum(c.bytes for c in convs) == sum(

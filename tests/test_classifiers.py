@@ -25,6 +25,7 @@ from rwdetect.classifiers import (
     TreeParams,
     default_hyperparams,
     kind_from_name,
+    load_model,
     model_fingerprint,
     predict,
     predict_many,
@@ -44,7 +45,7 @@ from rwdetect.errors import (
 )
 from rwdetect.features import Dataset, Label
 
-from conftest import address_only_dataset, gaussian_dataset
+from conftest import CLOSE_VALUES, address_only_dataset, deadline, gaussian_dataset
 
 
 def vec13(**positions) -> np.ndarray:
@@ -325,27 +326,57 @@ class TestTree:
         arrays(np.uint8, n, elements=st.integers(0, 1)))))
     def test_split_matches_per_feature_search(self, sample):
         x, y = sample
-        found = tree_mod._choose_split(x, y, np.arange(len(y)), None, None)
-        assert found == reference_split(x, y)
+        found = search_node(x, y)
+        assert (found and found[:2]) == reference_split(x, y)
 
     def test_gain_ratio_hand_value(self):
         # values [1,2,3,4,5,6], labels [0,0,0,0,1,1]: cut after index 3
         values = np.array([1.0, 2, 3, 4, 5, 6])
         labels = np.array([0, 0, 0, 0, 1, 1], dtype=np.uint8)
-        v, gains, ratios = tree_mod._split_table(values[:, None], labels)
-        cut = int(np.argmax(ratios[:, 0]))
-        ratio, gain = ratios[cut, 0], gains[cut, 0]
-        assert (v[cut, 0] + v[cut + 1, 0]) / 2 == 4.5
+        n_left = np.arange(1.0, 6.0)
+        pos_left = np.cumsum(labels)[:-1].astype(np.float64)
+        entropy = tree_mod._binary_entropy
+        gains, ratios = tree_mod._gain_ratio(
+            6.0, n_left, entropy(2.0, 6.0), entropy(pos_left, n_left),
+            entropy(2.0 - pos_left, 6.0 - n_left))
+        cut = int(np.argmax(ratios))
+        ratio, gain = ratios[cut], gains[cut]
+        assert cut == 3
+        assert search_node(values[:, None], labels)[:2] == (0, 4.5)
         # parent H = H(1/3); perfect split -> gain = parent entropy
         parent = -(2 / 6) * math.log2(2 / 6) - (4 / 6) * math.log2(4 / 6)
         split_info = -(4 / 6) * math.log2(4 / 6) - (2 / 6) * math.log2(2 / 6)
         assert gain == pytest.approx(parent, abs=1e-12)
         assert ratio == pytest.approx(parent / split_info, abs=1e-12)
 
+    @pytest.mark.parametrize("a, b", CLOSE_VALUES, ids=["adjacent", "overflow"])
+    @pytest.mark.parametrize("kind", [ClassifierKind.J48, ClassifierKind.RANDOM_FOREST],
+                             ids=["j48", "forest"])
+    def test_cut_between_close_values_separates(self, kind, a, b):
+        # (a + b) / 2 rounds to b, or overflows to inf: the threshold is a.
+        x = np.zeros((4, 13))
+        x[:, 12] = [a, a, b, b]
+        with deadline(30):
+            model = load_model(save_model(train(kind, Dataset(x, [0, 0, 1, 1]))))
+        assert predict_many(model, x)[0].tolist() == [0, 0, 1, 1]
+        trees = [tree_mod.params_out(model.state)["nodes"]] if kind is ClassifierKind.J48 \
+            else forest_mod.params_out(model.state)["trees"]
+        splits = [TreeNode(*row) for rows in trees for row in rows if row[0] >= 0]
+        assert splits and all(s.feature == 12 and s.threshold == a for s in splits)
+
+
+def search_node(x: np.ndarray, y: np.ndarray):
+    """``tree._search`` of one node holding every row, every column a candidate."""
+    [found] = tree_mod._search(x, tree_mod._order_codes(x), y, [np.arange(len(y))],
+                               [np.arange(x.shape[1])], [int(y.sum())])
+    return found
+
 
 def reference_split(x: np.ndarray, y: np.ndarray):
     """Best (feature, threshold) by a search one feature at a time: the first
-    maximum within a feature, a strict ``>`` across features."""
+    maximum within a feature, a strict ``>`` across features.  The threshold
+    is the midpoint of the cut's two values when it lies between them, else
+    the lower value."""
     best = None
     for f in range(x.shape[1]):
         order = np.argsort(x[:, f], kind="stable")
@@ -363,8 +394,85 @@ def reference_split(x: np.ndarray, y: np.ndarray):
         ratio = np.where(gain > 0.0, gain / split_info, -np.inf)
         i = int(np.argmax(ratio))
         if ratio[i] > -np.inf and (best is None or ratio[i] > best[0]):
-            best = (ratio[i], f, float((v[cuts[i]] + v[cuts[i] + 1]) / 2.0))
+            a, b = v[cuts[i]].item(), v[cuts[i] + 1].item()
+            mid = (a + b) / 2.0
+            best = (ratio[i], f, mid if a <= mid < b else a)
     return None if best is None else best[1:]
+
+
+def reference_build(x: np.ndarray, y: np.ndarray, min_leaf: int,
+                    rng=None, features_per_split: int = 13) -> list[list]:
+    """One tree's model-file rows, grown a node at a time in preorder, each
+    node searched over its own rows by ``reference_split``: the oracle of
+    ``tree.grow``.  A node draws its feature subset from ``rng`` only when
+    it is searched."""
+    raw: list[list] = []
+    stack = [(np.arange(len(y)), -1, 0)]
+    while stack:
+        idx, parent, side = stack.pop()
+        if parent >= 0:
+            raw[parent][2 + side] = len(raw)
+        pos, total = int(y[idx].sum()), len(idx)
+        raw.append([-1, 0.0, -1, -1, pos, total])
+        if total < min_leaf or not 0 < pos < total:
+            continue
+        candidates = np.arange(13)
+        if rng is not None and features_per_split < 13:
+            candidates = np.sort(rng.choice(13, size=features_per_split, replace=False))
+        split = reference_split(x[idx][:, candidates], y[idx])
+        if split is None:
+            continue
+        feature, threshold = int(candidates[split[0]]), split[1]
+        raw[-1][:2] = feature, threshold
+        mask = x[idx, feature] <= threshold
+        stack.append((idx[~mask], len(raw) - 1, 1))
+        stack.append((idx[mask], len(raw) - 1, 0))
+    return raw
+
+
+def reference_forest(x: np.ndarray, y: np.ndarray, hp: ForestParams) -> list[list]:
+    """Each tree of the forest by ``reference_build`` over a copy of its
+    bootstrap sample; each tree's generator draws the sample first."""
+    trees = []
+    for child in np.random.SeedSequence(hp.seed).spawn(hp.trees):
+        rng = np.random.Generator(np.random.PCG64(child))
+        picks = rng.integers(0, len(y), size=len(y)) if hp.bootstrap else np.arange(len(y))
+        trees.append(reference_build(x[picks], y[picks], hp.min_leaf, rng,
+                                     hp.features_per_split))
+    return trees
+
+
+@st.composite
+def tie_heavy_samples(draw):
+    """Up to 30 rows of 13 features over four levels, and 0/1 labels."""
+    n = draw(st.integers(1, 30))
+    x = draw(arrays(np.float64, (n, 13), elements=st.sampled_from([0.0, 1.0, 2.5, -1.0])))
+    return x, draw(arrays(np.uint8, n, elements=st.integers(0, 1)))
+
+
+class TestLockstepGrowth:
+    """``tree.grow`` grows every tree at once, batching one step's split
+    searches; its rows must equal the per-node oracle's."""
+
+    @given(tie_heavy_samples(), st.integers(1, 5), st.booleans(), st.integers(1, 13),
+           st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(1, 120))
+    def test_forest_matches_per_node_build(self, sample, trees, bootstrap,
+                                           features_per_split, min_leaf, seed, chunk):
+        x, y = sample
+        hp = ForestParams(trees=trees, bootstrap=bootstrap, seed=seed, min_leaf=min_leaf,
+                          features_per_split=features_per_split)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tree_mod, "CHUNK_CELLS", chunk)
+            got = forest_mod.fit(x, y, hp)
+        want = tree_mod.nodes_in(reference_forest(x, y, hp))
+        assert tree_mod.rows(got) == tree_mod.rows(want)
+
+    @given(tie_heavy_samples(), st.integers(1, 4))
+    def test_j48_matches_per_node_build(self, sample, min_leaf):
+        x, y = sample
+        got = tree_mod.fit(x, y, TreeParams(min_leaf=min_leaf))
+        want = tree_mod.nodes_in([reference_build(x, y, min_leaf)])
+        assert tree_mod.rows(got) == tree_mod.rows(want)
 
 
 def tie_dataset() -> Dataset:
@@ -392,8 +500,17 @@ class TestPinnedTrees:
         (ClassifierKind.RANDOM_FOREST, tie_dataset,
          ForestParams(trees=3, bootstrap=False, features_per_split=13),
          "005cf1a319f230faf2299439fe9b70de230065eab9d6f08e5638869a069a45ae"),
+        (ClassifierKind.RANDOM_FOREST, tie_dataset, ForestParams(trees=10, min_leaf=1),
+         "8484f674b237f8795e038eb990500d90a83406b63784030e98747aad7ad61227"),
+        (ClassifierKind.RANDOM_FOREST,
+         lambda: gaussian_dataset(n_pos=200, n_neg=200, seed=1),
+         ForestParams(trees=10, bootstrap=False, features_per_split=4),
+         "a2fdcc199ce969d34344aeb82d6d55bdede1057d843730080b2bd3ce8616c21e"),
+        (ClassifierKind.J48, tie_dataset, TreeParams(min_leaf=5),
+         "929156c270cfdc9931a105d74508f0094f5ed2f02d19397cdedae63f756c895d"),
     ], ids=["j48-gaussian", "forest-gaussian", "j48-ties", "forest-ties",
-            "forest-ties-all-features"])
+            "forest-ties-all-features", "forest-ties-min-leaf-1",
+            "forest-gaussian-no-bootstrap", "j48-ties-min-leaf-5"])
     def test_model_sha256(self, kind, make_dataset, hp, digest):
         assert model_fingerprint(train(kind, make_dataset(), hp)) == digest
 

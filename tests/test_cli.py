@@ -11,11 +11,21 @@ import pytest
 
 from rwdetect.capture import parse_packet_csv, write_packet_csv
 from rwdetect.cli import run
-from rwdetect.classifiers import MODEL_MAGIC, read_model
+from rwdetect.classifiers import MODEL_MAGIC, predict_many, read_model
+from rwdetect.classifiers import tree
 from rwdetect.conversation import aggregate, conversations_to_csv
 from rwdetect.eval import REPORT_CSV_HEADER
+from rwdetect.features import DATASET_CSV_HEADER, read_dataset_csv
 
-from conftest import build_pcap, ether_frame, make_conversation, make_packet, tcp_udp_frame
+from conftest import (
+    CLOSE_VALUES,
+    build_pcap,
+    deadline,
+    ether_frame,
+    make_conversation,
+    make_packet,
+    tcp_udp_frame,
+)
 
 
 def flow_packets(t0, src, sport, dst, dport, n, size):
@@ -202,6 +212,24 @@ class TestTrain:
         assert run(["train", data, "--kind", "forest", "--seed", "7",
                     "-o", str(out)]) == 0
         assert read_model(out).hyperparams.seed == 7
+
+    @pytest.mark.parametrize("a, b", CLOSE_VALUES, ids=["adjacent", "overflow"])
+    @pytest.mark.parametrize("kind", ["j48", "forest"])
+    def test_cut_between_close_values_separates(self, tmp_path, kind, a, b):
+        # Durations a < b whose midpoint is not below b: the threshold is a.
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join([",".join(DATASET_CSV_HEADER)] + [
+            f"6,10.0.0.1,1000,10.0.0.2,80,3,280,2,200,1,80,0.0,{duration!r},{label}"
+            for duration, label in [(a, "benign"), (a, "benign"),
+                                    (b, "ransomware"), (b, "ransomware")]]) + "\n")
+        out = tmp_path / "model.bin"
+        with deadline(30):
+            assert run(["train", str(data), "--kind", kind, "-o", str(out)]) == 0
+        model = read_model(out)
+        dataset = read_dataset_csv(data.read_text())
+        assert predict_many(model, dataset.x)[0].tolist() == [0, 0, 1, 1]
+        splits = [row for rows in tree.rows(model.state) for row in rows if row[0] >= 0]
+        assert splits and all(row[:2] == (12, a) for row in splits)
 
 
 class TestEval:
