@@ -5,7 +5,9 @@ it into a table of bidirectional conversations (``conversation``),
 stack that into labeled feature vectors (``features``), train and
 persist classifiers (``classifiers``), score them (``eval``) and run
 windowed detection over traffic (``detect``).  ``cli`` wires the same steps into the
-``rwdetect`` command.
+``rwdetect`` command.  Past the CSV boundary a label is 0 (benign) or 1
+(ransomware): in ``Dataset.y``, in ``predict_many``'s output and in
+``confusion``'s input.
 """
 
 from .capture import (
@@ -22,12 +24,10 @@ from .capture import (
 from .classifiers import (
     ALL_KINDS,
     ClassifierKind,
-    Prediction,
     TrainedModel,
     default_hyperparams,
     load_model,
     model_fingerprint,
-    predict,
     predict_many,
     save_model,
     train,
@@ -91,7 +91,6 @@ __all__ = [
     "MetricsReport",
     "PacketRecord",
     "PacketTable",
-    "Prediction",
     "RwdetectError",
     "ScalingParams",
     "SplitSpec",
@@ -116,7 +115,6 @@ __all__ = [
     "model_fingerprint",
     "parse_packet_csv",
     "parse_pcap",
-    "predict",
     "predict_many",
     "read_dataset_csv",
     "read_pcap",

@@ -43,7 +43,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from ipaddress import AddressValueError, IPv4Address
+from ipaddress import AddressValueError
 from itertools import count
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -103,12 +103,6 @@ class PacketRecord(NamedTuple):
     wire_bytes: int
 
 
-def _dotted(value: int) -> str:
-    """The dotted quad of a u32 address, interned: rows with equal
-    addresses share one string."""
-    return sys.intern(socket.inet_ntoa(value.to_bytes(4, "big")))
-
-
 class _Table(Sequence):
     """Equal-length numpy columns that read as a sequence of ``_row`` rows,
     with the u32 addresses of columns 1 and 3 as dotted quads.  An index
@@ -144,12 +138,12 @@ class _Table(Sequence):
         except TypeError:
             return type(self)(column[index] for column in self.columns)
         values = [column.item(i) for column in self.columns]
-        values[1], values[3] = _dotted(values[1]), _dotted(values[3])
+        values[1], values[3] = u32_to_ip(values[1]), u32_to_ip(values[3])
         return self._row(*values)
 
     def __iter__(self):
         columns = [column.tolist() for column in self.columns]
-        names = {value: _dotted(value) for value in {*columns[1], *columns[3]}}
+        names = {value: u32_to_ip(value) for value in {*columns[1], *columns[3]}}
         columns[1] = map(names.__getitem__, columns[1])
         columns[3] = map(names.__getitem__, columns[3])
         return map(self._row, *columns)
@@ -176,8 +170,6 @@ class CaptureSummary:
     packets_skipped_non_ip: int = 0
     packets_skipped_unsupported_protocol: int = 0
     rows_skipped_malformed: int = 0     # packet CSV rows, lenient reads only
-    capture_start: float = 0.0
-    capture_end: float = 0.0
     # None, "truncated_header" or "truncated_record"; truncation is not fatal,
     # records parsed before the cut are still returned.
     error: str | None = None
@@ -204,7 +196,10 @@ def ip_to_u32(addr: str) -> int:
 
 
 def u32_to_ip(value: int) -> str:
-    return str(IPv4Address(value))
+    """The dotted quad of a u32 address, interned: rows with equal
+    addresses share one string.  A value outside 0..2**32-1 raises
+    OverflowError."""
+    return sys.intern(socket.inet_ntoa(int(value).to_bytes(4, "big")))
 
 
 def parse_pcap(data: bytes) -> tuple[PacketTable, CaptureSummary]:
@@ -239,14 +234,11 @@ def parse_pcap(data: bytes) -> tuple[PacketTable, CaptureSummary]:
     columns = [np.empty(len(starts), dtype) for dtype in _PCAP_COLUMNS]
     kept = 0
     for lo in range(0, len(starts), _CHUNK_FRAMES):
-        timestamps, chunk = _decode_chunk(buf, starts[lo:lo + _CHUNK_FRAMES],
-                                          byte_order, ts_divisor, summary)
+        chunk = _decode_chunk(buf, starts[lo:lo + _CHUNK_FRAMES],
+                              byte_order, ts_divisor, summary)
         for column, values in zip(columns, chunk):
             column[kept:kept + len(values)] = values
         kept += len(chunk[0])
-        if lo == 0:
-            summary.capture_start = float(timestamps[0])
-        summary.capture_end = max(summary.capture_start, float(timestamps[-1]))
     summary.packets_read = kept
     return PacketTable(column[:kept] for column in columns), summary
 
@@ -283,10 +275,10 @@ def _gather(buf: np.ndarray, at: np.ndarray, span: np.ndarray) -> np.ndarray:
 
 def _decode_chunk(buf: np.ndarray, starts: np.ndarray, byte_order: str,
                   ts_divisor: float, summary: CaptureSummary,
-                  ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+                  ) -> tuple[np.ndarray, ...]:
     """Decode the records starting at ``starts``: count the frames that are
-    not TCP/UDP packets in ``summary``; return every record's timestamp and
-    the packet table columns of the rest."""
+    not TCP/UDP packets in ``summary``; return the packet table columns of
+    the rest."""
     head = _gather(buf, starts, _HEAD_SPAN)
     ts_sec, ts_frac, incl_len, orig_len = head[:, :16].view(byte_order + "u4").T
     timestamps = ts_sec.astype(np.float64) + ts_frac / ts_divisor
@@ -318,8 +310,8 @@ def _decode_chunk(buf: np.ndarray, starts: np.ndarray, byte_order: str,
     ports = _gather(buf, starts[kept] + 16 + ip_start[kept] + ihl[kept], _PORT_SPAN)
     src_port, dst_port = ports.view(">u2").T
     src_addr, dst_addr = ip[kept, 12:20].view(">u4").T
-    return timestamps, (timestamps[kept], src_addr, src_port, dst_addr, dst_port,
-                        protocol[kept], orig_len[kept])
+    return (timestamps[kept], src_addr, src_port, dst_addr, dst_port,
+            protocol[kept], orig_len[kept])
 
 
 def read_pcap(path) -> tuple[PacketTable, CaptureSummary]:

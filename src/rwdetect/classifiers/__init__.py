@@ -15,6 +15,8 @@ the reader reports it as ``MalformedModel``.
 Adding a family takes its module, a ``ClassifierKind`` member and a
 ``base.FAMILIES`` entry; ``ALL_KINDS``, ``SCALED_KINDS``, ``KIND_ALIASES``,
 training, prediction and model files follow from that table.
+``predict_many``, the one prediction path, scores an (n, 13) batch and
+returns its 0/1 (uint8) labels and float64 scores.
 """
 
 from .base import (
@@ -23,11 +25,9 @@ from .base import (
     SCALED_KINDS,
     ClassifierKind,
     Hyperparams,
-    Prediction,
     TrainedModel,
     default_hyperparams,
     kind_from_name,
-    predict,
     predict_many,
     train,
     validate_hyperparams,
@@ -60,7 +60,6 @@ __all__ = [
     "Hyperparams",
     "KnnParams",
     "MlpParams",
-    "Prediction",
     "SvmParams",
     "TrainedModel",
     "TreeParams",
@@ -68,7 +67,6 @@ __all__ = [
     "kind_from_name",
     "load_model",
     "model_fingerprint",
-    "predict",
     "predict_many",
     "read_model",
     "save_model",

@@ -1,11 +1,11 @@
 """Shared classifier surface: kinds, hyperparameters, train and predict.
 
-Every family trains on a labeled dataset and predicts from a 13-value
-feature vector.  Distance- and gradient-based families (KNN, MLP, SVM)
+Every family trains on a labeled dataset and scores an (n, 13) batch of
+feature vectors.  Distance- and gradient-based families (KNN, MLP, SVM)
 get min-max scaling fitted on the training set and replayed at predict
 time; tree and Bayes families consume raw features.  A score is the
 positive-class degree of confidence in [0, 1]; the decision rule is
-everywhere ``score >= 0.5 -> ransomware`` so exact ties fail safe.
+everywhere ``score >= 0.5 -> 1 (ransomware)`` so exact ties fail safe.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ from ..errors import (
 from ..features import (
     N_FEATURES,
     Dataset,
-    Label,
     ScalingParams,
     apply_scaler,
     dataset_fingerprint,
     fit_scaler,
-    zero_address_columns,
     zero_address_vector,
 )
 from . import bayes, forest, knn, mlp, svm, tree
@@ -104,12 +102,6 @@ def validate_hyperparams(kind: ClassifierKind, hp: Hyperparams) -> None:
             raise InvalidHyperparams(message)
 
 
-@dataclass(frozen=True)
-class Prediction:
-    label: Label
-    score: float
-
-
 @dataclass
 class TrainedModel:
     kind: ClassifierKind
@@ -136,7 +128,7 @@ def train(kind: ClassifierKind, dataset: Dataset,
         raise EmptyDataset("cannot train on an empty dataset")
     fingerprint = dataset_fingerprint(dataset)
     if zero_addresses:
-        dataset = zero_address_columns(dataset)
+        dataset = Dataset(zero_address_vector(dataset.x), dataset.y)
     x, y = dataset.x, dataset.y
     if not np.isfinite(x).all():
         raise NonFiniteFeature("training features must be finite")
@@ -176,15 +168,3 @@ def predict_many(model: TrainedModel,
     scores = FAMILIES[model.kind].scores(model.state, queries)
     labels01 = (scores >= 0.5).astype(np.uint8)
     return labels01, scores
-
-
-def predict(model: TrainedModel, vector: np.ndarray) -> Prediction:
-    """Classify one 13-value feature vector."""
-    arr = np.asarray(vector, dtype=np.float64)
-    if arr.shape != (N_FEATURES,):
-        raise DimensionMismatch(
-            f"expected a ({N_FEATURES},) vector, got {arr.shape}"
-        )
-    labels01, scores = predict_many(model, arr.reshape(1, -1))
-    label = Label.RANSOMWARE if labels01[0] else Label.BENIGN
-    return Prediction(label=label, score=float(scores[0]))

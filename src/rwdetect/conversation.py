@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .capture import SUPPORTED_PROTOCOLS, PacketRecord, ip_to_u32
-from .errors import ClockSkew, InvariantViolation, RowError
+from .errors import ClockSkew, InvalidHyperparams, InvariantViolation, RowError
 from . import capture as _capture
 
 CONVERSATION_CSV_HEADER = [
@@ -117,10 +117,12 @@ def _flow_key(x: np.ndarray, y: np.ndarray, protocol: np.ndarray):
 
 def _capture_start(ts: np.ndarray, capture_start: float | None) -> float:
     """The earliest timestamp when ``capture_start`` is None; otherwise
-    ``capture_start``, after raising ClockSkew for the first packet
-    stamped earlier."""
+    ``capture_start``, after raising InvalidHyperparams if it is not finite
+    and ClockSkew for the first packet stamped earlier."""
     if capture_start is None:
         return float(ts.min())
+    if not math.isfinite(capture_start):
+        raise InvalidHyperparams(f"capture start {capture_start!r} is not finite")
     early = ts < capture_start
     if np.count_nonzero(early):
         i = int(early.argmax())

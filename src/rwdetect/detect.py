@@ -7,7 +7,9 @@ capture-relative times, so a conversation confined to one window comes out
 identical to a whole-capture aggregation.  A window's conversation table
 is its feature matrix; ``Conversation`` rows are built only for the
 positive classifications, which alert, at most one per (window,
-conversation key), ordered by window then ``Conversation.key``.
+conversation key), ordered by window then ``Conversation.key``.  An alert
+is a positive classification by construction: it carries the score, and
+its JSON label is always ``"ransomware"``.
 ``emitted_at`` is the close time of the window, a value derived from the
 data rather than the wall clock, so repeated runs are byte-identical.
 """
@@ -33,10 +35,10 @@ from .capture import (
     parse_packet_csv_lenient,
     parse_pcap,
 )
-from .classifiers import Prediction, TrainedModel, model_fingerprint, predict_many
+from .classifiers import TrainedModel, model_fingerprint, predict_many
 from .conversation import Conversation, _capture_start, aggregate
 from .errors import BadMagic, InvalidHyperparams, SinkFailure
-from .features import FEATURE_NAMES, Label, encode_many
+from .features import FEATURE_NAMES, encode_many
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,11 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class Alert:
+    """A conversation the model classified ransomware in one window."""
+
     window_index: int
     conversation: Conversation
-    prediction: Prediction
+    score: float                  # positive-class score, at least 0.5
     model_fingerprint: str
     emitted_at: float
     features: tuple[float, ...]   # ``encode(conversation)``, from the window's matrix
@@ -136,8 +140,7 @@ def detect_stream(packets: Iterable[PacketRecord], model: TrainedModel,
         for conv, score, row in zip(conversations[hits], scores[hits].tolist(),
                                     vectors[hits].tolist()):
             alert = Alert(
-                window_index=w, conversation=conv,
-                prediction=Prediction(label=Label.RANSOMWARE, score=score),
+                window_index=w, conversation=conv, score=score,
                 model_fingerprint=fingerprint, emitted_at=emitted_at,
                 features=tuple(row),
             )
@@ -182,13 +185,14 @@ def read_packet_source(path: str | Path) -> tuple[PacketTable, int, int]:
 
 #: ``alert_to_json``'s line: ``json.dumps(payload, sort_keys=True)`` of the
 #: alert's payload, with a slot per value (``%s`` a JSON string, ``%r`` a
-#: finite float, ``%d`` an int) and the features in sorted-name order.
+#: finite float, ``%d`` an int), the features in sorted-name order and
+#: the label a constant.
 _FEATURE_ORDER = sorted(range(len(FEATURE_NAMES)), key=FEATURE_NAMES.__getitem__)
 _ALERT_LINE = (
     '{"address_a": %s, "address_b": %s, "emitted_at": %r, "features": {'
     + ", ".join(f"{json.dumps(FEATURE_NAMES[i])}: %r" for i in _FEATURE_ORDER)
-    + '}, "label": %s, "model_fingerprint": %s, "port_a": %d, "port_b": %d, '
-      '"protocol": %d, "score": %r, "window": %d}')
+    + '}, "label": "ransomware", "model_fingerprint": %s, '
+      '"port_a": %d, "port_b": %d, "protocol": %d, "score": %r, "window": %d}')
 
 
 def alert_to_json(alert: Alert) -> str:
@@ -198,8 +202,8 @@ def alert_to_json(alert: Alert) -> str:
     return _ALERT_LINE % (
         _json_str(conv.address_a), _json_str(conv.address_b), alert.emitted_at,
         *[features[i] for i in _FEATURE_ORDER],
-        _json_str(alert.prediction.label.value), _json_str(alert.model_fingerprint),
-        conv.port_a, conv.port_b, conv.protocol, alert.prediction.score,
+        _json_str(alert.model_fingerprint),
+        conv.port_a, conv.port_b, conv.protocol, alert.score,
         alert.window_index)
 
 
@@ -210,6 +214,6 @@ def alert_warning_line(alert: Alert) -> str:
     return (
         f"ALERT window={alert.window_index} {proto} "
         f"{conv.address_a}:{conv.port_a} <-> {conv.address_b}:{conv.port_b} "
-        f"score={alert.prediction.score:.4f} packets={conv.packets} "
+        f"score={alert.score:.4f} packets={conv.packets} "
         f"bytes={conv.bytes}"
     )

@@ -23,7 +23,7 @@ from .classifiers import (
     train,
 )
 from .errors import EmptyInput, InvalidHyperparams, LengthMismatch, TooFewSamples
-from .features import Dataset, Label
+from .features import Dataset, _labels01
 
 REPORT_CSV_HEADER = [
     "classifier", "TPR(%)", "FPR(%)", "Precision", "Recall",
@@ -43,19 +43,11 @@ class ConfusionCounts:
         return self.tp + self.fn + self.fp + self.tn
 
 
-def _as01(labels) -> np.ndarray:
-    if isinstance(labels, np.ndarray):
-        return labels.astype(np.uint8)
-    return np.fromiter(
-        (1 if item is Label.RANSOMWARE or item == 1 else 0 for item in labels),
-        dtype=np.uint8,
-    )
-
-
 def confusion(actual, predicted) -> ConfusionCounts:
-    """Count the four outcomes; ransomware is the positive class."""
-    a = _as01(actual)
-    p = _as01(predicted)
+    """Count the four outcomes of two 0/1 label lists or arrays; 1
+    (ransomware) is the positive class, any other label a ValueError."""
+    a = _labels01(actual)
+    p = _labels01(predicted)
     if len(a) != len(p):
         raise LengthMismatch(f"{len(a)} actual labels vs {len(p)} predicted")
     if len(a) == 0:
@@ -281,15 +273,3 @@ def render_report_json(rows: Sequence[MetricsReport]) -> str:
             entry["train_fingerprint"] = row.train_fingerprint
         out.append(entry)
     return json.dumps(out, indent=2) + "\n"
-
-
-def parse_report_json(text: str) -> list[MetricsReport]:
-    rows = []
-    for entry in json.loads(text):
-        rows.append(MetricsReport(
-            classifier=entry["classifier"],
-            training_time_s=entry["training_time_s"],
-            train_fingerprint=entry.get("train_fingerprint"),
-            **{name: entry[name] for name in _METRIC_FIELDS},
-        ))
-    return rows

@@ -38,6 +38,13 @@ class Label(enum.Enum):
     BENIGN = "benign"
 
 
+def _labels01(labels) -> np.ndarray:
+    """``labels`` as uint8; a label other than 0 or 1 raises ValueError."""
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must be 0 (benign) or 1 (ransomware)")
+    return np.asarray(labels, dtype=np.uint8)
+
+
 @dataclass(eq=False)    # arrays have no single truth value to compare by
 class Dataset:
     """A labeled feature table: ``x`` is (n, 13) float64 and ``y`` is (n,)
@@ -47,10 +54,8 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        if not np.isin(self.y, (0, 1)).all():
-            raise ValueError("labels must be 0 (benign) or 1 (ransomware)")
+        self.y = _labels01(self.y)
         self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.uint8)
         if self.y.ndim != 1 or self.x.shape != (len(self.y), N_FEATURES):
             raise DimensionMismatch(
                 f"expected (n, {N_FEATURES}) features for (n,) labels, "
@@ -153,11 +158,6 @@ def label_and_merge(conv_sets: Sequence[tuple[Sequence[Conversation], Label]]) -
             raise EmptyInput(f"conversation set {i} is empty")
         labels.extend([label] * len(matrices[-1]))
     return _dataset(np.concatenate(matrices), labels)
-
-
-def zero_address_columns(dataset: Dataset) -> Dataset:
-    """Copy of the dataset with both address features forced to 0."""
-    return Dataset(zero_address_vector(dataset.x), dataset.y.copy())
 
 
 def zero_address_vector(vector: np.ndarray) -> np.ndarray:

@@ -27,7 +27,6 @@ from rwdetect.classifiers import (
     kind_from_name,
     load_model,
     model_fingerprint,
-    predict,
     predict_many,
     save_model,
     train,
@@ -68,6 +67,12 @@ class TreeNode(NamedTuple):
 def j48_rows(model: TrainedModel) -> list[TreeNode]:
     """A J48 model's nodes as the model file's rows."""
     return [TreeNode(*row) for row in tree_mod.params_out(model.state)["nodes"]]
+
+
+def predict_one(model: TrainedModel, vector: np.ndarray) -> tuple[int, float]:
+    """(0/1 label, score) of one feature vector, scored as a one-row batch."""
+    labels01, scores = predict_many(model, np.reshape(vector, (1, -1)))
+    return int(labels01[0]), float(scores[0])
 
 
 def toy_dataset(rows: list[tuple[np.ndarray, Label]]) -> Dataset:
@@ -135,9 +140,9 @@ class TestKnn:
             (vec13(f5=5.0, f6=5.0), Label.RANSOMWARE),
         ])
         model = train(ClassifierKind.KNN, ds, KnnParams(k=3))
-        result = predict(model, vec13(f5=0.0, f6=0.5))
-        assert result.score == pytest.approx(1.0 / 3.0)
-        assert result.label is Label.BENIGN
+        label, score = predict_one(model, vec13(f5=0.0, f6=0.5))
+        assert score == pytest.approx(1.0 / 3.0)
+        assert label == 0
 
     def test_distance_tie_prefers_lower_index(self):
         rows = [
@@ -145,9 +150,9 @@ class TestKnn:
             (vec13(f5=2.0), Label.BENIGN),
         ]
         model = train(ClassifierKind.KNN, toy_dataset(rows), KnnParams(k=1))
-        assert predict(model, vec13(f5=1.0)).label is Label.RANSOMWARE
+        assert predict_one(model, vec13(f5=1.0))[0] == 1
         flipped = train(ClassifierKind.KNN, toy_dataset(rows[::-1]), KnnParams(k=1))
-        assert predict(flipped, vec13(f5=1.0)).label is Label.BENIGN
+        assert predict_one(flipped, vec13(f5=1.0))[0] == 0
 
     def test_scale_invariance(self):
         ds = gaussian_dataset(n_pos=30, n_neg=30, seed=8)
@@ -244,9 +249,9 @@ class TestTree:
         assert (left.feature, right.feature) == (-1, -1)
         assert (left.pos, left.total) == (0, 2)
         assert (right.pos, right.total) == (2, 2)
-        assert predict(model, vec13(f0=2.4)).label is Label.BENIGN
-        assert predict(model, vec13(f0=2.6)).label is Label.RANSOMWARE
-        assert predict(model, vec13(f0=2.5)).label is Label.BENIGN  # <= goes left
+        assert predict_one(model, vec13(f0=2.4))[0] == 0
+        assert predict_one(model, vec13(f0=2.6))[0] == 1
+        assert predict_one(model, vec13(f0=2.5))[0] == 0  # <= goes left
 
     def test_threshold_is_midpoint_of_distinct_values(self):
         rows = [
@@ -287,9 +292,9 @@ class TestTree:
         assert len(j48_rows(model)) == 1        # xor: no single split gains
         leaf = j48_rows(model)[0]
         assert (leaf.pos, leaf.total) == (2, 4)
-        result = predict(model, vec13(f5=0.5, f6=0.5))
-        assert result.score == 0.5
-        assert result.label is Label.RANSOMWARE     # ties fail safe
+        label, score = predict_one(model, vec13(f5=0.5, f6=0.5))
+        assert score == 0.5
+        assert label == 1     # ties fail safe
 
     def test_min_leaf_stops_splitting(self):
         rows = [
@@ -695,19 +700,19 @@ class TestForest:
 
     def test_vote_average_three_quarters(self):
         model = self.stub_model([1, 1, 1, 0])
-        result = predict(model, np.zeros(13))
-        assert result.score == 0.75
-        assert result.label is Label.RANSOMWARE
+        label, score = predict_one(model, np.zeros(13))
+        assert score == 0.75
+        assert label == 1
 
     def test_half_vote_is_ransomware(self):
         model = self.stub_model([1, 1, 0, 0])
-        result = predict(model, np.zeros(13))
-        assert result.score == 0.5
-        assert result.label is Label.RANSOMWARE
+        label, score = predict_one(model, np.zeros(13))
+        assert score == 0.5
+        assert label == 1
 
     def test_minority_vote_is_benign(self):
         model = self.stub_model([1, 0, 0, 0])
-        assert predict(model, np.zeros(13)).label is Label.BENIGN
+        assert predict_one(model, np.zeros(13))[0] == 0
 
     def test_single_tree_no_bootstrap_equals_j48(self):
         ds = gaussian_dataset(n_pos=25, n_neg=25, seed=14)
@@ -788,14 +793,14 @@ class TestBayes:
 
     def test_symmetric_query_is_exactly_half(self):
         model = train(ClassifierKind.BAYES, toy_dataset(self.two_cluster_rows()))
-        result = predict(model, vec13(f0=3.0))
-        assert result.score == 0.5
-        assert result.label is Label.RANSOMWARE
+        label, score = predict_one(model, vec13(f0=3.0))
+        assert score == 0.5
+        assert label == 1
 
     def test_sides_of_the_midpoint(self):
         model = train(ClassifierKind.BAYES, toy_dataset(self.two_cluster_rows()))
-        assert predict(model, vec13(f0=5.0)).score > 0.9
-        assert predict(model, vec13(f0=1.0)).score < 0.1
+        assert predict_one(model, vec13(f0=5.0))[1] > 0.9
+        assert predict_one(model, vec13(f0=1.0))[1] < 0.1
 
     def test_hand_computed_posterior(self):
         model = train(ClassifierKind.BAYES, toy_dataset(self.two_cluster_rows()))
@@ -807,7 +812,7 @@ class TestBayes:
         ll_pos = -0.5 * (math.log(2 * math.pi * var) + (x - 5.0) ** 2 / var)
         ll_neg = -0.5 * (math.log(2 * math.pi * var) + (x - 1.0) ** 2 / var)
         expected = 1.0 / (1.0 + math.exp(ll_neg - ll_pos))
-        assert predict(model, vec13(f0=x)).score == pytest.approx(expected, abs=1e-9)
+        assert predict_one(model, vec13(f0=x))[1] == pytest.approx(expected, abs=1e-9)
         assert state.var_pos[0] == pytest.approx(var)
 
     def test_population_variance_used(self):
@@ -831,8 +836,8 @@ class TestBayes:
             (np.ones(13), Label.RANSOMWARE),
         ]
         model = train(ClassifierKind.BAYES, toy_dataset(rows))
-        assert predict(model, np.ones(13) * 0.9).label is Label.RANSOMWARE
-        assert predict(model, np.ones(13) * 0.1).label is Label.BENIGN
+        assert predict_one(model, np.ones(13) * 0.9)[0] == 1
+        assert predict_one(model, np.ones(13) * 0.1)[0] == 0
 
     def underflow_model(self):
         """30 ransomware and 10 benign rows whose feature 5 is constant,
@@ -898,13 +903,13 @@ class TestSharedContract:
         ds = gaussian_dataset(n_pos=6, n_neg=6, seed=25)
         model = train(kind, ds, self.fast_params(kind))
         with pytest.raises(DimensionMismatch):
-            predict(model, np.zeros(12))
+            predict_one(model, np.zeros(12))
         with pytest.raises(DimensionMismatch):
             predict_many(model, np.zeros((2, 14)))
         bad = np.zeros(13)
         bad[3] = np.inf
         with pytest.raises(NonFiniteFeature):
-            predict(model, bad)
+            predict_one(model, bad)
 
     def test_scores_bounded_and_consistent(self, kind):
         ds = gaussian_dataset(n_pos=20, n_neg=20, seed=26)
@@ -913,9 +918,9 @@ class TestSharedContract:
         assert np.all((scores >= 0.0) & (scores <= 1.0))
         assert np.array_equal(labels01, (scores >= 0.5).astype(np.uint8))
         # batch and single-row matmuls may differ in the last bit
-        single = predict(model, ds.x[0])
-        assert single.score == pytest.approx(scores[0], rel=1e-12, abs=1e-15)
-        assert (single.label is Label.RANSOMWARE) == (single.score >= 0.5)
+        label, score = predict_one(model, ds.x[0])
+        assert score == pytest.approx(scores[0], rel=1e-12, abs=1e-15)
+        assert label == (score >= 0.5)
 
     def test_scaler_presence(self, kind):
         ds = gaussian_dataset(n_pos=6, n_neg=6, seed=27)
@@ -947,7 +952,7 @@ class TestZeroAddresses:
         q1 = ds.x[0].copy()
         q2 = q1.copy()
         q2[1], q2[3] = 0.0, 12345.0
-        assert predict(model, q1).score == predict(model, q2).score
+        assert predict_one(model, q1)[1] == predict_one(model, q2)[1]
 
     def test_without_flag_addresses_dominate(self):
         ds = address_only_dataset()
@@ -955,8 +960,8 @@ class TestZeroAddresses:
         q_pos = ds.x[0].copy()
         q_neg = q_pos.copy()
         q_neg[1], q_neg[3] = 100_000.0, 200_000.0   # the benign address block
-        assert predict(model, q_pos).label is Label.RANSOMWARE
-        assert predict(model, q_neg).label is Label.BENIGN
+        assert predict_one(model, q_pos)[0] == 1
+        assert predict_one(model, q_neg)[0] == 0
 
     def test_flag_recorded_on_model(self):
         ds = gaussian_dataset(n_pos=6, n_neg=6, seed=30)

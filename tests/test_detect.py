@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from rwdetect.capture import PacketRecord, write_packet_csv
 from rwdetect.classifiers import (
     ClassifierKind,
-    Prediction,
     load_model,
     model_fingerprint,
     predict_many,
@@ -34,7 +33,7 @@ from rwdetect.detect import (
     window_packets,
 )
 from rwdetect.errors import BadMagic, ClockSkew, InvalidHyperparams, SinkFailure
-from rwdetect.features import FEATURE_NAMES, Dataset, Label, encode
+from rwdetect.features import FEATURE_NAMES, Dataset, encode
 
 from conftest import build_pcap, make_conversation, make_packet, tcp_udp_frame
 
@@ -103,6 +102,19 @@ class TestWindowPackets:
             window_packets(packets, WindowSpec(interval=1e-320))
 
 
+@pytest.mark.parametrize("start", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("run", [
+    lambda packets, start: aggregate(packets, capture_start=start),
+    lambda packets, start: window_packets(packets, WindowSpec(60.0), start),
+    lambda packets, start: detect_stream(packets, bytes_threshold_model(),
+                                         WindowSpec(60.0), [].append,
+                                         capture_start=start),
+], ids=["aggregate", "window_packets", "detect_stream"])
+def test_non_finite_capture_start_rejected(run, start):
+    with pytest.raises(InvalidHyperparams, match="capture start"):
+        run([make_packet(1.0), make_packet(2.0)], start)
+
+
 class TestDetectStream:
     def run(self, packets, model=None, interval=10.0, capture_start=0.0):
         model = model or bytes_threshold_model()
@@ -123,7 +135,7 @@ class TestDetectStream:
             skipped_malformed=0)
         [alert] = alerts
         assert alert.conversation.address_a == "192.168.1.4"
-        assert alert.prediction.label is Label.RANSOMWARE
+        assert alert.score >= 0.5
         assert alert.model_fingerprint == model_fingerprint(model)
 
     def test_loaded_model_is_not_serialized_again(self, monkeypatch):
@@ -328,8 +340,8 @@ def dumped_alert(alert: Alert) -> str:
         "port_a": conv.port_a,
         "address_b": conv.address_b,
         "port_b": conv.port_b,
-        "label": alert.prediction.label.value,
-        "score": alert.prediction.score,
+        "label": "ransomware",
+        "score": alert.score,
         "model_fingerprint": alert.model_fingerprint,
         "features": dict(zip(FEATURE_NAMES, alert.features)),
     }
@@ -377,16 +389,15 @@ class TestAlertRendering:
 
     @given(floats=st.lists(FLOATS, min_size=15, max_size=15),
            ints=st.lists(INTS, min_size=4, max_size=4),
-           texts=st.lists(st.text(), min_size=3, max_size=3),
-           label=st.sampled_from(Label))
-    def test_json_matches_json_dumps(self, floats, ints, texts, label):
+           texts=st.lists(st.text(), min_size=3, max_size=3))
+    def test_json_matches_json_dumps(self, floats, ints, texts):
         window, protocol, port_a, port_b = ints
         alert = Alert(
             window_index=window,
             conversation=make_conversation(protocol=protocol, address_a=texts[0],
                                            port_a=port_a, address_b=texts[1],
                                            port_b=port_b),
-            prediction=Prediction(label=label, score=floats[0]),
+            score=floats[0],
             model_fingerprint=texts[2], emitted_at=floats[1],
             features=tuple(floats[2:]),
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +31,6 @@ from rwdetect.eval import (
     evaluate,
     evaluate_model,
     metrics,
-    parse_report_json,
     render_report_csv,
     render_report_json,
     split,
@@ -46,6 +47,15 @@ FAST_PARAMS = {
 }
 
 
+def written(row: MetricsReport) -> dict:
+    """The JSON object ``render_report_json`` should write for a row: every
+    field as it is, ``train_fingerprint`` only when set."""
+    fields = dataclasses.asdict(row)
+    if fields["train_fingerprint"] is None:
+        del fields["train_fingerprint"]
+    return fields
+
+
 class TestConfusion:
     def test_hand_counts(self):
         actual = [1, 1, 1, 0, 0, 0, 0]
@@ -54,10 +64,14 @@ class TestConfusion:
         assert counts == ConfusionCounts(tp=2, fn=1, fp=1, tn=3)
         assert counts.total == 7
 
-    def test_accepts_label_enums(self):
-        actual = [Label.RANSOMWARE, Label.BENIGN]
-        predicted = [Label.BENIGN, Label.BENIGN]
-        assert confusion(actual, predicted) == ConfusionCounts(0, 1, 0, 1)
+    def test_rejects_labels_other_than_0_and_1(self):
+        """Lists and arrays pass one check, the rule ``Dataset`` applies."""
+        for bad in ([Label.RANSOMWARE, Label.BENIGN], [2, 1], np.array([2, 1]),
+                    np.array([1.7, 0.0])):
+            with pytest.raises(ValueError, match="0 .benign. or 1"):
+                confusion(bad, [1, 0])
+            with pytest.raises(ValueError, match="0 .benign. or 1"):
+                confusion(np.array([1, 0]), bad)
 
     def test_accepts_numpy_arrays(self):
         counts = confusion(np.array([1, 0, 1]), np.array([1, 1, 1]))
@@ -293,7 +307,6 @@ class TestRendering:
     def test_json_null_for_undefined(self):
         values = metrics(ConfusionCounts(tp=0, fn=5, fp=0, tn=5))
         row = MetricsReport.from_values("DecisionTreeJ48", values, 1.0)
-        import json
         payload = json.loads(render_report_json([row]))
         assert payload[0]["precision"] is None
         assert payload[0]["f_measure"] is None
@@ -303,11 +316,11 @@ class TestRendering:
         ds = gaussian_dataset(n_pos=20, n_neg=20, seed=16)
         rows = benchmark([ClassifierKind.KNN, ClassifierKind.BAYES], ds,
                          SplitSpec.holdout())
-        assert parse_report_json(render_report_json(rows)) == rows
+        assert json.loads(render_report_json(rows)) == [written(r) for r in rows]
 
     def test_round_trip_keeps_undefined(self):
         row = MetricsReport(
             classifier="KNearestNeighbor", tpr=None, fpr=0.25,
             precision=None, recall=None, f_measure=None, accuracy=0.75,
             training_time_s=0.5)
-        assert parse_report_json(render_report_json([row])) == [row]
+        assert json.loads(render_report_json([row])) == [written(row)]

@@ -32,11 +32,11 @@ from rwdetect.features import (
     label_and_merge,
     read_dataset_csv,
     write_dataset_csv,
-    zero_address_columns,
     zero_address_vector,
 )
 
 from rwdetect.capture import ip_to_u32, u32_to_ip
+from rwdetect.classifiers import ClassifierKind, train
 from rwdetect.conversation import Conversation
 
 from conftest import gaussian_dataset, make_conversation
@@ -269,8 +269,7 @@ class TestFingerprint:
 class TestZeroAddresses:
     def test_columns_zeroed(self):
         ds = gaussian_dataset(n_pos=3, n_neg=3, seed=4)
-        zeroed = zero_address_columns(ds)
-        m = zeroed.x
+        m = zero_address_vector(ds.x)
         assert np.array_equal(m[:, 1], np.zeros(6))
         assert np.array_equal(m[:, 3], np.zeros(6))
         keep = [i for i in range(13) if i not in ADDRESS_FEATURE_INDICES]
@@ -279,7 +278,7 @@ class TestZeroAddresses:
     def test_original_untouched(self):
         ds = gaussian_dataset(n_pos=3, n_neg=3, seed=4)
         before = ds.x.copy()
-        zero_address_columns(ds)
+        train(ClassifierKind.J48, ds, zero_addresses=True)
         assert np.array_equal(ds.x, before)
 
     def test_vector_form(self):
