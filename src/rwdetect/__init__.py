@@ -19,7 +19,6 @@ from .capture import (
     parse_pcap,
     read_pcap,
     u32_to_ip,
-    write_packet_csv,
 )
 from .classifiers import (
     ALL_KINDS,
@@ -125,6 +124,5 @@ __all__ = [
     "u32_to_ip",
     "window_packets",
     "write_dataset_csv",
-    "write_packet_csv",
     "__version__",
 ]

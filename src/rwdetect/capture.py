@@ -425,21 +425,3 @@ def parse_packet_csv(text) -> PacketTable:
     for any invalid data row.
     """
     return _read_packet_csv(text, skip_bad=False)[0]
-
-
-def parse_packet_csv_lenient(text) -> tuple[PacketTable, int]:
-    """Like parse_packet_csv but bad rows are skipped and counted, not fatal.
-
-    The header must still match; a replay source with the wrong schema is a
-    configuration error rather than noise.
-    """
-    return _read_packet_csv(text, skip_bad=True)
-
-
-def write_packet_csv(records: Iterable[PacketRecord]) -> str:
-    """Serialize packet records; timestamps keep full float precision."""
-    return _csv_text(PACKET_CSV_HEADER, (
-        [repr(r.timestamp), r.src_addr, r.src_port, r.dst_addr, r.dst_port,
-         r.protocol, r.wire_bytes]
-        for r in records
-    ))

@@ -30,6 +30,14 @@ def array(obj, shape: tuple) -> np.ndarray:
     return arr
 
 
+def bounded(weights: np.ndarray, bias) -> None:
+    """Raise ValueError unless each output's |weights| and |bias| sum finite."""
+    with np.errstate(over="ignore"):
+        total = np.abs(weights).sum(axis=0) + np.abs(bias)
+    if not np.isfinite(total).all():
+        raise ValueError("weights and bias too large: a weighted sum could overflow")
+
+
 def number(obj) -> float:
     if type(obj) is not float:
         raise ValueError(f"expected a float, got {obj!r}")

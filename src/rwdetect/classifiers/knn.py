@@ -75,5 +75,7 @@ def params_in(obj: dict, hp: KnnParams) -> KnnState:
         raise ValueError("labels and points disagree")
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
+    if ((points < 0) | (points > 1)).any():
+        raise ValueError("points must lie in [0, 1], where queries are scaled")
     _check_k(hp.k, points)
     return KnnState(points=points, labels=labels, k=hp.k)

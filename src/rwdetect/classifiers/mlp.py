@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import N_FEATURES
-from ._arrays import array
+from ._arrays import array, bounded
 
 ALIAS = "mlp"
 SCALED = True
@@ -111,5 +111,8 @@ KEYS = ("b1", "b2", "w1", "w2")
 def params_in(obj: dict, hp: MlpParams) -> MlpState:
     w1 = array(obj["w1"], (N_FEATURES, None))
     hidden = w1.shape[1]
-    return MlpState(w1=w1, b1=array(obj["b1"], (hidden,)),
-                    w2=array(obj["w2"], (hidden, 1)), b2=array(obj["b2"], (1,)))
+    state = MlpState(w1=w1, b1=array(obj["b1"], (hidden,)),
+                     w2=array(obj["w2"], (hidden, 1)), b2=array(obj["b2"], (1,)))
+    bounded(state.w1, state.b1)
+    bounded(state.w2, state.b2)
+    return state

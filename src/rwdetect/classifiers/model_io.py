@@ -110,6 +110,9 @@ def load_model(data: bytes) -> TrainedModel:
         _known(payload["params"], family.KEYS)
         state = family.params_in(payload["params"], hp)
         scaler_obj = payload["scaler"]
+        if (scaler_obj is not None) != family.SCALED:
+            needs = "needs a" if family.SCALED else "takes no"
+            raise ValueError(f"{kind.value} {needs} scaler")
         scaler = None
         if scaler_obj is not None:
             _known(scaler_obj, _SCALER_KEYS)

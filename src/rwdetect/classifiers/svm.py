@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import N_FEATURES
-from ._arrays import array, number
+from ._arrays import array, bounded, number
 
 ALIAS = "svm"
 SCALED = True
@@ -56,12 +56,8 @@ def fit(x: np.ndarray, y: np.ndarray, hp: SvmParams) -> SvmState:
     return SvmState(w, float(b))
 
 
-def decision(state: SvmState, queries: np.ndarray) -> np.ndarray:
-    return queries @ state.weights + state.bias
-
-
 def scores(state: SvmState, queries: np.ndarray) -> np.ndarray:
-    z = np.clip(decision(state, queries), -500.0, 500.0)
+    z = np.clip(queries @ state.weights + state.bias, -500.0, 500.0)
     return 1.0 / (1.0 + np.exp(-z))
 
 
@@ -73,5 +69,7 @@ KEYS = ("bias", "weights")
 
 
 def params_in(obj: dict, hp: SvmParams) -> SvmState:
-    return SvmState(weights=array(obj["weights"], (N_FEATURES,)),
-                    bias=number(obj["bias"]))
+    state = SvmState(weights=array(obj["weights"], (N_FEATURES,)),
+                     bias=number(obj["bias"]))
+    bounded(state.weights, state.bias)
+    return state

@@ -12,8 +12,8 @@ by (lower endpoint, higher endpoint and protocol, time) puts each flow's
 packets together, earliest first, and counts and bytes are summed per flow
 as int64.  It returns a ``ConversationTable``, whose columns the features
 layer stacks into its matrix; ``Conversation`` rows are built only where a
-caller reads rows.  ``Conversation.key`` is a row's direction-free identity
-and sort order.
+caller reads rows.  ``ConversationTable.key_order`` states a row's
+direction-free identity and the order it sorts in.
 
 Conversation CSV prints the two time columns with 6 decimal places, so a
 write/read round trip is lossless for microsecond-resolution times (the
@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .capture import SUPPORTED_PROTOCOLS, PacketRecord, ip_to_u32
+from .capture import SUPPORTED_PROTOCOLS, PacketRecord
 from .errors import ClockSkew, InvalidHyperparams, InvariantViolation, RowError
 from . import capture as _capture
 
@@ -64,13 +64,6 @@ class Conversation:
     rel_start: float
     duration: float
 
-    def key(self) -> tuple[int, int, int, int, int]:
-        """``(address_lo, port_lo, address_hi, port_hi, protocol)``, addresses
-        as u32, lower endpoint first: the same for A->B and B->A."""
-        a = (ip_to_u32(self.address_a), self.port_a)
-        b = (ip_to_u32(self.address_b), self.port_b)
-        return (*min(a, b), *max(a, b), self.protocol)
-
 
 _fields = attrgetter(*CONVERSATION_CSV_HEADER)
 
@@ -86,7 +79,9 @@ class ConversationTable(_capture._Table):
     _dtypes = (object,) * 13
 
     def key_order(self) -> np.ndarray:
-        """Row indices in ``Conversation.key()`` order."""
+        """Row indices in key order, a conversation's key being ``(address_lo,
+        port_lo, address_hi, port_hi, protocol)``: addresses as u32, the lower
+        (address, port) endpoint first, so that A->B and B->A share it."""
         protocol, address_a, port_a, address_b, port_b = self.columns[:5]
         lo, hk = _flow_key(_endpoint(address_a, port_a),
                            _endpoint(address_b, port_b), protocol)
@@ -115,12 +110,12 @@ def _flow_key(x: np.ndarray, y: np.ndarray, protocol: np.ndarray):
     return np.minimum(x, y), hk
 
 
-def _capture_start(ts: np.ndarray, capture_start: float | None) -> float:
-    """The earliest timestamp when ``capture_start`` is None; otherwise
-    ``capture_start``, after raising InvalidHyperparams if it is not finite
-    and ClockSkew for the first packet stamped earlier."""
+def _capture_start(ts: np.ndarray, capture_start: float | None) -> float | None:
+    """The earliest timestamp, None for no packets, when ``capture_start``
+    is None; otherwise ``capture_start``, after raising InvalidHyperparams
+    if it is not finite and ClockSkew for the first packet stamped earlier."""
     if capture_start is None:
-        return float(ts.min())
+        return float(ts.min()) if len(ts) else None
     if not math.isfinite(capture_start):
         raise InvalidHyperparams(f"capture start {capture_start!r} is not finite")
     early = ts < capture_start
@@ -133,8 +128,8 @@ def _capture_start(ts: np.ndarray, capture_start: float | None) -> float:
 
 def aggregate(packets: Iterable[PacketRecord],
               capture_start: float | None = None) -> ConversationTable:
-    """Group TCP/UDP packets into conversations, ordered by (rel_start,
-    ``Conversation.key()``).
+    """Group TCP/UDP packets into conversations, ordered by rel_start,
+    then by key (``ConversationTable.key_order``).
 
     ``packets`` is a packet table or any iterable of PacketRecords.  Packets
     are taken in ascending timestamp order, input order breaking ties.
@@ -143,16 +138,16 @@ def aggregate(packets: Iterable[PacketRecord],
     raises ClockSkew with the offending input index.
     """
     table = _capture.PacketTable.of(packets)
+    ts, src_addr, src_port, dst_addr, dst_port, protocol, wire = table.columns
+    capture_start = _capture_start(ts, capture_start)
     n = len(table)
     if not n:
         return ConversationTable.of(())
-    ts, src_addr, src_port, dst_addr, dst_port, protocol, wire = table.columns
     supported = _AGGREGATABLE.take(protocol, mode="clip")
     if np.count_nonzero(supported) < n:
         i = int(supported.argmin())
         raise ValueError(f"packet {i}: protocol {protocol.item(i)} cannot be "
                          "aggregated, filter to TCP/UDP first")
-    capture_start = _capture_start(ts, capture_start)
 
     src, dst = _endpoint(src_addr, src_port), _endpoint(dst_addr, dst_port)
     lo, hk = _flow_key(src, dst, protocol)
@@ -194,11 +189,7 @@ def aggregate(packets: Iterable[PacketRecord],
 # -- CSV ----------------------------------------------------------------------
 
 def _format_row(c: Conversation) -> list:
-    return [
-        c.protocol, c.address_a, c.port_a, c.address_b, c.port_b,
-        c.packets, c.bytes, c.packets_ab, c.bytes_ab, c.packets_ba, c.bytes_ba,
-        f"{c.rel_start:.6f}", f"{c.duration:.6f}",
-    ]
+    return [*_fields(c)[:11], f"{c.rel_start:.6f}", f"{c.duration:.6f}"]
 
 
 def conversations_to_csv(conversations: Iterable[Conversation]) -> str:

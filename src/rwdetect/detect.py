@@ -7,9 +7,10 @@ capture-relative times, so a conversation confined to one window comes out
 identical to a whole-capture aggregation.  A window's conversation table
 is its feature matrix; ``Conversation`` rows are built only for the
 positive classifications, which alert, at most one per (window,
-conversation key), ordered by window then ``Conversation.key``.  An alert
-is a positive classification by construction: it carries the score, and
-its JSON label is always ``"ransomware"``.
+conversation key), ordered by window then by key, as
+``ConversationTable.key_order`` defines it.  An alert is a positive
+classification by construction: it carries the score, and its JSON label
+is always ``"ransomware"``.
 ``emitted_at`` is the close time of the window, a value derived from the
 data rather than the wall clock, so repeated runs are byte-identical.
 """
@@ -31,8 +32,7 @@ from .capture import (
     CaptureSummary,
     PacketRecord,
     PacketTable,
-    parse_packet_csv,
-    parse_packet_csv_lenient,
+    _read_packet_csv,
     parse_pcap,
 )
 from .classifiers import TrainedModel, model_fingerprint, predict_many
@@ -81,10 +81,10 @@ def window_packets(packets: Iterable[PacketRecord], spec: WindowSpec,
     raises ClockSkew carrying the offending input position.
     """
     table = PacketTable.of(packets)
-    if not len(table):
-        return []
     ts = table.columns[0]
     capture_start = _capture_start(ts, capture_start)
+    if not len(table):
+        return []
     # Window numbers stay float64: ``int`` of each distinct one equals
     # ``math.floor`` of the quotient, however large.  A quotient that
     # overflows is infinite and has no window.
@@ -114,8 +114,7 @@ def detect_stream(packets: Iterable[PacketRecord], model: TrainedModel,
     before the failure.
     """
     packets = PacketTable.of(packets)
-    if len(packets):
-        capture_start = _capture_start(packets.columns[0], capture_start)
+    capture_start = _capture_start(packets.columns[0], capture_start)
 
     fingerprint = model_fingerprint(model)
     windows = window_packets(packets, spec, capture_start)
@@ -170,8 +169,7 @@ def load_packets(path: str | Path,
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise BadMagic(f"{path}: neither a classic pcap file nor UTF-8 packet CSV") from None
-    records, malformed = (parse_packet_csv_lenient(text) if lenient
-                          else (parse_packet_csv(text), 0))
+    records, malformed = _read_packet_csv(text, skip_bad=lenient)
     return records, CaptureSummary(packets_read=len(records),
                                    rows_skipped_malformed=malformed)
 

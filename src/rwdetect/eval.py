@@ -60,20 +60,24 @@ def confusion(actual, predicted) -> ConfusionCounts:
 
 
 @dataclass(frozen=True)
-class MetricValues:
+class MetricsReport:
+    classifier: str
     tpr: float | None
     fpr: float | None
     precision: float | None
     recall: float | None
     f_measure: float | None
     accuracy: float | None
+    training_time_s: float
+    train_fingerprint: str | None = None
 
 
-_METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(MetricValues))
+#: The six rates, in report order.
+_METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(MetricsReport)[1:7])
 
 
-def metrics(counts: ConfusionCounts) -> MetricValues:
-    """The six rates; any zero-denominator metric comes back None."""
+def metrics(counts: ConfusionCounts) -> dict[str, float | None]:
+    """The six rates in ``_METRIC_FIELDS`` order; a zero-denominator one is None."""
     tp, fn, fp, tn = counts.tp, counts.fn, counts.fp, counts.tn
     tpr = tp / (tp + fn) if tp + fn else None
     fpr = fp / (fp + tn) if fp + tn else None
@@ -84,23 +88,8 @@ def metrics(counts: ConfusionCounts) -> MetricValues:
     else:
         f_measure = 2 * precision * recall / (precision + recall)
     accuracy = (tp + tn) / counts.total if counts.total else None
-    return MetricValues(tpr=tpr, fpr=fpr, precision=precision, recall=recall,
-                        f_measure=f_measure, accuracy=accuracy)
-
-
-@dataclass(frozen=True)
-class MetricsReport(MetricValues):
-    classifier: str
-    training_time_s: float
-    train_fingerprint: str | None = None
-
-    @classmethod
-    def from_values(cls, classifier: str, values: MetricValues,
-                    training_time_s: float,
-                    train_fingerprint: str | None = None) -> "MetricsReport":
-        return cls(classifier=classifier, training_time_s=training_time_s,
-                   train_fingerprint=train_fingerprint,
-                   **{name: getattr(values, name) for name in _METRIC_FIELDS})
+    return dict(tpr=tpr, fpr=fpr, precision=precision, recall=recall,
+                f_measure=f_measure, accuracy=accuracy)
 
 
 @dataclass(frozen=True)
@@ -168,8 +157,8 @@ def split(dataset: Dataset, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarra
 
 
 def evaluate_model(model: TrainedModel, dataset: Dataset,
-                   test_idx: np.ndarray) -> MetricValues:
-    """Metrics of a trained model on one test slice of a dataset."""
+                   test_idx: np.ndarray) -> dict[str, float | None]:
+    """``metrics`` of a trained model on one test slice of a dataset."""
     predicted, _scores = predict_many(model, dataset.x[test_idx])
     actual = dataset.y[test_idx]
     return metrics(confusion(actual, predicted))
@@ -194,13 +183,12 @@ def _mean_or_none(values: list[float | None]) -> float | None:
 
 
 def _mean_report(classifier: str, folds: list[MetricsReport]) -> MetricsReport:
-    fields = {
+    rates = {
         name: _mean_or_none([getattr(f, name) for f in folds])
         for name in _METRIC_FIELDS
     }
     time_mean = float(np.mean([f.training_time_s for f in folds]))
-    return MetricsReport(classifier=classifier, training_time_s=time_mean,
-                         **fields)
+    return MetricsReport(classifier, **rates, training_time_s=time_mean)
 
 
 def evaluate(kind: ClassifierKind, dataset: Dataset, spec: SplitSpec,
@@ -215,9 +203,9 @@ def evaluate(kind: ClassifierKind, dataset: Dataset, spec: SplitSpec,
     for train_idx, test_idx in split(dataset, spec):
         model = train(kind, dataset.subset(train_idx), hyperparams,
                       zero_addresses=zero_addresses)
-        values = evaluate_model(model, dataset, test_idx)
-        folds.append(MetricsReport.from_values(
-            kind.value, values, model.training_time,
+        rates = evaluate_model(model, dataset, test_idx)
+        folds.append(MetricsReport(
+            kind.value, **rates, training_time_s=model.training_time,
             train_fingerprint=model.train_fingerprint,
         ))
     return EvaluationResult(classifier=kind.value, folds=folds,
@@ -264,12 +252,8 @@ def render_report_json(rows: Sequence[MetricsReport]) -> str:
     """Lossless report: raw float values, undefined metrics as null."""
     out = []
     for row in rows:
-        entry = {
-            "classifier": row.classifier,
-            **{name: getattr(row, name) for name in _METRIC_FIELDS},
-            "training_time_s": row.training_time_s,
-        }
-        if row.train_fingerprint is not None:
-            entry["train_fingerprint"] = row.train_fingerprint
+        entry = dataclasses.asdict(row)
+        if row.train_fingerprint is None:
+            del entry["train_fingerprint"]
         out.append(entry)
     return json.dumps(out, indent=2) + "\n"

@@ -8,6 +8,7 @@ implementation of the format rather than the parser's own output.
 from __future__ import annotations
 
 import contextlib
+import ipaddress
 import signal
 import struct
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from rwdetect.capture import PacketRecord
+from rwdetect.capture import PACKET_CSV_HEADER, PacketRecord
 from rwdetect.conversation import Conversation
 from rwdetect.features import Dataset
 
@@ -115,6 +116,23 @@ def make_packet(t: float, src: str = "10.0.0.1", sport: int = 1000,
                         wire_bytes=wire_bytes)
 
 
+def packet_csv(records) -> str:
+    """Packet CSV of ``records``, timestamps at full float precision."""
+    lines = [",".join(PACKET_CSV_HEADER)]
+    lines += [",".join([repr(r.timestamp), *map(str, r[1:])]) for r in records]
+    return "\n".join(lines) + "\n"
+
+
+def conversation_key(c: Conversation) -> tuple[int, int, int, int, int]:
+    """Reference key of a conversation, the order
+    ``ConversationTable.key_order`` sorts by: ``(address_lo, port_lo,
+    address_hi, port_hi, protocol)``, addresses as u32 and the lower
+    endpoint first, the same for A->B and B->A."""
+    a = (int(ipaddress.IPv4Address(c.address_a)), c.port_a)
+    b = (int(ipaddress.IPv4Address(c.address_b)), c.port_b)
+    return (*min(a, b), *max(a, b), c.protocol)
+
+
 def make_conversation(protocol: int = 6, address_a: str = "10.0.0.1",
                       port_a: int = 1000, address_b: str = "10.0.0.2",
                       port_b: int = 80, packets_ab: int = 2, bytes_ab: int = 200,
@@ -129,6 +147,41 @@ def make_conversation(protocol: int = 6, address_a: str = "10.0.0.1",
         packets_ba=packets_ba, bytes_ba=bytes_ba,
         rel_start=rel_start, duration=duration,
     )
+
+
+def _huge_svm_weights(payload):
+    payload["params"]["weights"] = [1.7e308] * 7 + [-1.7e308] * 6
+
+
+def _huge_mlp_column(payload):
+    for row in payload["params"]["w1"]:
+        row[0] = 1.7e308
+
+
+def _huge_knn_point(payload):
+    payload["params"]["points"][0][0] = 1.7e308
+
+
+def _no_scaler(payload):
+    payload["scaler"] = None
+
+
+def _unit_scaler(payload):
+    payload["scaler"] = {"fitted_on": "0" * 64, "maxs": [1.0] * 13, "mins": [0.0] * 13}
+
+
+#: Edits that leave a model payload well-formed but unsafe to score: NaN
+#: scores, overflow warnings, or queries scaled where the family was
+#: trained on raw features or the reverse.  Id -> (kind alias, edit of
+#: the parsed payload, what the load error says).
+SCORING_HAZARDS = {
+    "svm-nan-score": ("svm", _huge_svm_weights, "overflow"),
+    "mlp-overflow-warning": ("mlp", _huge_mlp_column, "overflow"),
+    "knn-overflow-warning": ("knn", _huge_knn_point, r"\[0, 1\]"),
+    "knn-without-scaler": ("knn", _no_scaler, "needs a scaler"),
+    "svm-without-scaler": ("svm", _no_scaler, "needs a scaler"),
+    "j48-with-scaler": ("j48", _unit_scaler, "takes no scaler"),
+}
 
 
 def gaussian_dataset(n_pos: int = 396, n_neg: int = 420, seed: int = 42,

@@ -41,6 +41,7 @@ from rwdetect.features import Dataset, Label, encode, label_and_merge
 
 from conftest import (
     build_pcap,
+    conversation_key,
     ether_frame,
     gaussian_dataset,
     make_conversation,
@@ -98,8 +99,8 @@ def test_01_metric_oracle_equivalence():
             got = metrics(ConfusionCounts(tp=tp, fn=fn, fp=fp, tn=tn))
             expected = fraction_metrics(tp, fn, fp, tn)
             pairs = zip(
-                (got.tpr, got.fpr, got.precision, got.recall,
-                 got.f_measure, got.accuracy),
+                (got["tpr"], got["fpr"], got["precision"], got["recall"],
+                 got["f_measure"], got["accuracy"]),
                 expected,
             )
             for mine, oracle in pairs:
@@ -222,7 +223,7 @@ def test_02_conversation_oracle():
             assert sum(c.packets for c in convs) == n
             assert sum(c.bytes for c in convs) == sum(
                 p.wire_bytes for p in stream)
-            keys = [c.key() for c in convs]
+            keys = [conversation_key(c) for c in convs]
             assert len(set(keys)) == len(keys)
             for c in convs:
                 assert c.packets_ab + c.packets_ba == c.packets

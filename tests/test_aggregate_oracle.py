@@ -19,14 +19,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import rwdetect.detect as detect
-from rwdetect.capture import TCP, UDP, parse_packet_csv, write_packet_csv
+from rwdetect.capture import TCP, UDP, parse_packet_csv
 from rwdetect.classifiers import ClassifierKind, train
 from rwdetect.conversation import Conversation, aggregate
 from rwdetect.detect import WindowSpec, detect_stream, window_packets
 from rwdetect.errors import ClockSkew
 from rwdetect.features import Dataset, encode_many
 
-from conftest import make_packet
+from conftest import conversation_key, make_packet, packet_csv
 
 
 class _FlowState:
@@ -71,7 +71,7 @@ def oracle_aggregate(packets, capture_start=None) -> list[Conversation]:
                      st.first_ts - capture_start, st.last_ts - st.first_ts)
         for (protocol, (a_addr, a_port), (b_addr, b_port)), st in flows.items()
     ]
-    conversations.sort(key=lambda c: (c.rel_start, c.key()))
+    conversations.sort(key=lambda c: (c.rel_start, conversation_key(c)))
     return conversations
 
 
@@ -117,7 +117,7 @@ class TestAggregateMatchesDictLoop:
         want = oracle_aggregate(packets, capture_start)
         assert aggregate(packets, capture_start) == want
         # a packet table, as the readers give it, takes the same path
-        table = parse_packet_csv(write_packet_csv(packets))
+        table = parse_packet_csv(packet_csv(packets))
         assert aggregate(table, capture_start) == want
 
     @given(tie_heavy_streams())

@@ -24,12 +24,11 @@ from rwdetect.capture import (
     CaptureSummary,
     PacketRecord,
     ip_to_u32,
+    _read_packet_csv,
     parse_packet_csv,
-    parse_packet_csv_lenient,
     parse_pcap,
     read_pcap,
     u32_to_ip,
-    write_packet_csv,
 )
 from rwdetect.errors import (
     BadMagic,
@@ -47,6 +46,7 @@ from conftest import (
     ether_frame,
     global_header,
     ipv4_header,
+    packet_csv,
     record_header,
     tcp_udp_frame,
 )
@@ -458,13 +458,9 @@ class TestParsePcapFuzz:
         order = PCAP_MAGICS[magic][0]
         self.parse_typed(magic + global_header(order)[4:] + records)
 
-def _csv_of(records):
-    return write_packet_csv(records)
-
-
 class TestPacketCsv:
     def test_header(self):
-        text = _csv_of([])
+        text = packet_csv([])
         assert text.splitlines()[0] == ",".join(PACKET_CSV_HEADER)
 
     def test_round_trip_exact(self):
@@ -472,7 +468,7 @@ class TestPacketCsv:
             PacketRecord(1.841135, "192.168.1.4", 49252, "192.168.1.5", 5357, TCP, 66),
             PacketRecord(2.000001, "10.0.0.9", 5353, "10.0.0.7", 5353, UDP, 1500),
         ]
-        assert parse_packet_csv(_csv_of(records)) == records
+        assert parse_packet_csv(packet_csv(records)) == records
 
     def test_schema_mismatch(self):
         with pytest.raises(SchemaMismatch):
@@ -481,7 +477,7 @@ class TestPacketCsv:
             parse_packet_csv("")
 
     def test_row_error_carries_line_number(self):
-        text = _csv_of([PacketRecord(1.0, "1.1.1.1", 1, "2.2.2.2", 2, TCP, 10)])
+        text = packet_csv([PacketRecord(1.0, "1.1.1.1", 1, "2.2.2.2", 2, TCP, 10)])
         text += "not-a-time,1.1.1.1,1,2.2.2.2,2,6,10\n"
         with pytest.raises(RowError) as info:
             parse_packet_csv(text)
@@ -503,8 +499,8 @@ class TestPacketCsv:
 
     def test_lenient_counts_bad_rows(self):
         good = PacketRecord(1.0, "1.1.1.1", 1, "2.2.2.2", 2, TCP, 10)
-        text = _csv_of([good]) + "garbage row\n" + "2.0,bad,1,2.2.2.2,2,6,10\n"
-        records, skipped = parse_packet_csv_lenient(text)
+        text = packet_csv([good]) + "garbage row\n" + "2.0,bad,1,2.2.2.2,2,6,10\n"
+        records, skipped = _read_packet_csv(text, skip_bad=True)
         assert records == [good]
         assert skipped == 2
 
@@ -533,4 +529,4 @@ class TestPacketCsv:
             )
             for sec, usec, src, sport, dst, dport, proto, nbytes in rows
         ]
-        assert parse_packet_csv(_csv_of(records)) == records
+        assert parse_packet_csv(packet_csv(records)) == records

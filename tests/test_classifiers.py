@@ -764,11 +764,10 @@ class TestSvm:
     def test_score_monotone_in_decision(self):
         ds = gaussian_dataset(n_pos=30, n_neg=30, seed=21)
         model = train(ClassifierKind.SVM, ds, SvmParams(iterations=2000))
-        from rwdetect.classifiers import svm as svm_mod
         from rwdetect.features import apply_scaler
         queries = gaussian_dataset(n_pos=8, n_neg=8, seed=22).x
         scaled = apply_scaler(model.scaler, queries)
-        decisions = svm_mod.decision(model.state, scaled)
+        decisions = scaled @ model.state.weights + model.state.bias
         _, scores = predict_many(model, queries)
         order = np.argsort(decisions)
         assert np.all(np.diff(scores[order]) >= 0)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 from pathlib import Path
 
 import pytest
 
-from rwdetect.capture import parse_packet_csv, write_packet_csv
+from rwdetect.capture import parse_packet_csv
 from rwdetect.cli import run
 from rwdetect.classifiers import MODEL_MAGIC, predict_many, read_model
 from rwdetect.classifiers import tree
@@ -19,11 +20,13 @@ from rwdetect.features import DATASET_CSV_HEADER, read_dataset_csv
 
 from conftest import (
     CLOSE_VALUES,
+    SCORING_HAZARDS,
     build_pcap,
     deadline,
     ether_frame,
     make_conversation,
     make_packet,
+    packet_csv,
     tcp_udp_frame,
 )
 
@@ -44,7 +47,7 @@ def workspace(tmp_path):
         + flow_packets(2.0, "192.168.1.4", 2222, "192.168.1.5", 443,
                        n=6, size=900)
     )
-    (tmp_path / "packets.csv").write_text(write_packet_csv(packets))
+    (tmp_path / "packets.csv").write_text(packet_csv(packets))
 
     ransom = [
         make_conversation(port_a=1000 + i, packets_ab=3, bytes_ab=3000 + i,
@@ -93,7 +96,7 @@ class TestExtract:
         packets = flow_packets(0.0, "10.0.0.1", 5, "10.0.0.2", 6, n=3,
                                size=64)
         source = tmp_path / "packets.csv"
-        source.write_text(write_packet_csv(packets))
+        source.write_text(packet_csv(packets))
         out = tmp_path / "conv.csv"
 
         assert run(["extract", str(source), "-o", str(out)]) == 0
@@ -105,7 +108,7 @@ class TestExtract:
         assert "extract: 3 packets -> 1 conversations" in err
 
     def test_byte_order_mark(self, tmp_path):
-        text = write_packet_csv(flow_packets(0.0, "10.0.0.1", 5, "10.0.0.2", 6,
+        text = packet_csv(flow_packets(0.0, "10.0.0.1", 5, "10.0.0.2", 6,
                                              n=3, size=64))
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         plain.write_text(text)
@@ -117,7 +120,7 @@ class TestExtract:
 
     def test_stdout_by_default(self, tmp_path, capsys):
         source = tmp_path / "packets.csv"
-        source.write_text(write_packet_csv([make_packet(1.0)]))
+        source.write_text(packet_csv([make_packet(1.0)]))
         assert run(["extract", str(source)]) == 0
         stdout = capsys.readouterr().out
         assert stdout.startswith("protocol,address_a,")
@@ -125,7 +128,7 @@ class TestExtract:
     def test_strict_rejects_bad_rows(self, tmp_path, capsys):
         source = tmp_path / "packets.csv"
         source.write_text(
-            write_packet_csv([make_packet(1.0)]) + "bad,row\n")
+            packet_csv([make_packet(1.0)]) + "bad,row\n")
         assert run(["extract", str(source)]) == 1
         assert run(["extract", str(source), "--lenient"]) == 0
         err = capsys.readouterr().err
@@ -134,9 +137,9 @@ class TestExtract:
     def test_oversized_field_is_a_row_error(self, tmp_path, capsys):
         """A field past the csv module's 131,072-character limit."""
         source = tmp_path / "big.csv"
-        source.write_text(write_packet_csv([make_packet(1.0)])
+        source.write_text(packet_csv([make_packet(1.0)])
                           + "2.0," + "1" * 131_073 + "\n"
-                          + write_packet_csv([make_packet(3.0)]).split("\n", 1)[1])
+                          + packet_csv([make_packet(3.0)]).split("\n", 1)[1])
         assert run(["extract", str(source)]) == 1
         assert "line 3: unreadable CSV row: field larger than field limit" in \
             capsys.readouterr().err
@@ -298,7 +301,7 @@ class TestDetect:
                            n=6, size=900)
         )
         path = tmp_path / "live.csv"
-        path.write_text(write_packet_csv(packets))
+        path.write_text(packet_csv(packets))
         return str(path)
 
     def test_jsonl_alerts(self, workspace, capsys):
@@ -417,6 +420,18 @@ class TestDetect:
         assert run(["detect", self.capture_csv(workspace), "--model", str(model)]) == 1
         assert "unknown key 'extra'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,edit,message", SCORING_HAZARDS.values(),
+                             ids=SCORING_HAZARDS)
+    def test_resealed_scoring_hazard_exit_1(self, workspace, capsys, kind, edit, message):
+        model = workspace / f"{kind}.bin"
+        quick = {"svm": ["--param", "iterations=200"], "mlp": ["--param", "epochs=25"]}
+        assert run(["train", str(workspace / "data.csv"), "--kind", kind,
+                    *quick.get(kind, []), "-o", str(model)]) == 0
+        reseal(model, edit)
+        assert run(["detect", self.capture_csv(workspace), "--model", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert "model payload structure invalid" in err and re.search(message, err)
+
     @pytest.mark.parametrize("respaced", [False, True], ids=["as-written", "respaced"])
     def test_alert_fingerprint_is_the_model_file_hash(self, workspace, respaced):
         model = trained_model_path(workspace)
@@ -462,7 +477,7 @@ class TestPinnedAlertStream:
     ], ids=["json", "text"])
     def test_alert_bytes(self, workspace, text, sha256):
         capture = workspace / "pinned.csv"
-        capture.write_text(write_packet_csv(pinned_capture()))
+        capture.write_text(packet_csv(pinned_capture()))
         out = workspace / "alerts.out"
         assert run(["detect", str(capture), "--model", trained_model_path(workspace),
                     "--interval", "10", "-o", str(out)] + ["--text"] * text) == 0
@@ -563,7 +578,7 @@ class TestConfigFile:
     def test_config_bool_flag(self, workspace, capsys):
         source = workspace / "mixed.csv"
         source.write_text(
-            write_packet_csv([make_packet(1.0)]) + "garbage\n")
+            packet_csv([make_packet(1.0)]) + "garbage\n")
         cfg = workspace / "run.cfg"
         cfg.write_text("lenient=true\n")
         assert run(["extract", str(source), "--config", str(cfg)]) == 0
@@ -606,7 +621,7 @@ class TestExitCodes:
 
     def test_internal_error_exit_2(self, tmp_path, capsys, monkeypatch):
         source = tmp_path / "packets.csv"
-        source.write_text(write_packet_csv([make_packet(1.0)]))
+        source.write_text(packet_csv([make_packet(1.0)]))
 
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic fault")

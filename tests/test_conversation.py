@@ -20,7 +20,7 @@ from rwdetect.conversation import (
 )
 from rwdetect.errors import ClockSkew, InvariantViolation, RowError, SchemaMismatch
 
-from conftest import make_conversation, make_packet
+from conftest import conversation_key, make_conversation, make_packet
 
 
 def golden_flow_packets():
@@ -174,7 +174,7 @@ class TestAggregateSemantics:
                                    address_b=b[0], port_b=b[1])
             ba = make_conversation(address_a=b[0], port_a=b[1],
                                    address_b=a[0], port_b=a[1])
-            assert ab.key() == ba.key() == key
+            assert conversation_key(ab) == conversation_key(ba) == key
 
 
 @st.composite
@@ -218,7 +218,7 @@ class TestConservation:
     @given(packet_streams())
     def test_keys_unique(self, packets):
         convs = aggregate(packets)
-        keys = [c.key() for c in convs]
+        keys = [conversation_key(c) for c in convs]
         assert len(set(keys)) == len(keys)
 
 

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from rwdetect.capture import (
     PACKET_CSV_HEADER,
+    _read_packet_csv,
     parse_packet_csv,
-    parse_packet_csv_lenient,
 )
 from rwdetect.conversation import (
     CONVERSATION_CSV_HEADER,
@@ -29,7 +29,8 @@ from rwdetect.features import DATASET_CSV_HEADER, read_dataset_csv
 
 READERS = {
     "packet": (PACKET_CSV_HEADER, parse_packet_csv),
-    "packet-lenient": (PACKET_CSV_HEADER, parse_packet_csv_lenient),
+    "packet-lenient": (PACKET_CSV_HEADER,
+                       lambda text: _read_packet_csv(text, skip_bad=True)),
     "conversation": (CONVERSATION_CSV_HEADER, csv_to_conversations),
     "conversation-lenient": (CONVERSATION_CSV_HEADER,
                              lambda text: csv_to_conversations(text, strict=False)),
@@ -97,7 +98,8 @@ def test_oversized_field(name):
 def test_lenient_packet_reader_resumes_after_an_unreadable_row():
     header = ",".join(PACKET_CSV_HEADER)
     good = "1.0,10.0.0.1,1000,10.0.0.2,80,6,100"
-    records, skipped = parse_packet_csv_lenient(
-        "\n".join([header, good, "2.0," + OVERSIZED, "a\rb", good]) + "\n")
+    records, skipped = _read_packet_csv(
+        "\n".join([header, good, "2.0," + OVERSIZED, "a\rb", good]) + "\n",
+        skip_bad=True)
     assert [r.timestamp for r in records] == [1.0, 1.0]
     assert skipped == 2

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rwdetect.capture import PacketRecord, write_packet_csv
+from rwdetect.capture import PacketRecord
 from rwdetect.classifiers import (
     ClassifierKind,
     load_model,
@@ -35,7 +35,14 @@ from rwdetect.detect import (
 from rwdetect.errors import BadMagic, ClockSkew, InvalidHyperparams, SinkFailure
 from rwdetect.features import FEATURE_NAMES, Dataset, encode
 
-from conftest import build_pcap, make_conversation, make_packet, tcp_udp_frame
+from conftest import (
+    build_pcap,
+    conversation_key,
+    make_conversation,
+    make_packet,
+    packet_csv,
+    tcp_udp_frame,
+)
 
 
 def bytes_threshold_model():
@@ -111,8 +118,9 @@ class TestWindowPackets:
                                          capture_start=start),
 ], ids=["aggregate", "window_packets", "detect_stream"])
 def test_non_finite_capture_start_rejected(run, start):
-    with pytest.raises(InvalidHyperparams, match="capture start"):
-        run([make_packet(1.0), make_packet(2.0)], start)
+    for packets in ([make_packet(1.0), make_packet(2.0)], []):
+        with pytest.raises(InvalidHyperparams, match="capture start"):
+            run(packets, start)
 
 
 class TestDetectStream:
@@ -183,7 +191,7 @@ class TestDetectStream:
         alerts, summary, _ = self.run(packets)
         assert summary.windows == 2
         assert [a.window_index for a in alerts] == [0, 1]
-        keys = {a.conversation.key() for a in alerts}
+        keys = {conversation_key(a.conversation) for a in alerts}
         assert len(keys) == 1
 
     def test_unsupported_protocol_raises(self):
@@ -248,23 +256,23 @@ class TestBatchEquivalence:
         vectors = np.stack([encode(c) for c in batch])
         labels01, _ = predict_many(model, vectors)
         batch_positive = {
-            c.key() for c, hit in zip(batch, labels01) if hit
+            conversation_key(c) for c, hit in zip(batch, labels01) if hit
         }
 
         alerts: list[Alert] = []
         detect_stream(packets, model, WindowSpec(10.0), alerts.append,
                       capture_start=0.0)
-        assert {a.conversation.key() for a in alerts} == batch_positive
+        assert {conversation_key(a.conversation) for a in alerts} == batch_positive
         assert len(batch_positive) == 2
 
     def test_windowed_features_match_batch_for_confined_flows(self):
         packets = self.confined_packets()
-        batch = {c.key(): c for c in aggregate(packets, capture_start=0.0)}
+        batch = {conversation_key(c): c for c in aggregate(packets, capture_start=0.0)}
         alerts: list[Alert] = []
         detect_stream(packets, bytes_threshold_model(), WindowSpec(10.0),
                       alerts.append, capture_start=0.0)
         for alert in alerts:
-            twin = batch[alert.conversation.key()]
+            twin = batch[conversation_key(alert.conversation)]
             assert np.array_equal(encode(alert.conversation), encode(twin))
 
     def test_rerun_is_byte_identical(self):
@@ -297,14 +305,14 @@ class TestPacketSource:
     def test_reads_csv(self, tmp_path):
         original = [make_packet(1.0), make_packet(2.0, protocol=17)]
         path = tmp_path / "packets.csv"
-        path.write_text(write_packet_csv(original))
+        path.write_text(packet_csv(original))
         packets, malformed, unsupported = read_packet_source(path)
         assert packets == original
         assert (malformed, unsupported) == (0, 0)
 
     def test_counts_malformed_csv_rows(self, tmp_path):
         original = [make_packet(1.0)]
-        text = write_packet_csv(original) + "not,a,valid,row\n"
+        text = packet_csv(original) + "not,a,valid,row\n"
         path = tmp_path / "packets.csv"
         path.write_text(text)
         packets, malformed, _ = read_packet_source(path)

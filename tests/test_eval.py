@@ -35,7 +35,7 @@ from rwdetect.eval import (
     render_report_json,
     split,
 )
-from rwdetect.eval import _mean_or_none
+from rwdetect.eval import _METRIC_FIELDS, _mean_or_none
 from rwdetect.features import Label
 
 from conftest import gaussian_dataset
@@ -89,49 +89,50 @@ class TestConfusion:
 class TestMetrics:
     def test_worked_example(self):
         values = metrics(ConfusionCounts(tp=973, fn=27, fp=18, tn=982))
-        assert values.tpr == pytest.approx(0.973, abs=1e-15)
-        assert values.fpr == pytest.approx(0.018, abs=1e-15)
-        assert values.precision == pytest.approx(973 / 991, abs=1e-15)
-        assert values.recall == values.tpr
+        assert values["tpr"] == pytest.approx(0.973, abs=1e-15)
+        assert values["fpr"] == pytest.approx(0.018, abs=1e-15)
+        assert values["precision"] == pytest.approx(973 / 991, abs=1e-15)
+        assert values["recall"] == values["tpr"]
         p, r = Fraction(973, 991), Fraction(973, 1000)
-        assert values.f_measure == pytest.approx(
+        assert values["f_measure"] == pytest.approx(
             float(2 * p * r / (p + r)), abs=1e-12)
-        assert values.accuracy == pytest.approx(1955 / 2000, abs=1e-15)
+        assert values["accuracy"] == pytest.approx(1955 / 2000, abs=1e-15)
+        assert tuple(values) == _METRIC_FIELDS
 
     def test_no_actual_positives(self):
         values = metrics(ConfusionCounts(tp=0, fn=0, fp=5, tn=5))
-        assert values.tpr is None
-        assert values.recall is None
-        assert values.f_measure is None
-        assert values.fpr == 0.5
-        assert values.precision == 0.0
-        assert values.accuracy == 0.5
+        assert values["tpr"] is None
+        assert values["recall"] is None
+        assert values["f_measure"] is None
+        assert values["fpr"] == 0.5
+        assert values["precision"] == 0.0
+        assert values["accuracy"] == 0.5
 
     def test_no_actual_negatives(self):
         values = metrics(ConfusionCounts(tp=5, fn=5, fp=0, tn=0))
-        assert values.fpr is None
-        assert values.precision == 1.0
-        assert values.recall == 0.5
-        assert values.f_measure == pytest.approx(2 / 3)
+        assert values["fpr"] is None
+        assert values["precision"] == 1.0
+        assert values["recall"] == 0.5
+        assert values["f_measure"] == pytest.approx(2 / 3)
 
     def test_no_predicted_positives(self):
         values = metrics(ConfusionCounts(tp=0, fn=5, fp=0, tn=5))
-        assert values.precision is None
-        assert values.recall == 0.0
-        assert values.f_measure is None
+        assert values["precision"] is None
+        assert values["recall"] == 0.0
+        assert values["f_measure"] is None
 
     def test_zero_precision_and_recall(self):
         values = metrics(ConfusionCounts(tp=0, fn=5, fp=5, tn=0))
-        assert values.precision == 0.0
-        assert values.recall == 0.0
-        assert values.f_measure is None     # P + R denominator is zero
-        assert values.accuracy == 0.0
+        assert values["precision"] == 0.0
+        assert values["recall"] == 0.0
+        assert values["f_measure"] is None     # P + R denominator is zero
+        assert values["accuracy"] == 0.0
 
     def test_perfect_classifier(self):
         values = metrics(ConfusionCounts(tp=7, fn=0, fp=0, tn=9))
-        assert (values.tpr, values.fpr) == (1.0, 0.0)
-        assert values.f_measure == 1.0
-        assert values.accuracy == 1.0
+        assert (values["tpr"], values["fpr"]) == (1.0, 0.0)
+        assert values["f_measure"] == 1.0
+        assert values["accuracy"] == 1.0
 
 
 class TestSplitSpec:
@@ -241,7 +242,7 @@ class TestEvaluate:
         [(train_idx, test_idx)] = split(ds, SplitSpec.holdout(seed=11))
         model = train(ClassifierKind.KNN, ds.subset(train_idx), KnnParams(k=3))
         values = evaluate_model(model, ds, test_idx)
-        assert values.accuracy == 1.0
+        assert values["accuracy"] == 1.0
 
     def test_mean_or_none_propagates(self):
         assert _mean_or_none([0.25, 0.75]) == 0.5
@@ -282,8 +283,7 @@ class TestBenchmark:
 class TestRendering:
     def worked_row(self) -> MetricsReport:
         values = metrics(ConfusionCounts(tp=973, fn=27, fp=18, tn=982))
-        return MetricsReport.from_values(
-            "MultilayerPerceptron", values, training_time_s=461.5)
+        return MetricsReport("MultilayerPerceptron", **values, training_time_s=461.5)
 
     def test_header_exact(self):
         assert REPORT_CSV_HEADER == [
@@ -300,13 +300,13 @@ class TestRendering:
 
     def test_csv_undefined_cells(self):
         values = metrics(ConfusionCounts(tp=0, fn=0, fp=5, tn=5))
-        row = MetricsReport.from_values("BayesNetwork", values, 0.25)
+        row = MetricsReport("BayesNetwork", **values, training_time_s=0.25)
         line = render_report_csv([row]).strip().split("\n")[1]
         assert line == "BayesNetwork,n/a,50.00,0.0000,n/a,n/a,0.5000,0.250000"
 
     def test_json_null_for_undefined(self):
         values = metrics(ConfusionCounts(tp=0, fn=5, fp=0, tn=5))
-        row = MetricsReport.from_values("DecisionTreeJ48", values, 1.0)
+        row = MetricsReport("DecisionTreeJ48", **values, training_time_s=1.0)
         payload = json.loads(render_report_json([row]))
         assert payload[0]["precision"] is None
         assert payload[0]["f_measure"] is None

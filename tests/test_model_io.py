@@ -8,14 +8,16 @@ import hashlib
 import json
 import struct
 import time
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rwdetect.classifiers import (
     ALL_KINDS,
+    KIND_ALIASES,
     ClassifierKind,
     ForestParams,
     KnnParams,
@@ -33,8 +35,9 @@ from rwdetect.classifiers import model_io
 from rwdetect.classifiers.base import FAMILIES
 from rwdetect.classifiers.model_io import MODEL_FORMAT_VERSION, MODEL_MAGIC
 from rwdetect.errors import ChecksumFailure, MalformedModel, VersionMismatch
+from rwdetect.features import Dataset
 
-from conftest import address_only_dataset, gaussian_dataset
+from conftest import SCORING_HAZARDS, address_only_dataset, gaussian_dataset
 
 FAST = {
     ClassifierKind.MLP: MlpParams(epochs=25),
@@ -53,8 +56,8 @@ def container(payload: bytes, version: int = MODEL_FORMAT_VERSION) -> bytes:
     return head + hashlib.sha256(head).digest()
 
 
-def valid_payload_dict(kind=ClassifierKind.KNN) -> dict:
-    blob = save_model(quick_model(kind))
+def valid_payload_dict(kind=ClassifierKind.KNN, model=None) -> dict:
+    blob = save_model(model or quick_model(kind))
     start = len(MODEL_MAGIC) + 6
     (length,) = struct.unpack(">I", blob[start - 4:start])
     return json.loads(blob[start:start + length])
@@ -481,10 +484,50 @@ class TestTampering:
             load_model(head + hashlib.sha256(head).digest())
 
 
+def repro_payload(kind: ClassifierKind) -> dict:
+    """The payload of ``kind`` trained on 40 uniform rows, labelled by
+    whether their first feature exceeds 0.5."""
+    x = np.random.default_rng(0).random((40, 13))
+    dataset = Dataset(x, (x[:, 0] > 0.5).astype(np.uint8))
+    return valid_payload_dict(model=train(kind, dataset, FAST.get(kind)))
+
+
+class TestScoringHazards:
+    """Resealed payloads of sound structure that would score NaN, overflow
+    or skip the scaling their family was trained with: each fails to load
+    with MalformedModel."""
+
+    @pytest.mark.parametrize("alias,edit,message", SCORING_HAZARDS.values(),
+                             ids=SCORING_HAZARDS)
+    def test_rejected_at_load(self, alias, edit, message):
+        payload = repro_payload(KIND_ALIASES[alias])
+        edit(payload)
+        with pytest.raises(MalformedModel, match=message):
+            load_model(sealed(payload))
+
+    def test_large_bounded_weights_still_score(self):
+        payload = repro_payload(ClassifierKind.SVM)
+        payload["params"].update(weights=[1e307] * 7 + [-1e307] * 6, bias=-1e307)
+        model = load_model(sealed(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scores = predict_many(model, FUZZ_QUERIES)[1]
+        assert ((scores >= 0.0) & (scores <= 1.0)).all()
+
+
 @functools.cache
 def tree_payload(kind: ClassifierKind) -> dict:
     return valid_payload_dict(kind)
 
+
+#: Finite floats that no fitted model holds: zero or subnormal, huge, and
+#: negative.
+EXTREMES = st.one_of(
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308,
+              exclude_min=True, exclude_max=True),
+    st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308]),
+    st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+)
 
 #: Values of every JSON type, mostly wrong for a node field.
 JUNK = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
@@ -498,7 +541,7 @@ def node_values(field: int, junk: bool):
         return JUNK
     if field == 6:
         return st.lists(st.integers(-1, 6), min_size=6, max_size=6)
-    return st.floats(-3.0, 3.0) if field == 1 else st.integers(-2, 15)
+    return st.floats(-3.0, 3.0) | EXTREMES if field == 1 else st.integers(-2, 15)
 
 
 FUZZ_QUERIES = np.vstack([
@@ -507,10 +550,27 @@ FUZZ_QUERIES = np.vstack([
 ])
 
 
+def assert_fails_typed_or_scores(blob: bytes) -> None:
+    """``blob`` fails to load with MalformedModel, or scores every fuzz
+    query in [0, 1], raising no RuntimeWarning, within a time bound, and
+    writes back to the same bytes."""
+    started = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            model = load_model(blob)
+        except MalformedModel:
+            return
+        scores = predict_many(model, FUZZ_QUERIES)[1]
+    assert time.perf_counter() - started < 2.0
+    assert np.isfinite(scores).all()
+    assert ((scores >= 0.0) & (scores <= 1.0)).all()
+    assert save_model(model) == blob
+
+
 class TestTreePayloadFuzz:
-    """A resealed J48 or forest payload with mutated node rows either
-    fails to load with MalformedModel, or scores every query in [0, 1]
-    within a time bound and writes back to the same bytes."""
+    """A resealed J48 or forest payload with mutated node rows, thresholds
+    among them, passes ``assert_fails_typed_or_scores``."""
 
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(TREE_KINDS), data=st.data())
@@ -526,17 +586,7 @@ class TestTreePayloadFuzz:
                 rows[i][field] = value
             else:
                 rows[i] = value
-        blob = sealed(payload)
-        started = time.perf_counter()
-        try:
-            model = load_model(blob)
-        except MalformedModel:
-            return
-        scores = predict_many(model, FUZZ_QUERIES)[1]
-        assert time.perf_counter() - started < 2.0
-        assert np.isfinite(scores).all()
-        assert ((scores >= 0.0) & (scores <= 1.0)).all()
-        assert save_model(model) == blob
+        assert_fails_typed_or_scores(sealed(payload))
 
 
 @functools.cache
@@ -573,37 +623,35 @@ SWAPS = {
 
 class TestPayloadFuzz:
     """A resealed KNN, MLP, SVM or Bayes payload, scaler or forest
-    ``features_used`` with one value mutated either fails to load with
-    MalformedModel, or scores every query in [0, 1] within a time bound
-    and writes back to the same bytes."""
+    ``features_used`` with one value mutated, or one float of those or of
+    the hyperparameters made extreme, passes
+    ``assert_fails_typed_or_scores``."""
 
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(sorted(FUZZ_PARTS, key=lambda k: k.value)), data=st.data())
     def test_mutated_value_fails_typed_or_scores(self, kind, data):
         payload = copy.deepcopy(fitted_payload(kind))
-        mutation = data.draw(st.sampled_from(["swap", "non-finite", "drop", "add", "nest"]))
-        places = [(box, key) for part in FUZZ_PARTS[kind](payload) for box, key in slots(part)
-                  if mutation != "add" or isinstance(box, list)]
+        mutation = data.draw(st.sampled_from(
+            ["swap", "non-finite", "extreme", "drop", "add", "nest"]))
+        parts = FUZZ_PARTS[kind](payload)
+        if mutation == "extreme":
+            parts.append(payload["hyperparams"])
+        places = [(box, key) for part in parts for box, key in slots(part)
+                  if (mutation != "add" or isinstance(box, list))
+                  and (mutation != "extreme" or type(box[key]) is float)]
+        assume(places)      # a forest's extreme mutation has no float to take
         box, key = data.draw(st.sampled_from(places))
         value = box[key]
         if mutation == "swap":
             box[key] = data.draw(SWAPS.get(type(value), st.none()))
         elif mutation == "non-finite":
             box[key] = data.draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+        elif mutation == "extreme":
+            box[key] = data.draw(EXTREMES)
         elif mutation == "drop":
             del box[key]
         elif mutation == "add":
             box.insert(key, copy.deepcopy(value))
         else:
             box[key] = [value]
-        blob = sealed(payload)
-        started = time.perf_counter()
-        try:
-            model = load_model(blob)
-        except MalformedModel:
-            return
-        scores = predict_many(model, FUZZ_QUERIES)[1]
-        assert time.perf_counter() - started < 2.0
-        assert np.isfinite(scores).all()
-        assert ((scores >= 0.0) & (scores <= 1.0)).all()
-        assert save_model(model) == blob
+        assert_fails_typed_or_scores(sealed(payload))
