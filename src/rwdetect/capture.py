@@ -20,6 +20,10 @@ One level of 802.1Q VLAN tagging is unwrapped; deeper nesting is skipped.
 Both readers return a ``PacketTable`` of numpy columns and build no
 ``PacketRecord``; the table builds them on access.
 
+A CSV format (packet here, conversation and dataset in their modules) is
+a dict from column name, in header order, to that column's reader,
+``read(text, line, column) -> value``; ``_read_csv`` reads every format.
+
 ``parse_pcap`` reads a file in two passes.  The first walks the record
 headers in Python, reading only each ``incl_len``, and collects the offset
 of every whole record.  The second decodes the frames in chunks of at
@@ -61,11 +65,6 @@ from .errors import (
 TCP = 6
 UDP = 17
 SUPPORTED_PROTOCOLS = (TCP, UDP)
-
-PACKET_CSV_HEADER = [
-    "timestamp", "src_addr", "src_port", "dst_addr", "dst_port",
-    "protocol", "wire_bytes",
-]
 
 #: The four leading byte sequences a classic pcap file can start with,
 #: each mapped to its (byte order, timestamp divisor).
@@ -318,9 +317,9 @@ def read_pcap(path) -> tuple[PacketTable, CaptureSummary]:
     return parse_pcap(Path(path).read_bytes())
 
 
-# -- packet CSV ---------------------------------------------------------------
+# -- CSV ----------------------------------------------------------------------
 
-def _parse_address(text: str, line: int, column: str) -> str:
+def _address(text: str, line: int, column: str) -> str:
     if ":" in text:
         raise Ipv6Unsupported(line, f"{column} {text!r} looks like IPv6")
     try:
@@ -330,49 +329,60 @@ def _parse_address(text: str, line: int, column: str) -> str:
     return text
 
 
-def _parse_int(text: str, line: int, column: str, lo: int, hi: int) -> int:
+def _integer(lo: int, hi: int) -> Callable[[str, int, str], int]:
+    """The reader of integers in ``lo..hi``."""
+    def read(text: str, line: int, column: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise RowError(line, f"{column} {text!r} is not an integer") from None
+        if not lo <= value <= hi:
+            raise RowError(line, f"{column} {value} outside {lo}..{hi}")
+        return value
+    return read
+
+
+def _seconds(text: str, line: int, column: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise RowError(line, f"{column} {text!r} is not an integer") from None
-    if not lo <= value <= hi:
-        raise RowError(line, f"{column} {value} outside {lo}..{hi}")
+        raise RowError(line, f"{column} {text!r} is not a number") from None
+    if not math.isfinite(value) or value < 0:
+        raise RowError(line, f"{column} {text!r} must be finite and non-negative")
     return value
 
 
-def _parse_packet_row(row: list[str], line: int) -> PacketRecord:
-    if len(row) != len(PACKET_CSV_HEADER):
-        raise RowError(line, f"expected {len(PACKET_CSV_HEADER)} fields, got {len(row)}")
-    try:
-        timestamp = float(row[0])
-    except ValueError:
-        raise RowError(line, f"timestamp {row[0]!r} is not a number") from None
-    if not math.isfinite(timestamp) or timestamp < 0:
-        raise RowError(line, f"timestamp {row[0]!r} must be finite and non-negative")
-    protocol = _parse_int(row[5], line, "protocol", 0, 255)
+_port = _integer(0, 65535)
+_byte = _integer(0, 255)
+
+
+def _protocol(text: str, line: int, column: str) -> int:
+    protocol = _byte(text, line, column)
     if protocol not in SUPPORTED_PROTOCOLS:
-        raise RowError(line, f"protocol {protocol} is not TCP (6) or UDP (17)")
-    return PacketRecord(
-        timestamp=timestamp,
-        src_addr=_parse_address(row[1], line, "src_addr"),
-        src_port=_parse_int(row[2], line, "src_port", 0, 65535),
-        dst_addr=_parse_address(row[3], line, "dst_addr"),
-        dst_port=_parse_int(row[4], line, "dst_port", 0, 65535),
-        protocol=protocol,
-        wire_bytes=_parse_int(row[6], line, "wire_bytes", 1, 2**31 - 1),
-    )
+        raise RowError(line, f"{column} {protocol} is not TCP (6) or UDP (17)")
+    return protocol
 
 
-def _read_csv(text: str, header: list[str], what: str,
-              parse: Callable[[list[str], int], object],
+PACKET_CSV_COLUMNS = {
+    "timestamp": _seconds, "src_addr": _address, "src_port": _port,
+    "dst_addr": _address, "dst_port": _port,
+    "protocol": _protocol, "wire_bytes": _integer(1, 2**31 - 1),
+}
+PACKET_CSV_HEADER = list(PACKET_CSV_COLUMNS)
+
+
+def _read_csv(text: str, columns: dict[str, Callable], what: str,
+              build: Callable[[list, int], object],
               skip_bad: bool = False) -> tuple[list, int]:
-    """``parse(row, line)`` of each data row of CSV text, after checking the
-    header, and the number of bad rows skipped.
+    """``build(values, line)`` of each data row of CSV text, each field read
+    by its column's reader in header order, and the number of bad rows skipped.
 
-    A row that ``parse`` rejects, or that the csv module cannot read (a
-    field over its size limit, a stray carriage return), raises RowError,
-    or with ``skip_bad`` is counted; reading resumes at the next line.  One
-    leading byte-order mark (U+FEFF, as ``ef bb bf`` decodes) is dropped.
+    The header must be the keys of ``columns``.  A row that does not hold one
+    field per column, that a reader (first bad column first) or ``build``
+    rejects, or that the csv module cannot read (a field over its size
+    limit, a stray carriage return), raises RowError, or with ``skip_bad``
+    is counted; reading resumes at the next line.  One leading byte-order
+    mark (U+FEFF, as ``ef bb bf`` decodes) is dropped.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -383,18 +393,21 @@ def _read_csv(text: str, header: list[str], what: str,
         raise SchemaMismatch(f"unreadable {what} CSV header: {exc}") from None
     if found and found[0].startswith("\ufeff"):
         found[0] = found[0][1:]
-    if found != header:
+    if found != list(columns):
         raise SchemaMismatch(
-            f"bad header {','.join(found)!r}, expected {','.join(header)!r}"
+            f"bad header {','.join(found)!r}, expected {','.join(columns)!r}"
         )
     rows, skipped = [], 0
     for line in count(2):
         try:
             try:
-                row = next(reader)
+                fields = next(reader)
             except csv.Error as exc:
                 raise RowError(line, f"unreadable CSV row: {exc}") from None
-            rows.append(parse(row, line))
+            if len(fields) != len(columns):
+                raise RowError(line, f"expected {len(columns)} fields, got {len(fields)}")
+            rows.append(build([read(field, line, name) for (name, read), field
+                               in zip(columns.items(), fields)], line))
         except StopIteration:
             return rows, skipped
         except RowError:
@@ -413,9 +426,9 @@ def _csv_text(header: list[str], rows: Iterable[list]) -> str:
 
 
 def _read_packet_csv(text, skip_bad: bool) -> tuple[PacketTable, int]:
-    records, skipped = _read_csv(text, PACKET_CSV_HEADER, "packet",
-                                 _parse_packet_row, skip_bad)
-    return PacketTable.of(records), skipped
+    rows, skipped = _read_csv(text, PACKET_CSV_COLUMNS, "packet",
+                              lambda values, line: values, skip_bad)
+    return PacketTable.of(rows), skipped
 
 
 def parse_packet_csv(text) -> PacketTable:

@@ -64,7 +64,7 @@ def fit(x: np.ndarray, y: np.ndarray, hp: BayesParams) -> BayesState:
 def _log_likelihood(queries, mean, var, log_prior):
     with np.errstate(over="ignore"):    # a density that underflows is -inf
         quad = ((queries - mean) ** 2) / var
-    return log_prior - 0.5 * (np.log(var) + _LOG_2PI + quad).sum(axis=1)
+        return log_prior - 0.5 * (np.log(var) + _LOG_2PI + quad).sum(axis=1)
 
 
 def scores(state: BayesState, queries: np.ndarray) -> np.ndarray:
@@ -99,5 +99,7 @@ def params_in(obj: dict, hp: BayesParams) -> BayesState:
         for key in ("mean_pos", "var_pos", "mean_neg", "var_neg"))
     if (var_pos <= 0).any() or (var_neg <= 0).any():
         raise ValueError("variances must be positive")
-    return BayesState(number(obj["log_prior_pos"]), number(obj["log_prior_neg"]),
-                      mean_pos, var_pos, mean_neg, var_neg)
+    log_priors = [number(obj[key]) for key in ("log_prior_pos", "log_prior_neg")]
+    if max(log_priors) > 0:
+        raise ValueError("log priors must be at most 0: they are log probabilities")
+    return BayesState(*log_priors, mean_pos, var_pos, mean_neg, var_neg)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from ..errors import (
@@ -105,6 +105,7 @@ def load_model(data: bytes) -> TrainedModel:
         _known(payload, _KEYS)
         kind = ClassifierKind(payload["kind"])
         family = FAMILIES[kind]
+        _known(payload["hyperparams"], [f.name for f in fields(family.Params)])
         hp = family.Params(**payload["hyperparams"])
         validate_hyperparams(kind, hp)
         _known(payload["params"], family.KEYS)
@@ -132,11 +133,14 @@ def load_model(data: bytes) -> TrainedModel:
                         file_sha256=hashlib.sha256(buf).hexdigest())
 
 
-def _known(obj: dict, keys: tuple[str, ...]) -> None:
-    """Reject a key of ``obj`` outside ``keys``: it would not be written back."""
-    unknown = set(obj) - set(keys)
+def _known(obj: dict, keys) -> None:
+    """Require the keys of ``obj`` to be exactly ``keys``: an unknown key
+    would not be written back, and a missing one would load as a default."""
+    unknown, missing = set(obj) - set(keys), set(keys) - set(obj)
     if unknown:
         raise ValueError(f"unknown key {min(unknown)!r}")
+    if missing:
+        raise ValueError(f"missing key {min(missing)!r}")
 
 
 def _typed(obj: dict, key: str, kind: type):

@@ -15,31 +15,37 @@ layer stacks into its matrix; ``Conversation`` rows are built only where a
 caller reads rows.  ``ConversationTable.key_order`` states a row's
 direction-free identity and the order it sorts in.
 
-Conversation CSV prints the two time columns with 6 decimal places, so a
-write/read round trip is lossless for microsecond-resolution times (the
-native resolution of classic pcap); nanosecond captures are rounded on
-export.
+Conversation CSV is read through ``CONVERSATION_CSV_COLUMNS`` and the two
+row rules of ``_conversation``, which the dataset format shares, and
+written with 6 decimal places in its two time columns, so a round trip is
+lossless for microsecond-resolution times (the native resolution of
+classic pcap); nanosecond captures are rounded on export.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .capture import SUPPORTED_PROTOCOLS, PacketRecord
+from .capture import PacketRecord, _address, _integer, _port, _protocol, _seconds
 from .errors import ClockSkew, InvalidHyperparams, InvariantViolation, RowError
 from . import capture as _capture
 
-CONVERSATION_CSV_HEADER = [
-    "protocol", "address_a", "port_a", "address_b", "port_b",
-    "packets", "bytes", "packets_ab", "bytes_ab", "packets_ba", "bytes_ba",
-    "rel_start", "duration",
-]
+_count = _integer(0, 2**63 - 1)
+
+CONVERSATION_CSV_COLUMNS = {
+    "protocol": _protocol, "address_a": _address, "port_a": _port,
+    "address_b": _address, "port_b": _port,
+    "packets": _count, "bytes": _count, "packets_ab": _count, "bytes_ab": _count,
+    "packets_ba": _count, "bytes_ba": _count,
+    "rel_start": _seconds, "duration": _seconds,
+}
+CONVERSATION_CSV_HEADER = list(CONVERSATION_CSV_COLUMNS)
 
 
 class ConversationCsvWarning(UserWarning):
@@ -90,7 +96,7 @@ class ConversationTable(_capture._Table):
 
 #: Protocol number -> whether ``aggregate`` takes it; numbers past either
 #: end read False.
-_AGGREGATABLE = np.isin(np.arange(256), SUPPORTED_PROTOCOLS)
+_AGGREGATABLE = np.isin(np.arange(256), _capture.SUPPORTED_PROTOCOLS)
 
 
 def _endpoint(address: np.ndarray, port: np.ndarray) -> np.ndarray:
@@ -196,68 +202,34 @@ def conversations_to_csv(conversations: Iterable[Conversation]) -> str:
     return _capture._csv_text(CONVERSATION_CSV_HEADER, map(_format_row, conversations))
 
 
-def parse_conversation_fields(fields: Sequence[str], line: int,
-                              strict: bool = True) -> Conversation:
-    """Validate and build one conversation from its 13 CSV fields.
-
-    Strict mode raises InvariantViolation when the totals disagree with the
-    directional sums; lenient mode recomputes the totals and warns.
-    """
-    if len(fields) != 13:
-        raise RowError(line, f"expected 13 fields, got {len(fields)}")
-    protocol = _capture._parse_int(fields[0], line, "protocol", 0, 255)
-    if protocol not in SUPPORTED_PROTOCOLS:
-        raise RowError(line, f"protocol {protocol} is not TCP (6) or UDP (17)")
-    address_a = _capture._parse_address(fields[1], line, "address_a")
-    port_a = _capture._parse_int(fields[2], line, "port_a", 0, 65535)
-    address_b = _capture._parse_address(fields[3], line, "address_b")
-    port_b = _capture._parse_int(fields[4], line, "port_b", 0, 65535)
-    counts = [
-        _capture._parse_int(fields[i], line, CONVERSATION_CSV_HEADER[i], 0, 2**63 - 1)
-        for i in range(5, 11)
-    ]
-    packets, nbytes, packets_ab, bytes_ab, packets_ba, bytes_ba = counts
-    try:
-        rel_start = float(fields[11])
-        duration = float(fields[12])
-    except ValueError:
-        raise RowError(line, "rel_start/duration must be numbers") from None
-    if not (math.isfinite(rel_start) and math.isfinite(duration)):
-        raise RowError(line, "rel_start and duration must be finite")
-    if rel_start < 0 or duration < 0:
-        raise RowError(line, "rel_start and duration must be non-negative")
-    if packets < 1:
+def _conversation(conv: Conversation, line: int, strict: bool = True) -> Conversation:
+    """``conv``, a row as read, after the two row rules: it holds at least one
+    packet, and its totals are the sums of its directional fields.  Where
+    the totals disagree, strict reading raises InvariantViolation; lenient
+    reading warns and recomputes them, and the rules apply again."""
+    if conv.packets < 1:
         raise RowError(line, "a conversation holds at least one packet")
-
-    if packets != packets_ab + packets_ba or nbytes != bytes_ab + bytes_ba:
-        if strict:
-            raise InvariantViolation(
-                line,
-                f"totals ({packets} pkts, {nbytes} bytes) disagree with the "
-                f"directional sums ({packets_ab}+{packets_ba}, {bytes_ab}+{bytes_ba})",
-            )
-        warnings.warn(
-            f"line {line}: totals recomputed from directional fields",
-            ConversationCsvWarning,
-            stacklevel=3,
+    packets = conv.packets_ab + conv.packets_ba
+    nbytes = conv.bytes_ab + conv.bytes_ba
+    if conv.packets == packets and conv.bytes == nbytes:
+        return conv
+    if strict:
+        raise InvariantViolation(
+            line,
+            f"totals ({conv.packets} pkts, {conv.bytes} bytes) disagree with the "
+            f"directional sums ({conv.packets_ab}+{conv.packets_ba}, "
+            f"{conv.bytes_ab}+{conv.bytes_ba})",
         )
-        packets = packets_ab + packets_ba
-        nbytes = bytes_ab + bytes_ba
-        if packets < 1:
-            raise RowError(line, "a conversation holds at least one packet")
-
-    return Conversation(
-        protocol=protocol, address_a=address_a, port_a=port_a,
-        address_b=address_b, port_b=port_b,
-        packets=packets, bytes=nbytes,
-        packets_ab=packets_ab, bytes_ab=bytes_ab,
-        packets_ba=packets_ba, bytes_ba=bytes_ba,
-        rel_start=rel_start, duration=duration,
+    warnings.warn(
+        f"line {line}: totals recomputed from directional fields",
+        ConversationCsvWarning,
+        stacklevel=5,   # the caller of ``csv_to_conversations``
     )
+    return _conversation(replace(conv, packets=packets, bytes=nbytes), line)
 
 
 def csv_to_conversations(text, strict: bool = True) -> list[Conversation]:
     return _capture._read_csv(
-        text, CONVERSATION_CSV_HEADER, "conversation",
-        lambda row, line: parse_conversation_fields(row, line, strict=strict),
+        text, CONVERSATION_CSV_COLUMNS, "conversation",
+        lambda values, line: _conversation(Conversation(*values), line, strict),
     )[0]

@@ -17,10 +17,11 @@ import numpy as np
 
 from .capture import _csv_text, _read_csv, ip_to_u32
 from .conversation import (
+    CONVERSATION_CSV_COLUMNS,
     CONVERSATION_CSV_HEADER,
     Conversation,
     ConversationTable,
-    parse_conversation_fields,
+    _conversation,
     _fields,
     _format_row,
 )
@@ -30,12 +31,21 @@ FEATURE_NAMES = tuple(CONVERSATION_CSV_HEADER)
 N_FEATURES = 13
 ADDRESS_FEATURE_INDICES = (1, 3)
 
-DATASET_CSV_HEADER = CONVERSATION_CSV_HEADER + ["label"]
-
 
 class Label(enum.Enum):
     RANSOMWARE = "ransomware"
     BENIGN = "benign"
+
+
+def _label(text: str, line: int, column: str) -> Label:
+    try:
+        return Label(text)
+    except ValueError:
+        raise RowError(line, f"{column} {text!r} is not ransomware|benign") from None
+
+
+DATASET_CSV_COLUMNS = {**CONVERSATION_CSV_COLUMNS, "label": _label}
+DATASET_CSV_HEADER = list(DATASET_CSV_COLUMNS)
 
 
 def _labels01(labels) -> np.ndarray:
@@ -175,18 +185,12 @@ def write_dataset_csv(conv_sets: Sequence[tuple[Sequence[Conversation], Label]])
     ))
 
 
-def _dataset_row(row: list[str], line: int) -> tuple[np.ndarray, Label]:
-    if len(row) != len(DATASET_CSV_HEADER):
-        raise RowError(line, f"expected {len(DATASET_CSV_HEADER)} fields, got {len(row)}")
-    conv = parse_conversation_fields(row[:-1], line)
-    try:
-        label = Label(row[-1])
-    except ValueError:
-        raise RowError(line, f"label {row[-1]!r} is not ransomware|benign") from None
-    return encode(conv), label
+def _dataset_row(values: list, line: int) -> tuple[np.ndarray, Label]:
+    *fields, label = values
+    return encode(_conversation(Conversation(*fields), line)), label
 
 
 def read_dataset_csv(text) -> Dataset:
-    rows, _skipped = _read_csv(text, DATASET_CSV_HEADER, "dataset", _dataset_row)
+    rows, _skipped = _read_csv(text, DATASET_CSV_COLUMNS, "dataset", _dataset_row)
     return _dataset([vector for vector, _label in rows],
                     [label for _vector, label in rows])

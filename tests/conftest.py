@@ -162,6 +162,10 @@ def _huge_knn_point(payload):
     payload["params"]["points"][0][0] = 1.7e308
 
 
+def _huge_log_priors(payload):
+    payload["params"].update(log_prior_pos=1.7e308, log_prior_neg=-1.7e308)
+
+
 def _no_scaler(payload):
     payload["scaler"] = None
 
@@ -178,6 +182,7 @@ SCORING_HAZARDS = {
     "svm-nan-score": ("svm", _huge_svm_weights, "overflow"),
     "mlp-overflow-warning": ("mlp", _huge_mlp_column, "overflow"),
     "knn-overflow-warning": ("knn", _huge_knn_point, r"\[0, 1\]"),
+    "bayes-positive-log-prior": ("bayes", _huge_log_priors, "at most 0"),
     "knn-without-scaler": ("knn", _no_scaler, "needs a scaler"),
     "svm-without-scaler": ("svm", _no_scaler, "needs a scaler"),
     "j48-with-scaler": ("j48", _unit_scaler, "takes no scaler"),

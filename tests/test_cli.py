@@ -77,6 +77,11 @@ def trained_model_path(workspace) -> str:
     return str(model_path)
 
 
+#: ``rwdetect train`` flags that keep the slow families' training short.
+QUICK_TRAIN = {"svm": ["--param", "iterations=200"], "mlp": ["--param", "epochs=25"],
+               "forest": ["--param", "trees=4"]}
+
+
 def reseal(source, edit, target=None) -> str:
     """Write the model file ``source`` again, sealed, with ``edit`` applied
     to its parsed payload and the JSON re-spaced; returns the new path."""
@@ -420,13 +425,23 @@ class TestDetect:
         assert run(["detect", self.capture_csv(workspace), "--model", str(model)]) == 1
         assert "unknown key 'extra'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["knn", "mlp", "j48", "forest", "svm", "bayes"])
+    def test_resealed_missing_hyperparam_exit_1(self, workspace, capsys, kind):
+        model = workspace / f"{kind}.bin"
+        assert run(["train", str(workspace / "data.csv"), "--kind", kind,
+                    *QUICK_TRAIN.get(kind, []), "-o", str(model)]) == 0
+        for key in vars(read_model(model).hyperparams):
+            path = reseal(model, lambda payload: payload["hyperparams"].pop(key),
+                          workspace / f"{kind}-without-{key}.bin")
+            assert run(["detect", self.capture_csv(workspace), "--model", path]) == 1
+            assert f"missing key '{key}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind,edit,message", SCORING_HAZARDS.values(),
                              ids=SCORING_HAZARDS)
     def test_resealed_scoring_hazard_exit_1(self, workspace, capsys, kind, edit, message):
         model = workspace / f"{kind}.bin"
-        quick = {"svm": ["--param", "iterations=200"], "mlp": ["--param", "epochs=25"]}
         assert run(["train", str(workspace / "data.csv"), "--kind", kind,
-                    *quick.get(kind, []), "-o", str(model)]) == 0
+                    *QUICK_TRAIN.get(kind, []), "-o", str(model)]) == 0
         reseal(model, edit)
         assert run(["detect", self.capture_csv(workspace), "--model", str(model)]) == 1
         err = capsys.readouterr().err

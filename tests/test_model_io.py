@@ -9,6 +9,7 @@ import json
 import struct
 import time
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -273,6 +274,25 @@ class TestTampering:
         with pytest.raises(MalformedModel, match="unknown key 'extra'"):
             load_model(sealed(payload))
 
+    @pytest.mark.parametrize("kind,key", [
+        (kind, f.name) for kind in ALL_KINDS for f in fields(FAMILIES[kind].Params)
+    ], ids=lambda v: getattr(v, "value", v))
+    def test_missing_hyperparam_key_of_each_family(self, kind, key):
+        # A missing key would load as its default and write back other bytes.
+        payload = copy.deepcopy(fitted_payload(kind))
+        del payload["hyperparams"][key]
+        with pytest.raises(MalformedModel, match=f"missing key '{key}'"):
+            load_model(sealed(payload))
+
+    @pytest.mark.parametrize("level", ["top", "params", "scaler"])
+    def test_missing_key_is_named(self, level):
+        payload = valid_payload_dict(ClassifierKind.SVM)
+        box = payload if level == "top" else payload[level]
+        key = min(box)
+        del box[key]
+        with pytest.raises(MalformedModel, match=f"missing key '{key}'"):
+            load_model(sealed(payload))
+
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_unknown_params_key_of_each_family(self, kind):
         payload = valid_payload_dict(kind)
@@ -505,6 +525,18 @@ class TestScoringHazards:
         with pytest.raises(MalformedModel, match=message):
             load_model(sealed(payload))
 
+    def test_overflowing_log_likelihood_sum_scores_without_warning(self):
+        # Each squared distance is finite; their sum over features is not,
+        # which is a density that underflows.
+        payload = repro_payload(ClassifierKind.BAYES)
+        payload["params"]["mean_pos"][:2] = [-1e154, -1e154]
+        payload["params"]["var_pos"] = [1.0] * 13
+        model = load_model(sealed(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scores = predict_many(model, FUZZ_QUERIES)[1]
+        assert ((scores >= 0.0) & (scores <= 1.0)).all()
+
     def test_large_bounded_weights_still_score(self):
         payload = repro_payload(ClassifierKind.SVM)
         payload["params"].update(weights=[1e307] * 7 + [-1e307] * 6, bias=-1e307)
@@ -623,8 +655,8 @@ SWAPS = {
 
 class TestPayloadFuzz:
     """A resealed KNN, MLP, SVM or Bayes payload, scaler or forest
-    ``features_used`` with one value mutated, or one float of those or of
-    the hyperparameters made extreme, passes
+    ``features_used`` with one value mutated, or one value of the
+    hyperparameters dropped, swapped or (a float) made extreme, passes
     ``assert_fails_typed_or_scores``."""
 
     @settings(max_examples=300, deadline=None)
@@ -634,7 +666,7 @@ class TestPayloadFuzz:
         mutation = data.draw(st.sampled_from(
             ["swap", "non-finite", "extreme", "drop", "add", "nest"]))
         parts = FUZZ_PARTS[kind](payload)
-        if mutation == "extreme":
+        if mutation in ("extreme", "drop", "swap"):
             parts.append(payload["hyperparams"])
         places = [(box, key) for part in parts for box, key in slots(part)
                   if (mutation != "add" or isinstance(box, list))
