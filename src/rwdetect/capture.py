@@ -17,8 +17,8 @@ counted in the capture summary instead:
 
 One level of 802.1Q VLAN tagging is unwrapped; deeper nesting is skipped.
 
-Both readers return a ``PacketTable`` of numpy columns and build no
-``PacketRecord``; the table builds them on access.
+Both readers return a ``PacketTable`` and a ``CaptureSummary``, and build
+no ``PacketRecord``; the table builds them on access.
 
 A CSV format (packet here, conversation and dataset in their modules) is
 a dict from column name, in header order, to that column's reader,
@@ -41,6 +41,7 @@ import csv
 import io
 import math
 import operator
+import re
 import socket
 import struct
 import sys
@@ -85,9 +86,6 @@ _CHUNK_FRAMES = 1024
 #: 20-byte IPv4 header.
 _HEAD_SPAN = np.arange(16 + 18 + 20)
 _PORT_SPAN = np.arange(4)
-#: Packet table column types of a decoded pcap.
-_PCAP_COLUMNS = (np.float64, np.uint32, np.uint16, np.uint32, np.uint16,
-                 np.uint8, np.uint32)
 
 
 class PacketRecord(NamedTuple):
@@ -103,15 +101,15 @@ class PacketRecord(NamedTuple):
 
 
 class _Table(Sequence):
-    """Equal-length numpy columns that read as a sequence of ``_row`` rows,
-    with the u32 addresses of columns 1 and 3 as dotted quads.  An index
-    gives a row, a slice or an index array a table of those rows; a table
-    equals any sequence of equal rows."""
+    """Equal-length numpy columns of the class's ``_dtypes`` that read as a
+    sequence of ``_row`` rows, the u32 addresses of columns 1 and 3 as
+    dotted quads.  An index gives a row, a slice or an index array a table
+    of those rows; a table equals any sequence of equal rows."""
 
     __slots__ = ("columns",)
     _row: Callable
     _values: Callable   # a row's values in column order
-    _dtypes: tuple      # the column types ``of`` builds
+    _dtypes: tuple      # the type of each column
 
     def __init__(self, columns: Iterable[np.ndarray]):
         self.columns = tuple(columns)
@@ -119,7 +117,8 @@ class _Table(Sequence):
     @classmethod
     def of(cls, rows: Iterable):
         """``rows`` as a table: a table of this kind as it is, rows
-        transposed once, with each distinct address parsed once."""
+        transposed once, with each distinct address parsed once.  A Python
+        int its column cannot hold raises OverflowError."""
         if isinstance(rows, cls):
             return rows
         columns = list(zip(*map(cls._values, rows))) or [()] * len(cls._dtypes)
@@ -155,12 +154,23 @@ class _Table(Sequence):
 
 class PacketTable(_Table):
     """Packets as seven columns in ``PacketRecord`` field order: float64
-    timestamps, then integers, addresses as u32 values."""
+    timestamps, u32 addresses, u16 ports, u8 protocol, u32 wire bytes."""
 
     __slots__ = ()
     _row = PacketRecord
     _values = tuple
-    _dtypes = (np.float64,) + (np.int64,) * 6
+    _dtypes = (np.float64, np.uint32, np.uint16, np.uint32, np.uint16,
+               np.uint8, np.uint32)
+
+    @classmethod
+    def of(cls, rows: Iterable) -> PacketTable:
+        """``_Table.of``; a row's timestamp below 0 or not finite raises ValueError."""
+        if isinstance(rows, cls):
+            return rows
+        table = super().of(rows)
+        if not ((table.columns[0] >= 0) & (table.columns[0] < np.inf)).all():
+            raise ValueError("packet timestamps must be finite and non-negative")
+        return table
 
 
 @dataclass
@@ -172,10 +182,6 @@ class CaptureSummary:
     # None, "truncated_header" or "truncated_record"; truncation is not fatal,
     # records parsed before the cut are still returned.
     error: str | None = None
-
-    @property
-    def truncated(self) -> bool:
-        return self.error is not None
 
 
 def ip_to_u32(addr: str) -> int:
@@ -222,15 +228,13 @@ def parse_pcap(data: bytes) -> tuple[PacketTable, CaptureSummary]:
         summary.error = "truncated_header"
         return PacketTable.of(()), summary
 
-    _vmaj, _vmin, _zone, _sigfigs, _snaplen, network = struct.unpack(
-        byte_order + "HHiIII", data[4:24]
-    )
+    (network,) = struct.unpack_from(byte_order + "I", data, 20)   # the link type
     if network != 1:
         raise UnsupportedLinkType(f"link type {network}, only Ethernet (1) is supported")
 
     starts, summary.error = _record_starts(data, byte_order)
     buf = np.frombuffer(data, np.uint8)
-    columns = [np.empty(len(starts), dtype) for dtype in _PCAP_COLUMNS]
+    columns = [np.empty(len(starts), dtype) for dtype in PacketTable._dtypes]
     kept = 0
     for lo in range(0, len(starts), _CHUNK_FRAMES):
         chunk = _decode_chunk(buf, starts[lo:lo + _CHUNK_FRAMES],
@@ -330,10 +334,12 @@ def _address(text: str, line: int, column: str) -> str:
 
 
 def _integer(lo: int, hi: int) -> Callable[[str, int, str], int]:
-    """The reader of integers in ``lo..hi``."""
+    """The reader of integers in ``lo..hi``, written in ASCII digits."""
     def read(text: str, line: int, column: str) -> int:
         try:
-            value = int(text)
+            if not (text.isascii() and text.isdigit()):
+                raise ValueError(text)
+            value = int(text)   # past 4,300 digits, ValueError too
         except ValueError:
             raise RowError(line, f"{column} {text!r} is not an integer") from None
         if not lo <= value <= hi:
@@ -343,15 +349,16 @@ def _integer(lo: int, hi: int) -> Callable[[str, int, str], int]:
 
 
 def _seconds(text: str, line: int, column: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise RowError(line, f"{column} {text!r} is not a number") from None
-    if not math.isfinite(value) or value < 0:
-        raise RowError(line, f"{column} {text!r} must be finite and non-negative")
+    """Finite seconds in ASCII digits, with an optional fraction and exponent."""
+    if not _decimal(text):
+        raise RowError(line, f"{column} {text!r} is not a number")
+    value = float(text)
+    if not math.isfinite(value):
+        raise RowError(line, f"{column} {text!r} is not finite")
     return value
 
 
+_decimal = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?").fullmatch
 _port = _integer(0, 65535)
 _byte = _integer(0, 255)
 
@@ -425,16 +432,12 @@ def _csv_text(header: list[str], rows: Iterable[list]) -> str:
     return out.getvalue()
 
 
-def _read_packet_csv(text, skip_bad: bool) -> tuple[PacketTable, int]:
+def parse_packet_csv(text, lenient: bool = False) -> tuple[PacketTable, CaptureSummary]:
+    """Packet CSV (header: timestamp,src_addr,...,wire_bytes) as ``parse_pcap``
+    reads a pcap file.  A wrong header raises SchemaMismatch; an invalid data
+    row raises RowError (with line number), or with ``lenient`` is counted
+    in the summary's ``rows_skipped_malformed``."""
     rows, skipped = _read_csv(text, PACKET_CSV_COLUMNS, "packet",
-                              lambda values, line: values, skip_bad)
-    return PacketTable.of(rows), skipped
-
-
-def parse_packet_csv(text) -> PacketTable:
-    """Parse packet CSV (header: timestamp,src_addr,...,wire_bytes).
-
-    Raises SchemaMismatch for a wrong header and RowError (with line number)
-    for any invalid data row.
-    """
-    return _read_packet_csv(text, skip_bad=False)[0]
+                              lambda values, line: values, lenient)
+    return PacketTable.of(rows), CaptureSummary(packets_read=len(rows),
+                                                rows_skipped_malformed=skipped)

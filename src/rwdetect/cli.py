@@ -108,7 +108,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _skip_clause(c: CaptureSummary) -> str:
     """What loading skipped, counted by reason, and the truncation kind if any."""
-    truncation = f"; {c.error}" if c.truncated else ""
+    truncation = f"; {c.error}" if c.error else ""
     return (f"(skipped {c.rows_skipped_malformed} malformed, {c.packets_skipped_non_ip} "
             f"non-IP, {c.packets_skipped_unsupported_protocol} unsupported{truncation})")
 
@@ -143,8 +143,6 @@ def _cmd_label(args) -> int:
 
 def _parse_params(kind: ClassifierKind, seed: int, pairs: list[str]):
     hp = default_hyperparams(kind, seed=seed)
-    if not pairs:
-        return hp
     fields = {f.name: f.type for f in dataclasses.fields(hp)}
     overrides = {}
     for pair in pairs:

@@ -76,13 +76,12 @@ _fields = attrgetter(*CONVERSATION_CSV_HEADER)
 
 class ConversationTable(_capture._Table):
     """Conversations as 13 columns in ``CONVERSATION_CSV_HEADER`` order,
-    addresses as u32 values.  Rows turned into a table keep each value
-    unchanged in object columns, which cast as ``float(value)`` does."""
+    addresses as u32 values: int64, then float64 rel_start and duration."""
 
     __slots__ = ()
     _row = Conversation
     _values = _fields
-    _dtypes = (object,) * 13
+    _dtypes = (np.int64,) * 11 + (np.float64,) * 2
 
     def key_order(self) -> np.ndarray:
         """Row indices in key order, a conversation's key being ``(address_lo,
@@ -94,8 +93,7 @@ class ConversationTable(_capture._Table):
         return np.lexsort((hk, lo))
 
 
-#: Protocol number -> whether ``aggregate`` takes it; numbers past either
-#: end read False.
+#: Protocol number -> whether ``aggregate`` takes it.
 _AGGREGATABLE = np.isin(np.arange(256), _capture.SUPPORTED_PROTOCOLS)
 
 
@@ -149,7 +147,7 @@ def aggregate(packets: Iterable[PacketRecord],
     n = len(table)
     if not n:
         return ConversationTable.of(())
-    supported = _AGGREGATABLE.take(protocol, mode="clip")
+    supported = _AGGREGATABLE[protocol]
     if np.count_nonzero(supported) < n:
         i = int(supported.argmin())
         raise ValueError(f"packet {i}: protocol {protocol.item(i)} cannot be "
@@ -206,7 +204,8 @@ def _conversation(conv: Conversation, line: int, strict: bool = True) -> Convers
     """``conv``, a row as read, after the two row rules: it holds at least one
     packet, and its totals are the sums of its directional fields.  Where
     the totals disagree, strict reading raises InvariantViolation; lenient
-    reading warns and recomputes them, and the rules apply again."""
+    reading warns and recomputes them, which must fit a count column (else
+    RowError), and the rules apply again."""
     if conv.packets < 1:
         raise RowError(line, "a conversation holds at least one packet")
     packets = conv.packets_ab + conv.packets_ba
@@ -225,6 +224,8 @@ def _conversation(conv: Conversation, line: int, strict: bool = True) -> Convers
         ConversationCsvWarning,
         stacklevel=5,   # the caller of ``csv_to_conversations``
     )
+    if max(packets, nbytes) > 2**63 - 1:
+        raise RowError(line, "recomputed totals outside 0..2**63-1")
     return _conversation(replace(conv, packets=packets, bytes=nbytes), line)
 
 

@@ -32,7 +32,7 @@ from .capture import (
     CaptureSummary,
     PacketRecord,
     PacketTable,
-    _read_packet_csv,
+    parse_packet_csv,
     parse_pcap,
 )
 from .classifiers import TrainedModel, model_fingerprint, predict_many
@@ -156,12 +156,8 @@ def detect_stream(packets: Iterable[PacketRecord], model: TrainedModel,
 
 def load_packets(path: str | Path,
                  lenient: bool) -> tuple[PacketTable, CaptureSummary]:
-    """Read a classic pcap file or packet CSV, told apart by the first bytes.
-
-    A bad CSV row raises RowError, or with ``lenient`` is counted in
-    ``rows_skipped_malformed``.  Input that is neither pcap nor UTF-8 text
-    raises BadMagic.
-    """
+    """``parse_pcap`` of a classic pcap file or ``parse_packet_csv`` of packet
+    CSV, told apart by the first bytes; other input raises BadMagic."""
     data = Path(path).read_bytes()
     if data[:4] in PCAP_MAGICS:
         return parse_pcap(data)
@@ -169,9 +165,7 @@ def load_packets(path: str | Path,
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise BadMagic(f"{path}: neither a classic pcap file nor UTF-8 packet CSV") from None
-    records, malformed = _read_packet_csv(text, skip_bad=lenient)
-    return records, CaptureSummary(packets_read=len(records),
-                                   rows_skipped_malformed=malformed)
+    return parse_packet_csv(text, lenient)
 
 
 def read_packet_source(path: str | Path) -> tuple[PacketTable, int, int]:

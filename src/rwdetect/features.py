@@ -104,7 +104,7 @@ def encode_many(conversations: Sequence[Conversation]) -> np.ndarray:
     matrix: the columns of a ``ConversationTable`` (or of Conversation
     rows turned into one) stacked side by side."""
     return np.stack(ConversationTable.of(conversations).columns, axis=1,
-                    dtype=np.float64, casting="unsafe")
+                    dtype=np.float64)
 
 
 def dataset_fingerprint(dataset: Dataset) -> str:

@@ -117,7 +117,7 @@ class TestAggregateMatchesDictLoop:
         want = oracle_aggregate(packets, capture_start)
         assert aggregate(packets, capture_start) == want
         # a packet table, as the readers give it, takes the same path
-        table = parse_packet_csv(packet_csv(packets))
+        table, _summary = parse_packet_csv(packet_csv(packets))
         assert aggregate(table, capture_start) == want
 
     @given(tie_heavy_streams())

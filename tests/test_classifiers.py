@@ -33,6 +33,7 @@ from rwdetect.classifiers import (
     validate_hyperparams,
 )
 from rwdetect.classifiers import forest as forest_mod
+from rwdetect.classifiers import knn as knn_mod
 from rwdetect.classifiers import mlp as mlp_mod
 from rwdetect.classifiers import tree as tree_mod
 from rwdetect.errors import (
@@ -154,6 +155,11 @@ class TestKnn:
         flipped = train(ClassifierKind.KNN, toy_dataset(rows[::-1]), KnnParams(k=1))
         assert predict_one(flipped, vec13(f5=1.0))[0] == 0
 
+    def test_params_in_rejects_a_label_other_than_0_or_1(self):
+        obj = {"labels": [0, 2], "points": [[0.5] * 13] * 2}
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            knn_mod.params_in(obj, KnnParams(k=1))
+
     def test_scale_invariance(self):
         ds = gaussian_dataset(n_pos=30, n_neg=30, seed=8)
         queries = gaussian_dataset(n_pos=10, n_neg=10, seed=9).x
@@ -233,6 +239,10 @@ class TestMlp:
 
 
 class TestTree:
+    def test_nodes_in_rejects_a_tree_without_nodes(self):
+        with pytest.raises(ValueError, match="empty tree"):
+            tree_mod.nodes_in([[]])
+
     def test_perfect_single_split(self):
         rows = [
             (vec13(f0=1.0), Label.BENIGN),

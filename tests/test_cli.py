@@ -106,7 +106,7 @@ class TestExtract:
 
         assert run(["extract", str(source), "-o", str(out)]) == 0
         expected = conversations_to_csv(
-            aggregate(parse_packet_csv(source.read_text())))
+            aggregate(parse_packet_csv(source.read_text())[0]))
         assert out.read_text() == expected
         err = capsys.readouterr().err
         assert "config: command=extract" in err
@@ -175,6 +175,16 @@ class TestLabel:
         assert run(["label", "-o", "-"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_lenient_totals_past_the_count_range(self, tmp_path, capsys):
+        # Recomputed from the directional fields, packets would be 2**63.
+        path = tmp_path / "huge.csv"
+        path.write_text(conversations_to_csv([]) + "6,1.1.1.1,1,2.2.2.2,2,5,10,"
+                        "9223372036854775807,10,1,0,0.0,0.0\n")
+        with pytest.warns(UserWarning, match="recomputed"):
+            code = run(["label", "--lenient", "--ransomware", str(path), "-o", "-"])
+        assert code == 1
+        assert "line 2: recomputed totals outside" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_loadable_model(self, workspace, capsys):
@@ -197,6 +207,24 @@ class TestTrain:
         assert run(["train", data, "--kind", "knn", "--param", "k=3",
                     "-o", str(out)]) == 0
         assert read_model(out).hyperparams.k == 3
+
+    def test_bool_param_override(self, workspace):
+        out = workspace / "forest.bin"
+        assert run(["train", str(workspace / "data.csv"), "--kind", "forest",
+                    "--param", "trees=3", "--param", "bootstrap=false",
+                    "-o", str(out)]) == 0
+        hp = read_model(out).hyperparams
+        assert hp.bootstrap is False and hp.trees == 3
+
+    @pytest.mark.parametrize("pair,message", [
+        ("bootstrap=maybe", "bootstrap takes true or false"),
+        ("trees", "--param expects key=value, got 'trees'"),
+    ])
+    def test_malformed_param_exit_1(self, workspace, capsys, pair, message):
+        assert run(["train", str(workspace / "data.csv"), "--kind", "forest",
+                    "--param", pair, "-o", str(workspace / "junk.bin")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (workspace / "junk.bin").exists()
 
     def test_bad_param_values_exit_1(self, workspace, capsys):
         data = str(workspace / "data.csv")
@@ -598,6 +626,24 @@ class TestConfigFile:
         cfg.write_text("lenient=true\n")
         assert run(["extract", str(source), "--config", str(cfg)]) == 0
         assert "skipped 1 malformed" in capsys.readouterr().err
+
+    def test_config_equals_form(self, workspace, capsys):
+        cfg = workspace / "run.cfg"
+        cfg.write_text("seed=7\nkind=knn\n")
+        assert run(["eval", str(workspace / "data.csv"), f"--config={cfg}"]) == 0
+        assert "seed=7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ("lenient", "config line is not key=value: 'lenient'"),
+        ("lenient=yes", "config key 'lenient' takes true or false, got 'yes'"),
+    ])
+    @pytest.mark.parametrize("form", ["separate", "equals"])
+    def test_malformed_config_line_exit_1(self, workspace, capsys, line, message, form):
+        cfg = workspace / "run.cfg"
+        cfg.write_text(line + "\n")
+        flags = ["--config", str(cfg)] if form == "separate" else [f"--config={cfg}"]
+        assert run(["extract", str(workspace / "packets.csv"), *flags]) == 1
+        assert message in capsys.readouterr().err
 
     def test_config_cannot_nest(self, workspace):
         cfg = workspace / "run.cfg"

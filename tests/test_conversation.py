@@ -5,22 +5,38 @@ from __future__ import annotations
 from ipaddress import AddressValueError, IPv4Address
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rwdetect.capture import TCP, UDP
+from rwdetect.capture import (
+    TCP,
+    UDP,
+    PacketRecord,
+    PacketTable,
+    parse_packet_csv,
+    parse_pcap,
+)
 from rwdetect.conversation import (
     CONVERSATION_CSV_HEADER,
     Conversation,
     ConversationCsvWarning,
+    ConversationTable,
     aggregate,
     conversations_to_csv,
     csv_to_conversations,
 )
 from rwdetect.errors import ClockSkew, InvariantViolation, RowError, SchemaMismatch
 
-from conftest import conversation_key, make_conversation, make_packet
+from conftest import (
+    build_pcap,
+    conversation_key,
+    make_conversation,
+    make_packet,
+    packet_csv,
+    tcp_udp_frame,
+)
 
 
 def golden_flow_packets():
@@ -177,6 +193,51 @@ class TestAggregateSemantics:
             assert conversation_key(ab) == conversation_key(ba) == key
 
 
+class TestColumnLayout:
+    """Every producer of a table builds the column types of its class."""
+
+    @staticmethod
+    def dtypes(table) -> list[np.dtype]:
+        return [column.dtype for column in table.columns]
+
+    def test_packet_tables(self):
+        records = [make_packet(1.0),
+                   make_packet(2.5, "10.0.0.2", 80, "10.0.0.1", 1000, UDP, 1500)]
+        pcap = build_pcap([(r.timestamp, tcp_udp_frame(r.src_addr, r.dst_addr, r.protocol,
+                                                        r.src_port, r.dst_port),
+                            r.wire_bytes) for r in records])
+        text = packet_csv(records)
+        tables = [parse_pcap(pcap)[0], parse_packet_csv(text)[0],
+                  parse_packet_csv(text + "bad row\n", lenient=True)[0],
+                  PacketTable.of(records)]
+        want = list(map(np.dtype, PacketTable._dtypes))
+        for table in tables:
+            assert table == records
+            assert self.dtypes(table) == want
+        assert self.dtypes(PacketTable.of(())) == want
+
+    def test_conversation_tables(self):
+        table = aggregate([make_packet(1.0), make_packet(2.0, "10.0.0.2", 80,
+                                                        "10.0.0.1", 1000)])
+        rows = [make_conversation(), make_conversation(bytes_ab=2**62, rel_start=0.5)]
+        want = list(map(np.dtype, ConversationTable._dtypes))
+        for produced in (table, aggregate([]), ConversationTable.of(rows)):
+            assert self.dtypes(produced) == want
+        assert ConversationTable.of(rows) == rows
+
+    @pytest.mark.parametrize("packets", [
+        [PacketRecord(0.0, "1.1.1.2", 70000, "2.2.2.2", 80, TCP, 100)],
+        [make_packet(0.0, wire_bytes=-5)],
+        [make_packet(0.0, wire_bytes=2**63 - 1)] * 2,
+        [make_packet(0.0, protocol=256)],
+    ], ids=["port-70000", "negative-bytes", "bytes-past-u32", "protocol-256"])
+    def test_record_value_its_column_cannot_hold_raises(self, packets):
+        # Each of these once wrapped into a neighbouring field or a
+        # negative sum: port 70000 became 1.1.1.3:4464.
+        with pytest.raises(OverflowError):
+            aggregate(packets)
+
+
 @st.composite
 def packet_streams(draw):
     n = draw(st.integers(1, 40))
@@ -319,6 +380,23 @@ class TestConversationCsv:
             (c,) = csv_to_conversations(text, strict=False)
         assert c.packets == 11
         assert c.bytes == 1725
+
+    def test_lenient_totals_past_the_count_range_rejected(self):
+        # The directional sums are 2**63, one past what a count column holds.
+        row = "6,1.1.1.1,1,2.2.2.2,2,5,10,9223372036854775807,10,1,0,0.0,0.0"
+        with pytest.warns(ConversationCsvWarning), pytest.raises(RowError) as info:
+            csv_to_conversations(",".join(CONVERSATION_CSV_HEADER) + "\n" + row + "\n",
+                                 strict=False)
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_count_past_python_digit_limit_rejected(self, strict):
+        # int() refuses more than 4,300 digits with a plain ValueError.
+        row = "6,1.1.1.1,1,2.2.2.2,2," + "1" * 4301 + ",10,1,10,0,0,0.0,0.0"
+        with pytest.raises(RowError, match="packets") as info:
+            csv_to_conversations(",".join(CONVERSATION_CSV_HEADER) + "\n" + row + "\n",
+                                 strict=strict)
+        assert info.value.line == 2
 
     def test_negative_duration_rejected(self):
         row = "6,1.1.1.1,1,2.2.2.2,2,1,10,1,10,0,0,0.0,-1.0"

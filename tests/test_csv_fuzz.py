@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from rwdetect.capture import (
     PACKET_CSV_HEADER,
-    _read_packet_csv,
     parse_packet_csv,
 )
 from rwdetect.conversation import (
@@ -28,9 +27,9 @@ from rwdetect.errors import RowError, RwdetectError, SchemaMismatch
 from rwdetect.features import DATASET_CSV_HEADER, read_dataset_csv
 
 READERS = {
-    "packet": (PACKET_CSV_HEADER, parse_packet_csv),
+    "packet": (PACKET_CSV_HEADER, lambda text: parse_packet_csv(text)[0]),
     "packet-lenient": (PACKET_CSV_HEADER,
-                       lambda text: _read_packet_csv(text, skip_bad=True)),
+                       lambda text: parse_packet_csv(text, lenient=True)),
     "conversation": (CONVERSATION_CSV_HEADER, csv_to_conversations),
     "conversation-lenient": (CONVERSATION_CSV_HEADER,
                              lambda text: csv_to_conversations(text, strict=False)),
@@ -89,7 +88,7 @@ def test_oversized_field(name):
     header, _reader = READERS[name]
     got = read(name, ",".join(header) + "\n" + OVERSIZED + "\n")
     if name == "packet-lenient":
-        assert len(got[0]) == 0 and got[1] == 1
+        assert len(got[0]) == 0 and got[1].rows_skipped_malformed == 1
     else:
         assert isinstance(got, RowError) and got.line == 2
     assert isinstance(read(name, OVERSIZED + "\n"), SchemaMismatch)
@@ -98,8 +97,8 @@ def test_oversized_field(name):
 def test_lenient_packet_reader_resumes_after_an_unreadable_row():
     header = ",".join(PACKET_CSV_HEADER)
     good = "1.0,10.0.0.1,1000,10.0.0.2,80,6,100"
-    records, skipped = _read_packet_csv(
+    records, summary = parse_packet_csv(
         "\n".join([header, good, "2.0," + OVERSIZED, "a\rb", good]) + "\n",
-        skip_bad=True)
+        lenient=True)
     assert [r.timestamp for r in records] == [1.0, 1.0]
-    assert skipped == 2
+    assert summary.rows_skipped_malformed == 2

@@ -3,7 +3,8 @@
 The reference below is the earlier reader: one parser per format that
 finds each field by position (``_parse_packet_row``,
 ``parse_conversation_fields`` and ``_dataset_row``) behind a reader that
-checks the header.  On every text each of the five readers (packet strict
+checks the header, its numbers narrowed to unsigned ASCII decimals as the
+column readers read them.  On every text each of the five readers (packet strict
 and lenient, conversation strict and lenient, dataset) either returns the
 reference's value, with the same skip count and the same number of
 ``ConversationCsvWarning``s, or rejects it with a RowError at the same
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import warnings
 from ipaddress import AddressValueError
 from itertools import count, islice
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 from rwdetect.capture import (
     PACKET_CSV_HEADER,
     SUPPORTED_PROTOCOLS,
+    CaptureSummary,
     PacketRecord,
     PacketTable,
     ip_to_u32,
@@ -80,7 +83,11 @@ def _parse_address(text: str, line: int, column: str) -> str:
 
 
 def _parse_int(text: str, line: int, column: str, lo: int, hi: int) -> int:
+    # ASCII digits only: ``int`` alone also takes spaces, underscores, a
+    # sign and non-ASCII digits.
     try:
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(text)
         value = int(text)
     except ValueError:
         raise RowError(line, f"{column} {text!r} is not an integer") from None
@@ -89,11 +96,19 @@ def _parse_int(text: str, line: int, column: str, lo: int, hi: int) -> int:
     return value
 
 
+def _float(text: str) -> float:
+    """``float(text)`` of an unsigned ASCII decimal with an optional
+    exponent; any other text raises ValueError."""
+    if re.fullmatch(r"[0-9]+(\.[0-9]*)?([eE][+-]?[0-9]+)?", text) is None:
+        raise ValueError(text)
+    return float(text)
+
+
 def _parse_packet_row(row: list[str], line: int) -> PacketRecord:
     if len(row) != len(REF_PACKET_HEADER):
         raise RowError(line, f"expected {len(REF_PACKET_HEADER)} fields, got {len(row)}")
     try:
-        timestamp = float(row[0])
+        timestamp = _float(row[0])
     except ValueError:
         raise RowError(line, f"timestamp {row[0]!r} is not a number") from None
     if not math.isfinite(timestamp) or timestamp < 0:
@@ -128,8 +143,8 @@ def parse_conversation_fields(fields, line: int, strict: bool = True) -> Convers
     ]
     packets, nbytes, packets_ab, bytes_ab, packets_ba, bytes_ba = counts
     try:
-        rel_start = float(fields[11])
-        duration = float(fields[12])
+        rel_start = _float(fields[11])
+        duration = _float(fields[12])
     except ValueError:
         raise RowError(line, "rel_start/duration must be numbers") from None
     if not (math.isfinite(rel_start) and math.isfinite(duration)):
@@ -155,6 +170,8 @@ def parse_conversation_fields(fields, line: int, strict: bool = True) -> Convers
         nbytes = bytes_ab + bytes_ba
         if packets < 1:
             raise RowError(line, "a conversation holds at least one packet")
+        if max(packets, nbytes) > 2**63 - 1:
+            raise RowError(line, "recomputed totals outside 0..2**63-1")
 
     return Conversation(
         protocol=protocol, address_a=address_a, port_a=port_a,
@@ -210,7 +227,8 @@ def _read_csv(text: str, header: list[str], what: str, parse, skip_bad: bool = F
 def ref_packets(text, skip_bad=False):
     records, skipped = _read_csv(text, REF_PACKET_HEADER, "packet",
                                  _parse_packet_row, skip_bad)
-    return PacketTable.of(records), skipped
+    return PacketTable.of(records), CaptureSummary(packets_read=len(records),
+                                                   rows_skipped_malformed=skipped)
 
 
 def ref_conversations(text, strict=True):
@@ -348,6 +366,35 @@ def test_same_decision_near_valid_rows(name, data):
     ("conversation", "99,::1,1,2.2.2.2,2,1,10,1,10,0,0,0.0,0.0"),
     # Disagreeing totals and a bad label.
     ("dataset", "6,1.1.1.1,1,2.2.2.2,2,2,10,1,10,0,0,0.0,0.0,neither"),
+    # Numbers that ``int`` and ``float`` read but that are not ASCII
+    # decimals: underscores, non-ASCII digits, surrounding spaces.
+    ("packet", "1_0.5,10.0.0.1,\u0668\u0660,10.0.0.2, 8_0 ,6,1_00"),
+    ("packet-lenient", "1_0.5,10.0.0.1,\u0668\u0660,10.0.0.2, 8_0 ,6,1_00"),
+    ("packet", "1.0,10.0.0.1, 80,10.0.0.2,80,6,100"),
+    ("conversation", "6,10.0.0.1, 80,10.0.0.2,80,3,280,2,200,1,80,0.0,1.0"),
+    ("conversation", "6,10.0.0.1,1000,10.0.0.2,80,3,280,2,200,1,80, 0.5,1.0"),
+    ("dataset", "6,10.0.0.1,1000,10.0.0.2,80,3,280,2,200,1,80,0.0,1_0.0,benign"),
+    # More digits than ``int`` reads (4,300), in a port and a count column.
+    pytest.param("packet", "1.0,10.0.0.1," + "1" * 4301 + ",10.0.0.2,80,6,100",
+                 id="packet-port-4301-digits"),
+    pytest.param("packet-lenient", "1.0,10.0.0.1," + "1" * 4301 + ",10.0.0.2,80,6,100",
+                 id="packet-lenient-port-4301-digits"),
+    pytest.param("packet", "1.0,10.0.0.1,1000,10.0.0.2,80,6," + "1" * 4301,
+                 id="packet-wire_bytes-4301-digits"),
+    pytest.param("packet-lenient", "1.0,10.0.0.1,1000,10.0.0.2,80,6," + "1" * 4301,
+                 id="packet-lenient-wire_bytes-4301-digits"),
+    pytest.param("conversation",
+                 "6,10.0.0.1," + "1" * 4301 + ",10.0.0.2,80,3,280,2,200,1,80,0.0,1.0",
+                 id="conversation-port_a-4301-digits"),
+    pytest.param("conversation-lenient",
+                 "6,10.0.0.1,1000,10.0.0.2,80," + "1" * 4301 + ",280,2,200,1,80,0.0,1.0",
+                 id="conversation-lenient-packets-4301-digits"),
+    pytest.param("dataset",
+                 "6,10.0.0.1,1000,10.0.0.2,80,3," + "1" * 4301 + ",2,200,1,80,0.0,1.0,benign",
+                 id="dataset-bytes-4301-digits"),
+    # Directional sums past the count range: warned, recomputed, rejected.
+    ("conversation-lenient",
+     "6,1.1.1.1,1,2.2.2.2,2,5,10,9223372036854775807,10,1,0,0.0,0.0"),
 ])
 def test_named_rows(name, row):
     text = ",".join(READERS[name][0]) + "\n" + row + "\n"

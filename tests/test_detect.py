@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rwdetect.capture import PacketRecord
+from rwdetect.capture import PacketRecord, PacketTable
 from rwdetect.classifiers import (
     ClassifierKind,
     load_model,
@@ -109,18 +109,34 @@ class TestWindowPackets:
             window_packets(packets, WindowSpec(interval=1e-320))
 
 
-@pytest.mark.parametrize("start", [float("nan"), float("inf"), float("-inf")])
-@pytest.mark.parametrize("run", [
+#: The three entry points that take packets and a capture start.
+PACKET_CONSUMERS = pytest.mark.parametrize("run", [
     lambda packets, start: aggregate(packets, capture_start=start),
     lambda packets, start: window_packets(packets, WindowSpec(60.0), start),
     lambda packets, start: detect_stream(packets, bytes_threshold_model(),
                                          WindowSpec(60.0), [].append,
                                          capture_start=start),
 ], ids=["aggregate", "window_packets", "detect_stream"])
+
+
+@pytest.mark.parametrize("start", [float("nan"), float("inf"), float("-inf")])
+@PACKET_CONSUMERS
 def test_non_finite_capture_start_rejected(run, start):
     for packets in ([make_packet(1.0), make_packet(2.0)], []):
         with pytest.raises(InvalidHyperparams, match="capture start"):
             run(packets, start)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+@PACKET_CONSUMERS
+def test_record_timestamp_outside_the_readers_range_rejected(run, t):
+    # A NaN timestamp once gave a conversation with rel_start=nan.
+    for packets in ([make_packet(t)], [make_packet(1.0), make_packet(t)]):
+        for start in (None, 0.0):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                run(packets, start)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        PacketTable.of([make_packet(t)])
 
 
 class TestDetectStream:

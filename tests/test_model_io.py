@@ -205,6 +205,16 @@ class TestTampering:
         with pytest.raises(MalformedModel):
             load_model(b"\x00" * 64)
 
+    def test_short_input_without_the_magic_prefix(self):
+        with pytest.raises(MalformedModel, match="bad model magic"):
+            load_model(b"abc")
+
+    def test_truncated_before_the_length(self):
+        head = MODEL_MAGIC + struct.pack(">H", MODEL_FORMAT_VERSION) + b"\x00\x00"
+        assert len(head) == 12
+        with pytest.raises(ChecksumFailure, match="truncated before the length"):
+            load_model(head)
+
     def test_unknown_version(self):
         payload = json.dumps(valid_payload_dict()).encode()
         with pytest.raises(VersionMismatch):
