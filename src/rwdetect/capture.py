@@ -109,6 +109,7 @@ class _Table(Sequence):
     __slots__ = ("columns",)
     _row: Callable
     _values: Callable   # a row's values in column order
+    _names: tuple       # the name of each column
     _dtypes: tuple      # the type of each column
 
     def __init__(self, columns: Iterable[np.ndarray]):
@@ -118,14 +119,22 @@ class _Table(Sequence):
     def of(cls, rows: Iterable):
         """``rows`` as a table: a table of this kind as it is, rows
         transposed once, with each distinct address parsed once.  A Python
-        int its column cannot hold raises OverflowError."""
+        int its column cannot hold raises OverflowError, any other value
+        its column would not store exactly ValueError (NaN stores as NaN)."""
         if isinstance(rows, cls):
             return rows
         columns = list(zip(*map(cls._values, rows))) or [()] * len(cls._dtypes)
         u32 = {text: ip_to_u32(text) for text in {*columns[1], *columns[3]}}
         columns[1] = [u32[a] for a in columns[1]]
         columns[3] = [u32[a] for a in columns[3]]
-        return cls(map(np.array, columns, cls._dtypes))
+        table = cls(map(np.array, columns, cls._dtypes))
+        for name, column, given in zip(cls._names, table.columns, columns):
+            stored = column.tolist()
+            if stored != list(given):
+                for a, b in zip(stored, given):
+                    if a != b and not (a != a and b != b):
+                        raise ValueError(f"column {name} cannot hold {b!r} exactly")
+        return table
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -159,6 +168,7 @@ class PacketTable(_Table):
     __slots__ = ()
     _row = PacketRecord
     _values = tuple
+    _names = PacketRecord._fields
     _dtypes = (np.float64, np.uint32, np.uint16, np.uint32, np.uint16,
                np.uint8, np.uint32)
 

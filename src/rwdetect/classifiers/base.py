@@ -75,11 +75,10 @@ def kind_from_name(text: str) -> ClassifierKind:
         raise InvalidHyperparams(f"unknown classifier kind: {text!r}") from None
 
 
-_GENERIC_CHECKS = (
-    (lambda hp: 0 <= hp.seed <= 2 ** 64 - 1, "seed must fit an unsigned 64-bit int"),
-    (lambda hp: all(math.isfinite(v) for v in astuple(hp) if isinstance(v, float)),
-     "hyperparameters must be finite"),
-)
+def check_seed(seed: int) -> None:
+    """The seed rule of every hyperparameter set and split spec."""
+    if not 0 <= seed <= 2 ** 64 - 1:
+        raise InvalidHyperparams("seed must fit an unsigned 64-bit int")
 
 
 def default_hyperparams(kind: ClassifierKind, seed: int = 42) -> Hyperparams:
@@ -97,7 +96,10 @@ def validate_hyperparams(kind: ClassifierKind, hp: Hyperparams) -> None:
         if got is not wanted and (got, wanted) != (int, float):
             raise InvalidHyperparams(
                 f"{f.name} must be {wanted.__name__}, got {got.__name__}")
-    for holds, message in (*_GENERIC_CHECKS, *family.CHECKS):
+    check_seed(hp.seed)
+    if not all(math.isfinite(v) for v in astuple(hp) if isinstance(v, float)):
+        raise InvalidHyperparams("hyperparameters must be finite")
+    for holds, message in family.CHECKS:
         if not holds(hp):
             raise InvalidHyperparams(message)
 

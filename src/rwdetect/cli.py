@@ -5,8 +5,10 @@ stdout (or ``-o``); progress, the effective-configuration echo and
 warnings go to stderr.  Exit codes: 0 success, 1 expected failures (bad
 usage, unreadable input, malformed data), 2 unexpected internal errors.
 
-A ``--config`` file holds ``key=value`` lines that act as extra flags
-for the subcommand; flags given on the command line win.
+Options are spelled in full.  ``--seed`` (``train``, ``eval``, ``bench``)
+seeds the split and every model.  A ``--config`` file holds ``key=value``
+lines that act as extra flags for the subcommand; flags given on the
+command line win.
 """
 
 from __future__ import annotations
@@ -44,17 +46,6 @@ from .features import Label, dataset_fingerprint, read_dataset_csv, write_datase
 
 #: store_true options a config file may set with key=true / key=false.
 _BOOL_FLAGS = {"lenient", "zero-address-features", "text"}
-
-
-class _UsageError(Exception):
-    def __init__(self, message: str, parser: argparse.ArgumentParser):
-        super().__init__(message)
-        self.parser = parser
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):   # argparse would sys.exit(2); we want exit 1
-        raise _UsageError(message, self)
 
 
 def _read_config_args(path: str) -> list[str]:
@@ -114,8 +105,7 @@ def _skip_clause(c: CaptureSummary) -> str:
 
 
 def _cmd_extract(args) -> int:
-    _echo_config("extract", input=args.input, lenient=args.lenient,
-                 seed=args.seed)
+    _echo_config("extract", input=args.input, lenient=args.lenient)
     packets, capture = load_packets(args.input, args.lenient)
     conversations = aggregate(packets)
     _write_text(args.output, conversations_to_csv(conversations))
@@ -126,7 +116,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_label(args) -> int:
     _echo_config("label", ransomware=len(args.ransomware),
-                 benign=len(args.benign), lenient=args.lenient, seed=args.seed)
+                 benign=len(args.benign), lenient=args.lenient)
     if not args.ransomware and not args.benign:
         raise InvalidHyperparams("need at least one --ransomware or --benign file")
     sets = [
@@ -187,27 +177,27 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _split_spec(args) -> SplitSpec:
+def _split_spec(command: str, args, **settings) -> SplitSpec:
+    """The split spec of ``eval`` or ``bench``, once their configuration is echoed."""
     if args.split == "holdout":
-        return SplitSpec.holdout(train_ratio=args.train_ratio, seed=args.seed)
-    return SplitSpec.kfold(k=args.k, seed=args.seed)
+        spec = SplitSpec.holdout(train_ratio=args.train_ratio, seed=args.seed)
+    else:
+        spec = SplitSpec.kfold(k=args.k, seed=args.seed)
+    _echo_config(command, **settings, split=args.split, train_ratio=args.train_ratio,
+                 k=args.k, seed=args.seed, format=args.format,
+                 zero_addresses=args.zero_address_features)
+    return spec
 
 
-def _render(rows, fmt: str) -> str:
-    if fmt == "json":
-        return render_report_json(rows)
-    return render_report_csv(rows)
+#: The report renderer of each ``--format``.
+_RENDER = {"csv": render_report_csv, "json": render_report_json}
 
 
 def _cmd_eval(args) -> int:
     kind = kind_from_name(args.kind)
-    spec = _split_spec(args)
-    _echo_config("eval", kind=kind.value, split=args.split,
-                 train_ratio=args.train_ratio, k=args.k, seed=args.seed,
-                 format=args.format,
-                 zero_addresses=args.zero_address_features)
+    spec = _split_spec("eval", args, kind=kind.value)
     dataset = read_dataset_csv(Path(args.input).read_text())
-    result = evaluate(kind, dataset, spec,
+    result = evaluate(kind, dataset, spec, default_hyperparams(kind, seed=args.seed),
                       zero_addresses=args.zero_address_features)
     if len(result.folds) > 1:
         for i, fold in enumerate(result.folds):
@@ -216,7 +206,7 @@ def _cmd_eval(args) -> int:
                 f"{'n/a' if fold.accuracy is None else f'{fold.accuracy:.4f}'}",
                 file=sys.stderr,
             )
-    _write_text(args.output, _render([result.row], args.format))
+    _write_text(args.output, _RENDER[args.format]([result.row]))
     return 0
 
 
@@ -225,23 +215,20 @@ def _cmd_bench(args) -> int:
         kinds = list(ALL_KINDS)
     else:
         kinds = [kind_from_name(part) for part in args.kinds.split(",")]
-    spec = _split_spec(args)
-    _echo_config("bench", kinds=",".join(k.value for k in kinds),
-                 split=args.split, train_ratio=args.train_ratio, k=args.k,
-                 seed=args.seed, format=args.format,
-                 zero_addresses=args.zero_address_features)
+    spec = _split_spec("bench", args, kinds=",".join(k.value for k in kinds))
     dataset = read_dataset_csv(Path(args.input).read_text())
     print(f"bench: dataset {dataset_fingerprint(dataset)[:12]}, "
           f"{len(dataset)} samples", file=sys.stderr)
-    rows = benchmark(kinds, dataset, spec,
+    hyperparams = {kind: default_hyperparams(kind, seed=args.seed) for kind in kinds}
+    rows = benchmark(kinds, dataset, spec, hyperparams,
                      zero_addresses=args.zero_address_features)
-    _write_text(args.output, _render(rows, args.format))
+    _write_text(args.output, _RENDER[args.format](rows))
     return 0
 
 
 def _cmd_detect(args) -> int:
     _echo_config("detect", model=args.model, interval=args.interval,
-                 text=args.text, seed=args.seed)
+                 text=args.text)
     model = read_model(args.model)
     packets, capture = load_packets(args.input, lenient=True)
     spec = WindowSpec(interval=args.interval)
@@ -252,8 +239,7 @@ def _cmd_detect(args) -> int:
             line = alert_warning_line(alert) if args.text else alert_to_json(alert)
             out.write(line + "\n")
 
-        summary = detect_stream(packets, model, spec, sink,
-                                skipped_malformed=capture.rows_skipped_malformed)
+        summary = detect_stream(packets, model, spec, sink)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -263,90 +249,90 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _add_common(parser: _Parser) -> None:
+def _add_training(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42,
-                        help="deterministic seed (default 42)")
-    parser.add_argument("--config", help="key=value file of extra flags")
-    parser.add_argument("-o", "--output", default=None,
-                        help="output path (default stdout)")
+                        help="seed of every random draw (default 42)")
+    parser.add_argument("--zero-address-features", action="store_true",
+                        help="train with the two address features zeroed")
 
 
-def _add_split(parser: _Parser) -> None:
+def _add_split(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--split", choices=("holdout", "kfold"),
                         default="holdout")
     parser.add_argument("--train-ratio", type=float, default=0.8,
                         help="holdout training fraction (default 0.8)")
     parser.add_argument("--k", type=int, default=10,
                         help="cross-validation folds (default 10)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--zero-address-features", action="store_true",
-                        help="train with the two address features zeroed")
+    parser.add_argument("--format", choices=tuple(_RENDER), default="csv")
+    _add_training(parser)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="rwdetect",
-                     description="Conversation-level ransomware traffic "
-                                 "detection toolkit")
+def _add_subcommand(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, with the options every subcommand takes.
+    Like the top-level parser, it takes no prefix of an option, as
+    ``_splice_config`` takes none of ``--config``."""
+    parser = sub.add_parser(name, help=help, allow_abbrev=False)
+    parser.add_argument("--config", help="key=value file of extra flags")
+    parser.add_argument("-o", "--output", default=None,
+                        help="output path (default stdout)")
+    parser.set_defaults(func=func)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="rwdetect", allow_abbrev=False,
+                                     description="Conversation-level ransomware "
+                                                 "traffic detection toolkit")
     parser.add_argument(
         "--version", action="version",
         version=f"rwdetect {__version__} (model format v{MODEL_FORMAT_VERSION})",
     )
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", help="capture or packet CSV -> conversation CSV")
+    p = _add_subcommand(sub, "extract", _cmd_extract,
+                        "capture or packet CSV -> conversation CSV")
     p.add_argument("input", help="pcap file or packet CSV")
     p.add_argument("--lenient", action="store_true",
                    help="skip malformed CSV rows instead of failing")
-    _add_common(p)
-    p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("label", help="conversation CSVs -> labeled dataset CSV")
+    p = _add_subcommand(sub, "label", _cmd_label,
+                        "conversation CSVs -> labeled dataset CSV")
     p.add_argument("--ransomware", action="append", default=[],
                    metavar="CSV", help="conversation CSV of ransomware traffic")
     p.add_argument("--benign", action="append", default=[],
                    metavar="CSV", help="conversation CSV of benign traffic")
     p.add_argument("--lenient", action="store_true",
                    help="recompute inconsistent totals instead of failing")
-    _add_common(p)
-    p.set_defaults(func=_cmd_label)
 
-    p = sub.add_parser("train", help="dataset CSV -> model file")
+    p = _add_subcommand(sub, "train", _cmd_train, "dataset CSV -> model file")
     p.add_argument("input", help="labeled dataset CSV")
     p.add_argument("--kind", required=True,
                    help=f"classifier kind ({', '.join(KIND_ALIASES)} "
                         "or canonical name)")
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                    help="hyperparameter override (repeatable)")
-    p.add_argument("--zero-address-features", action="store_true",
-                   help="train with the two address features zeroed")
-    _add_common(p)
-    p.set_defaults(func=_cmd_train)
+    _add_training(p)
 
-    p = sub.add_parser("eval", help="evaluate one classifier kind")
+    p = _add_subcommand(sub, "eval", _cmd_eval, "evaluate one classifier kind")
     p.add_argument("input", help="labeled dataset CSV")
     p.add_argument("--kind", required=True)
     _add_split(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bench", help="compare classifier kinds on one split")
+    p = _add_subcommand(sub, "bench", _cmd_bench,
+                        "compare classifier kinds on one split")
     p.add_argument("input", help="labeled dataset CSV")
     p.add_argument("--kinds", default="all",
                    help="'all' or comma-separated kinds (default all)")
     _add_split(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("detect", help="run windowed detection over a capture")
+    p = _add_subcommand(sub, "detect", _cmd_detect,
+                        "run windowed detection over a capture")
     p.add_argument("input", help="pcap file or packet CSV")
     p.add_argument("--model", required=True, help="trained model file")
     p.add_argument("--interval", type=float, default=60.0,
                    help="window length in seconds (default 60)")
     p.add_argument("--text", action="store_true",
                    help="emit human-readable alert lines instead of JSON")
-    _add_common(p)
-    p.set_defaults(func=_cmd_detect)
     return parser
 
 
@@ -357,12 +343,8 @@ def run(argv: list[str] | None = None) -> int:
         argv = _splice_config(argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        exc.parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:   # argparse --help / --version paths
-        return int(exc.code or 0)
+    except SystemExit as exc:   # argparse: 0 after --help / --version, 2 on bad usage
+        return 1 if exc.code else 0
     except (RwdetectError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -371,9 +353,5 @@ def run(argv: list[str] | None = None) -> int:
         return 2
 
 
-def main() -> None:
-    raise SystemExit(run())
-
-
 if __name__ == "__main__":
-    main()
+    raise SystemExit(run())

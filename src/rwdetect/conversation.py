@@ -81,6 +81,7 @@ class ConversationTable(_capture._Table):
     __slots__ = ()
     _row = Conversation
     _values = _fields
+    _names = tuple(CONVERSATION_CSV_HEADER)
     _dtypes = (np.int64,) * 11 + (np.float64,) * 2
 
     def key_order(self) -> np.ndarray:

@@ -22,6 +22,7 @@ from .classifiers import (
     predict_many,
     train,
 )
+from .classifiers.base import check_seed
 from .errors import EmptyInput, InvalidHyperparams, LengthMismatch, TooFewSamples
 from .features import Dataset, _labels01
 
@@ -100,16 +101,21 @@ class SplitSpec:
     k: int = 10
     seed: int = 42
 
+    def __post_init__(self):
+        if self.method not in ("holdout", "kfold"):
+            raise InvalidHyperparams(f"unknown split method: {self.method!r}")
+        if not 0.0 < self.train_ratio < 1.0:
+            raise InvalidHyperparams("train_ratio must be in (0, 1)")
+        if self.k < 2:
+            raise InvalidHyperparams("k must be at least 2")
+        check_seed(self.seed)
+
     @classmethod
     def holdout(cls, train_ratio: float = 0.8, seed: int = 42) -> "SplitSpec":
-        if not 0.0 < train_ratio < 1.0:
-            raise InvalidHyperparams("train_ratio must be in (0, 1)")
         return cls(method="holdout", train_ratio=train_ratio, seed=seed)
 
     @classmethod
     def kfold(cls, k: int = 10, seed: int = 42) -> "SplitSpec":
-        if k < 2:
-            raise InvalidHyperparams("k must be at least 2")
         return cls(method="kfold", k=k, seed=seed)
 
 

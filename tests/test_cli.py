@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import rwdetect.eval
 from rwdetect.capture import parse_packet_csv
 from rwdetect.cli import run
 from rwdetect.classifiers import MODEL_MAGIC, predict_many, read_model
@@ -66,6 +67,20 @@ def workspace(tmp_path):
                 "-o", str(tmp_path / "data.csv")])
     assert code == 0
     return tmp_path
+
+
+@pytest.fixture
+def trained_models(monkeypatch) -> list:
+    """Every model that ``evaluate`` scores, in order."""
+    models = []
+    original = rwdetect.eval.evaluate_model
+
+    def recorder(model, dataset, test_idx):
+        models.append(model)
+        return original(model, dataset, test_idx)
+
+    monkeypatch.setattr(rwdetect.eval, "evaluate_model", recorder)
+    return models
 
 
 def trained_model_path(workspace) -> str:
@@ -238,6 +253,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    def test_float_param_override(self, workspace, capsys):
+        data = str(workspace / "data.csv")
+        out = workspace / "mlp.bin"
+        assert run(["train", data, "--kind", "mlp", "--param", "learning_rate=0.05",
+                    "--param", "epochs=25", "-o", str(out)]) == 0
+        assert read_model(out).hyperparams.learning_rate == 0.05
+        assert run(["train", data, "--kind", "mlp", "--param", "learning_rate=fast",
+                    "-o", str(workspace / "junk.bin")]) == 1
+        assert "learning_rate takes a number, got 'fast'" in capsys.readouterr().err
+        assert not (workspace / "junk.bin").exists()
+
     def test_unknown_kind_exit_1(self, workspace):
         assert run(["train", str(workspace / "data.csv"),
                     "--kind", "boosting", "-o", "-"]) == 1
@@ -299,6 +325,19 @@ class TestEval:
                     "--seed", "7"]) == 0
         assert "seed=7" in capsys.readouterr().err
 
+    def test_seed_reaches_the_models(self, workspace, trained_models):
+        assert run(["eval", str(workspace / "data.csv"), "--kind", "forest",
+                    "--seed", "7"]) == 0
+        assert [model.hyperparams.seed for model in trained_models] == [7]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", [["eval", "--kind", "knn"],
+                                         ["bench", "--kinds", "knn"]])
+    def test_seed_outside_u64_exit_1(self, workspace, capsys, command, seed):
+        assert run([command[0], str(workspace / "data.csv"), *command[1:],
+                    "--seed", seed]) == 1
+        assert "error: seed must fit an unsigned 64-bit int" in capsys.readouterr().err
+
     def test_malformed_dataset_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "data.csv"
         bad.write_text("these,are,not\nthe,right,columns\n")
@@ -323,6 +362,12 @@ class TestBench:
         lines = capsys.readouterr().out.strip().split("\n")
         assert [l.split(",")[0] for l in lines[1:]] == [
             "BayesNetwork", "KNearestNeighbor"]
+
+    def test_seed_reaches_every_model(self, workspace, trained_models):
+        assert run(["bench", str(workspace / "data.csv"), "--kinds", "forest,mlp",
+                    "--seed", "7"]) == 0
+        seeds = [(model.kind.value, model.hyperparams.seed) for model in trained_models]
+        assert seeds == [("RandomForest", 7), ("MultilayerPerceptron", 7)]
 
 
 class TestDetect:
@@ -665,6 +710,35 @@ class TestExitCodes:
 
     def test_unknown_flag(self, capsys):
         assert run(["extract", "x.csv", "--loud"]) == 1
+
+    def test_usage_error_message_is_argparse_own(self, workspace, capsys):
+        assert run(["eval", str(workspace / "data.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rwdetect eval ")
+        assert err.splitlines()[-1] == (
+            "rwdetect eval: error: the following arguments are required: --kind")
+
+    def test_prefix_of_an_option_is_a_usage_error(self, workspace, capsys):
+        # --conf once passed argparse as --config, and the file went unread.
+        cfg = workspace / "run.cfg"
+        cfg.write_text("seed=7\n")
+        data = str(workspace / "data.csv")
+        assert run(["eval", data, "--kind", "knn", "--conf", str(cfg)]) == 1
+        assert run(["eval", data, "--kind", "knn", "--train", "0.7"]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --conf" in err
+        assert "unrecognized arguments: --train 0.7" in err
+
+    @pytest.mark.parametrize("command", [
+        ["extract", "packets.csv"], ["label", "--benign", "benign.csv"],
+        ["detect", "packets.csv", "--model", "model.bin"]])
+    def test_seed_only_where_something_is_drawn(self, workspace, capsys, command):
+        argv = [str(workspace / arg) if arg.endswith((".csv", ".bin")) else arg
+                for arg in command]
+        trained_model_path(workspace)
+        assert run(argv + ["-o", str(workspace / "out")]) == 0
+        assert run(argv + ["--seed", "3", "-o", str(workspace / "out")]) == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert run(["extract", str(tmp_path / "absent.csv")]) == 1

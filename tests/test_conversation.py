@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
 from ipaddress import AddressValueError, IPv4Address
 from itertools import product
 
@@ -28,6 +30,7 @@ from rwdetect.conversation import (
     csv_to_conversations,
 )
 from rwdetect.errors import ClockSkew, InvariantViolation, RowError, SchemaMismatch
+from rwdetect.features import encode_many
 
 from conftest import (
     build_pcap,
@@ -236,6 +239,27 @@ class TestColumnLayout:
         # negative sum: port 70000 became 1.1.1.3:4464.
         with pytest.raises(OverflowError):
             aggregate(packets)
+
+    @pytest.mark.parametrize("port", [np.int64(70000), 80.7, np.float64(5.5)],
+                             ids=["numpy-int-70000", "float-80.7", "numpy-float-5.5"])
+    def test_record_value_its_column_would_not_store_exactly_raises(self, port):
+        # Each of these was once cast: 4464, 80 and 5.
+        record = PacketRecord(0.0, "1.1.1.2", port, "2.2.2.2", 80, TCP, 100)
+        message = re.escape(f"column src_port cannot hold {port!r} exactly")
+        with pytest.raises(ValueError, match=message):
+            PacketTable.of([record])
+        assert PacketTable.of([record._replace(src_port=80.0)]) == [
+            record._replace(src_port=80)]
+
+    def test_conversation_value_its_column_would_not_store_exactly_raises(self):
+        # Once encode_many([c]) read packets 2.0 where encode(c) read 2.5.
+        with pytest.raises(ValueError, match="column packets cannot hold 2.5"):
+            encode_many([replace(make_conversation(), packets=2.5)])
+        nan = make_conversation(duration=float("nan"))
+        assert np.isnan(encode_many([nan])[0, 12])
+
+    def test_table_equals_no_number(self):
+        assert (PacketTable.of([make_packet(0.0)]) == 5) is False
 
 
 @st.composite

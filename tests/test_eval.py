@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -146,6 +147,18 @@ class TestSplitSpec:
         assert SplitSpec.kfold().k == 10
         with pytest.raises(InvalidHyperparams):
             SplitSpec.kfold(k=1)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(method="bogus", k=4), "unknown split method: 'bogus'"),
+        (dict(method="holdout", train_ratio=1.5), "train_ratio must be in (0, 1)"),
+        (dict(method="holdout", seed=-1), "seed must fit an unsigned 64-bit int"),
+        (dict(method="kfold", seed=2**64), "seed must fit an unsigned 64-bit int"),
+    ])
+    def test_direct_construction_is_checked(self, fields, message):
+        # The checks once lived only in holdout()/kfold(): SplitSpec("bogus",
+        # k=4) ran 4-fold and train_ratio=1.5 split 38/2.
+        with pytest.raises(InvalidHyperparams, match=re.escape(message)):
+            SplitSpec(**fields)
 
 
 class TestSplit:
