@@ -61,8 +61,7 @@ scores = tree.scores
 def _features_used(nodes: tree.Nodes) -> list[list[int]]:
     """Each tree's split features, sorted."""
     bounds = [*nodes.roots.tolist(), len(nodes)]
-    splits = nodes.children[:, 0] != np.arange(len(nodes))
-    return [sorted(set(nodes.feature[lo:hi][splits[lo:hi]].tolist()))
+    return [sorted(set(nodes.feature[lo:hi].tolist()) - {-1})
             for lo, hi in zip(bounds, bounds[1:])]
 
 

@@ -17,23 +17,42 @@ subsets in the order of a tree grown alone.  On each step every live
 tree pops leaves up to its next node to search, and one search scores
 all those nodes in batches of at most ``CHUNK_CELLS`` cells.
 
-In memory a tree, or every tree of a forest, is one ``Nodes``: flat
-columns over all the nodes, child indexes absolute.  A leaf's children
-are the leaf itself, which is how ``scores`` tells a leaf, and why a
-(query, tree) pair at a leaf can step in place: its feature (0) and
-threshold (as read) choose between two equal children.  A child comes
-after its parent in its tree (``nodes_in`` checks it), so every walk
-ends at a leaf.  The model file keeps one list of ``[feature, threshold,
-left, right, pos, total]`` rows per tree, in preorder, with child
-indexes counted from the tree's first row and a leaf written as
-``feature = -1`` with ``-1`` children; ``nodes_in`` reads such lists
-into columns and ``rows`` writes them back.
+The model file keeps one list of ``[feature, threshold, left, right,
+pos, total]`` rows per tree, in canonical preorder: a split's left child
+is the next row and its right child the row after the left subtree.
+Child indexes count from the tree's first row, and a leaf is written as
+``feature = -1`` with ``-1`` children.  ``nodes_in`` checks such lists
+and reads them into one ``Nodes`` for a tree, or for every tree of a
+forest: columns over all the nodes (without the left children, which
+canonical preorder implies), and exit tables; ``rows`` writes the rows
+back.
+
+``scores`` finds each (query, tree) pair's exit leaf from the tables
+(QuickScorer: Lucchese et al., SIGIR 2015).  A query goes right at a
+split exactly when its value is above the threshold, and then no leaf of
+the split's left subtree is its exit; the exit is the leftmost leaf that
+no such split rules out.  With the leaves numbered left to right, which
+in canonical preorder is row order, the leaves a split leaves in play
+are a bit mask.  On one feature, a query goes right at the splits whose
+thresholds are below its value, a prefix of the tree's splits on that
+feature sorted by threshold; so one running AND of their masks per
+prefix, picked by the query's rank among the thresholds, serves all
+queries, and the lowest bit set in the AND of the 13 features' picks is
+the exit.
+
+A mask is one 64-bit word, so trees of more leaves are cut into
+fragments of at most ``FRAGMENT_SLOTS`` slots, a slot being a leaf or the
+root of a further fragment; a pair whose exit slot roots a fragment hops
+to its exit there.  The tables of up to ``BLOCK_FRAGMENTS`` fragments
+make a block, which ranks queries among its own thresholds only, so the
+tables grow with the node count rather than with thresholds times
+fragments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -55,14 +74,38 @@ CHECKS = ((lambda hp: hp.min_leaf >= 1, "min_leaf must be at least 1"),)
 
 
 @dataclass(frozen=True, eq=False)
+class Block:
+    """Exit tables of up to ``BLOCK_FRAGMENTS`` consecutive fragments.
+
+    A feature's cuts are the distinct thresholds of the block's splits
+    on it.  A query value above ``r`` of them goes right at every such
+    split whose threshold is one of those ``r``.
+    """
+    cuts: np.ndarray        # feature by feature, ascending
+    cut_start: np.ndarray   # feature f's cuts are cuts[cut_start[f]:cut_start[f + 1]]
+    counts: np.ndarray      # uint8, (len(cuts) + 13, fragments): row cut_start[f] + f + r
+                            # counts each fragment's splits on f at f's first r cuts
+    base: np.ndarray        # uint16, (13, fragments): where masks holds the
+                            # fragment's running ANDs over its splits on f
+    masks: np.ndarray       # uint64: masks[base + count] keeps the slots that the
+                            # first ``count`` splits on f, by threshold, leave reachable
+    first_slot: np.ndarray  # each fragment's first slot
+
+
+@dataclass(frozen=True, eq=False)
 class Nodes:
-    """The nodes of one or more trees as columns; ``len()`` is the node count."""
-    feature: np.ndarray     # split feature, 0 at a leaf
+    """The nodes of one or more trees as columns, the integer ones in the
+    smallest type that holds them, and their exit tables; ``len()`` is
+    the node count."""
+    feature: np.ndarray     # split feature, -1 at a leaf
     threshold: np.ndarray
-    children: np.ndarray    # (nodes, 2): left and right; a leaf's are itself
+    right: np.ndarray       # each split's right child, counted from its tree's first
+                            # node (its left child is the next node)
     pos: np.ndarray         # positive training samples that reached the node
     total: np.ndarray
     roots: np.ndarray       # each tree's root, its first node, in tree order
+    blocks: tuple           # fragment f's tables are in block f // BLOCK_FRAGMENTS
+    exit: np.ndarray        # each slot's leaf, or -1 - the fragment it roots
 
     def __len__(self) -> int:
         return len(self.feature)
@@ -203,58 +246,77 @@ def fit(x: np.ndarray, y: np.ndarray, hp: TreeParams) -> Nodes:
     return grow(x, y, [np.arange(len(y))], hp.min_leaf)
 
 
-#: (query, tree) pairs ``scores`` routes at once; bounds its index arrays.
-CHUNK_PAIRS = 1 << 14
+#: Slots of a fragment: the bits of one mask word.
+FRAGMENT_SLOTS = 64
+
+#: Fragments per table block.  A block's count table has a row per
+#: distinct threshold of the block's own splits and a column per fragment,
+#: so blocks keep the tables linear in the node count.  At 128 a block
+#: holds under 10,000 masks, which ``Block.base`` indexes as uint16.
+BLOCK_FRAGMENTS = 128
+
+#: (query, fragment) exit slots ``scores`` finds at once; bounds its
+#: temporaries.
+CHUNK_EXITS = 1 << 14
+
+_ALL = np.uint64(2**64 - 1)
+_ONE = np.uint64(1)
+
+
+def _exit_slots(block: Block, queries: np.ndarray, out: np.ndarray) -> None:
+    """Each query's exit slot in each fragment of the block, into ``out``
+    (queries, fragments)."""
+    reach = np.full(out.shape, _ALL)
+    for f, (lo, hi) in enumerate(pairwise(block.cut_start.tolist())):
+        if lo < hi:
+            row = np.searchsorted(block.cuts[lo:hi], queries[:, f]) + (lo + f)
+            reach &= block.masks.take(block.base[f] + block.counts.take(row, axis=0))
+    # The exit is the lowest set bit; the bits up to it count its index + 1.
+    np.add(block.first_slot - 1, np.bitwise_count(reach ^ (reach - _ONE)), out=out)
 
 
 def scores(nodes: Nodes, queries: np.ndarray) -> np.ndarray:
     """Mean over the trees of the positive fraction of each query's leaf.
 
-    Up to ``CHUNK_PAIRS`` (query, tree) pairs start at their roots
-    together.  Each step moves every pair it holds to a child, a pair at
-    a leaf to that leaf.  Once fewer than three in four of them are at a
-    split, the pairs at a leaf are written out and dropped; the walk
-    stops when none is left.  A query goes left when its value is ``<=``
-    the node's threshold, so right when it is ``>``: queries and
-    thresholds are finite.  The leaf fractions
+    Queries are taken in chunks of up to ``CHUNK_EXITS`` (query,
+    fragment) pairs.  Each block gives every query of a chunk its exit
+    slot in every fragment of the block: per feature, the query's rank
+    among the block's cuts picks each fragment's count of splits below
+    the value, and the count picks the running AND of those splits'
+    masks; the lowest bit set in the AND of the 13 picks is the exit.  A
+    (query, tree) pair takes its tree's root fragment's exit, then, while
+    that slot roots a fragment, the exit there.  The leaf fractions
     ``pos / total`` are added tree by tree, in tree order, then divided
     by the tree count.
     """
-    feature, threshold, children = nodes.feature, nodes.threshold, nodes.children
     n_trees = len(nodes.roots)
-    chunk_rows = max(1, CHUNK_PAIRS // n_trees)
+    n_fragments = sum(len(block.first_slot) for block in nodes.blocks)
+    chunk_rows = max(1, CHUNK_EXITS // n_fragments)
     total = np.zeros(len(queries))
     for lo in range(0, len(queries), chunk_rows):
         chunk = queries[lo:lo + chunk_rows]
-        flat = chunk.ravel()
-        # Pair t * len(chunk) + r is tree t and row r; ``node`` is where
-        # each pair is, and (pair, at, row_start) where the walking ones are.
-        node = np.repeat(nodes.roots, len(chunk))
-        pair, at = np.arange(node.size), node
-        row_start = np.tile(np.arange(0, flat.size, chunk.shape[1]), n_trees)
-        while True:
-            walking = children.take(2 * at) != at   # a leaf is its own child
-            n_walking = np.count_nonzero(walking)
-            if 4 * n_walking < 3 * walking.size:
-                node[pair] = at
-                if not n_walking:
-                    break
-                keep = np.flatnonzero(walking)
-                pair, at, row_start = (a.take(keep) for a in (pair, at, row_start))
-            goes_right = flat.take(row_start + feature.take(at)) > threshold.take(at)
-            at = children.take(2 * at + goes_right)    # children[at, goes_right]
-        fractions = nodes.pos.take(node) / nodes.total.take(node)
+        slot = np.empty((len(chunk), n_fragments), dtype=np.int64)
+        end = 0
+        for block in nodes.blocks:
+            start, end = end, end + len(block.first_slot)
+            _exit_slots(block, chunk, slot[:, start:end])
+        leaf = nodes.exit.take(slot[:, :n_trees].T)   # fragment t is tree t's root
+        tree, row = np.nonzero(leaf < 0)
+        while len(row):
+            leaf[tree, row] = nodes.exit.take(slot[row, -1 - leaf[tree, row]])
+            hopping = leaf[tree, row] < 0
+            tree, row = tree[hopping], row[hopping]
         part = total[lo:lo + chunk_rows]
-        for fraction in fractions.reshape(n_trees, len(chunk)):
+        for fraction in nodes.pos.take(leaf) / nodes.total.take(leaf):
             part += fraction
     return total / n_trees
 
 
 def nodes_in(trees) -> Nodes:
-    """Columns of trees given as lists of model-file rows.
+    """Columns and exit tables of trees given as lists of model-file rows.
 
     Raises ValueError on rows that fail the checks of
-    docs/model_format.md, which make every query's walk end at a leaf.
+    docs/model_format.md, which make each tree one canonical preorder.
     """
     sizes = list(map(len, trees))
     if not all(sizes):
@@ -265,9 +327,27 @@ def nodes_in(trees) -> Nodes:
     feature, threshold, left, right, pos, total = (
         array(column, (None,)) if k == 1 else integers(column)
         for k, column in enumerate(map(list, zip(*flat))))
-
-    n = len(flat)
     start = np.cumsum(sizes) - sizes
+    last = _check(feature, left, right, pos, total, start, sizes)
+    split = np.flatnonzero(feature != -1)
+    frag, keep, first_slot, exits = _slots(split, right, start, sizes, last)
+    feature, pos, total = map(_compact, (feature, pos, total))
+    return Nodes(feature=feature, threshold=threshold, right=_compact(right[split]), pos=pos,
+                 total=total, roots=start,
+                 blocks=_blocks(frag, feature[split], threshold[split], keep, first_slot),
+                 exit=exits)
+
+
+def _compact(column: np.ndarray) -> np.ndarray:
+    """An integer column in the smallest type that holds its values."""
+    return column.astype(np.promote_types(np.min_scalar_type(column.min(initial=0)),
+                                          np.min_scalar_type(column.max(initial=0))))
+
+
+def _check(feature, left, right, pos, total, start, sizes) -> np.ndarray:
+    """Each node's last descendant, once the rows pass the checks of
+    docs/model_format.md; else ValueError naming the first bad row."""
+    n = len(feature)
     offset = np.repeat(start, sizes)
     count = np.repeat(sizes, sizes)
     local = np.arange(n) - offset
@@ -284,24 +364,176 @@ def nodes_in(trees) -> Nodes:
         if bad.any():
             raise ValueError(message.format(local[bad.argmax()]))
 
-    children = np.stack([left, right], axis=1)
-    children += offset[:, None]
-    children[leaf] = np.flatnonzero(leaf)[:, None]
-    feature[leaf] = 0
-    return Nodes(feature=feature, threshold=threshold, children=children,
-                 pos=pos, total=total, roots=start)
+    split = np.flatnonzero(~leaf)
+    # A split's last descendant is its right child's; a leaf is its own.
+    last = np.arange(n)
+    last[split] = right[split] + offset[split]
+    while not np.array_equal(further := last.take(last), last):
+        last = further
+    # Canonical preorder: a split's left child is the next row, its right
+    # child the row after the left subtree, and the root's subtree ends at
+    # the tree's last row.  Then the root reaches each row exactly once.
+    bad = np.zeros(n, dtype=bool)
+    bad[split] = ((left[split] != local[split] + 1)
+                  | (right[split] + offset[split] != last.take(split + 1) + 1))
+    reach = last.take(start)
+    bad[reach[reach < start + sizes - 1] + 1] = True
+    if bad.any():
+        raise ValueError(f"node {local[bad.argmax()]} is not in canonical preorder")
+    return last
+
+
+def _cut_nodes(leaf, right, start, sizes) -> np.ndarray:
+    """Split nodes, ascending, that root fragments of their own, so that
+    no fragment holds more than ``FRAGMENT_SLOTS`` slots.
+
+    Bottom up: a split whose children hold more slots than that between
+    them cuts off its larger child, which then holds one slot, then its
+    other child too if still over.
+    """
+    cut = []
+    n_leaves = np.add.reduceat(leaf, start)
+    for t in np.flatnonzero(n_leaves > FRAGMENT_SLOTS).tolist():
+        lo, hi = int(start[t]), int(start[t]) + sizes[t]
+        is_leaf, right_of = leaf[lo:hi].tolist(), right[lo:hi].tolist()   # in the tree
+        slots = [1] * sizes[t]
+        for i in reversed(range(sizes[t])):
+            if not is_leaf[i]:
+                a, b = i + 1, right_of[i]
+                if slots[a] < slots[b]:
+                    a, b = b, a
+                held = slots[a] + slots[b]
+                if held > FRAGMENT_SLOTS:
+                    cut.append(lo + a)
+                    held = 1 + slots[b]
+                    if held > FRAGMENT_SLOTS:
+                        cut.append(lo + b)
+                        held = 2
+                slots[i] = held
+    return np.sort(np.array(cut, dtype=np.int64))
+
+
+def _slots(split, right, start, sizes, last):
+    """Each split's fragment and the slots it leaves when a query goes
+    right at it; each fragment's first slot; each slot's leaf, or -1 -
+    the fragment it roots.
+
+    A fragment is a tree's root, or a cut node, and the nodes below it
+    down to its slots: the leaves and cut nodes under it that no other
+    cut node is above.  Its slots are numbered left to right, which in
+    canonical preorder is their row order.
+    """
+    n, n_trees = len(last), len(start)
+    leaf = np.ones(n, dtype=bool)
+    leaf[split] = False
+    right_at = right[split] + np.repeat(start, sizes)[split]
+    cut = _cut_nodes(leaf, right, start, sizes)
+    n_fragments = n_trees + len(cut)
+    rooted = np.full(n, -1)
+    rooted[cut] = np.arange(n_trees, n_fragments)
+    # Each node's fragment as a split or slot: a cut node is a slot of the
+    # fragment above it and the root split of its own.
+    inner = np.repeat(np.arange(n_trees), sizes)
+    for fragment, node in enumerate(cut.tolist(), n_trees):   # outer cuts first
+        inner[node + 1:last[node] + 1] = fragment
+    is_slot = leaf.copy()
+    is_slot[cut] = True
+    slot_node = np.flatnonzero(is_slot)
+    owner = inner.take(slot_node)
+    order = np.argsort(owner, kind="stable")    # slot ids: by fragment, then row
+    first_slot = np.searchsorted(owner[order], np.arange(n_fragments))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order)) - first_slot[owner[order]]
+    # The slots of a split's left subtree in its fragment: from the first
+    # slot at or after its left child to the first at or after its right.
+    slots_before = np.cumsum(is_slot) - is_slot
+    lo = rank.take(slots_before.take(split + 1)).astype(np.uint64)
+    hi = rank.take(slots_before.take(right_at)).astype(np.uint64)
+    keep = ~((_ALL >> (np.uint64(64) - hi)) ^ ((_ONE << lo) - _ONE))
+    frag = np.where(rooted[split] >= 0, rooted[split], inner[split])
+    slot_node = slot_node[order]
+    exits = np.where(leaf[slot_node], slot_node, -1 - rooted[slot_node])
+    return frag, keep, first_slot, _compact(exits)
+
+
+def _blocks(frag, feat, value, keep, first_slot) -> tuple:
+    """Each block's tables from its splits' fragments, features,
+    thresholds and slots left when a query goes right."""
+    n_fragments = len(first_slot)
+    n_blocks = -(-n_fragments // BLOCK_FRAGMENTS)
+    block = frag // BLOCK_FRAGMENTS
+    # Stable sorts of small keys after one of the thresholds: splits by
+    # (block, feature, threshold) for the cuts, by (fragment, feature,
+    # threshold) for the tables.  Keys of up to 16 bits sort by radix.
+    by_value = np.argsort(value)
+    by_cut = by_value[np.argsort(_compact(block * N_FEATURES + feat)[by_value], kind="stable")]
+    by_frag = by_value[np.argsort(_compact(frag * N_FEATURES + feat)[by_value], kind="stable")]
+    cut_key = (block * N_FEATURES + feat)[by_cut]
+    new = np.ones(len(frag), dtype=bool)
+    new[1:] = (np.diff(cut_key) != 0) | (np.diff(value[by_cut]) != 0)
+    cuts = value[by_cut][new]
+    cut_bounds = np.searchsorted(cut_key[new], np.arange(n_blocks * N_FEATURES + 1))
+    # Each split's row in its block's count table: its cut's, after its
+    # feature's zero row.
+    row = np.empty(len(frag), dtype=np.int64)
+    row[by_cut] = np.cumsum(new) + feat[by_cut] - cut_bounds[N_FEATURES * block[by_cut]]
+    frag_bounds = np.searchsorted(block[by_frag], np.arange(n_blocks + 1))
+    blocks = []
+    for b in range(n_blocks):
+        fa = b * BLOCK_FRAGMENTS
+        mine = by_frag[frag_bounds[b]:frag_bounds[b + 1]]
+        bounds = cut_bounds[b * N_FEATURES:(b + 1) * N_FEATURES + 1]
+        blocks.append(_block(frag[mine] - fa, feat[mine], row[mine], keep[mine],
+                             cuts[bounds[0]:bounds[-1]], bounds - bounds[0],
+                             first_slot[fa:fa + BLOCK_FRAGMENTS]))
+    return tuple(blocks)
+
+
+def _block(frag, feat, row, keep, cuts, cut_start, first_slot) -> Block:
+    """A block's tables from its splits sorted by fragment, feature and
+    threshold: each one's fragment in the block, feature, count-table row
+    and the slots left when a query goes right at it."""
+    k = len(first_slot)
+    # Count table: each fragment's splits at each row, then running sums
+    # down each feature's rows.
+    first = np.ones(len(frag), dtype=bool)
+    first[1:] = (np.diff(row) != 0) | (np.diff(frag) != 0)
+    counts = np.zeros((len(cuts) + N_FEATURES, k), dtype=np.uint8)
+    counts[row[first], frag[first]] = np.diff(np.flatnonzero(first), append=len(first))
+    for lo, hi in pairwise((cut_start + np.arange(N_FEATURES + 1)).tolist()):
+        if hi - lo > 1:
+            np.cumsum(counts[lo:hi], axis=0, out=counts[lo:hi])
+    # Masks: an all-ones word for groups without splits, then each
+    # (fragment, feature) group's running AND by threshold, after an
+    # all-ones head of its own.
+    head = np.ones(len(frag), dtype=bool)
+    head[1:] = (np.diff(feat) != 0) | (np.diff(frag) != 0)
+    at = np.arange(len(frag)) + np.cumsum(head) + 1
+    masks = np.full(len(frag) + head.sum() + 1, _ALL)
+    masks[at] = keep
+    segment = np.zeros(len(masks), dtype=np.int64)
+    segment[at[head] - 1] = 1
+    segment = np.cumsum(segment)
+    step = 1
+    while step < FRAGMENT_SLOTS:    # a running AND within each group, by doubling
+        masks[step:] &= np.where(segment[step:] == segment[:-step], masks[:-step], _ALL)
+        step *= 2
+    base = np.zeros((N_FEATURES, k), dtype=np.uint16)
+    base[feat[head], frag[head]] = at[head] - 1
+    return Block(cuts=cuts, cut_start=cut_start, counts=counts, base=base, masks=masks,
+                 first_slot=first_slot)
 
 
 def rows(nodes: Nodes) -> list[list[tuple]]:
     """Each tree's model-file rows."""
-    n = len(nodes)
-    leaf = nodes.children[:, 0] == np.arange(n)
-    offset = np.repeat(nodes.roots, np.diff(nodes.roots, append=n))
-    feature = np.where(leaf, -1, nodes.feature)
-    left, right = np.where(leaf[:, None], -1, nodes.children - offset[:, None]).T
-    bounds = [*nodes.roots.tolist(), n]
-    return [list(zip(*(column[lo:hi].tolist() for column in (
-                feature, nodes.threshold, left, right, nodes.pos, nodes.total))))
+    bounds = [*nodes.roots.tolist(), len(nodes)]
+    split = nodes.feature >= 0
+    left, right = np.full((2, len(nodes)), -1)
+    left[split] = (np.arange(len(nodes)) - np.repeat(nodes.roots, np.diff(bounds)))[split] + 1
+    right[split] = nodes.right
+    columns = [column.tolist() for column in (nodes.feature, nodes.threshold, left, right,
+                                              nodes.pos, nodes.total)]
+    return [list(zip(*(column[lo:hi] for column in columns)))
             for lo, hi in zip(bounds, bounds[1:])]
 
 

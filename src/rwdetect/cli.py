@@ -178,13 +178,16 @@ def _cmd_train(args) -> int:
 
 
 def _split_spec(command: str, args, **settings) -> SplitSpec:
-    """The split spec of ``eval`` or ``bench``, once their configuration is echoed."""
-    if args.split == "holdout":
-        spec = SplitSpec.holdout(train_ratio=args.train_ratio, seed=args.seed)
-    else:
-        spec = SplitSpec.kfold(k=args.k, seed=args.seed)
-    _echo_config(command, **settings, split=args.split, train_ratio=args.train_ratio,
-                 k=args.k, seed=args.seed, format=args.format,
+    """The split spec of ``eval`` or ``bench``, once their configuration is
+    echoed.  A holdout reads ``--train-ratio`` and k-fold ``--k``; the
+    other option, given, is a usage error."""
+    read, unread = ("train_ratio", "k") if args.split == "holdout" else ("k", "train_ratio")
+    if getattr(args, unread) is not None:
+        args.usage_error(f"--{unread.replace('_', '-')} does not apply to --split {args.split}")
+    given = {} if getattr(args, read) is None else {read: getattr(args, read)}
+    spec = SplitSpec(method=args.split, seed=args.seed, **given)
+    _echo_config(command, **settings, split=args.split, **{read: getattr(spec, read)},
+                 seed=args.seed, format=args.format,
                  zero_addresses=args.zero_address_features)
     return spec
 
@@ -259,11 +262,12 @@ def _add_training(parser: argparse.ArgumentParser) -> None:
 def _add_split(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--split", choices=("holdout", "kfold"),
                         default="holdout")
-    parser.add_argument("--train-ratio", type=float, default=0.8,
+    parser.add_argument("--train-ratio", type=float,
                         help="holdout training fraction (default 0.8)")
-    parser.add_argument("--k", type=int, default=10,
-                        help="cross-validation folds (default 10)")
+    parser.add_argument("--k", type=int,
+                        help="k-fold cross-validation folds (default 10)")
     parser.add_argument("--format", choices=tuple(_RENDER), default="csv")
+    parser.set_defaults(usage_error=parser.error)
     _add_training(parser)
 
 

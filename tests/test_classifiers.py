@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import struct
 import warnings
 from typing import NamedTuple
 
@@ -36,10 +39,12 @@ from rwdetect.classifiers import forest as forest_mod
 from rwdetect.classifiers import knn as knn_mod
 from rwdetect.classifiers import mlp as mlp_mod
 from rwdetect.classifiers import tree as tree_mod
+from rwdetect.classifiers.model_io import MODEL_FORMAT_VERSION, MODEL_MAGIC
 from rwdetect.errors import (
     DimensionMismatch,
     EmptyDataset,
     InvalidHyperparams,
+    MalformedModel,
     NonFiniteFeature,
     SingleClassDataset,
 )
@@ -552,8 +557,9 @@ def reference_walk(trees: list[list], queries: np.ndarray) -> np.ndarray:
 LEVELS = (-1.5, 0.0, 0.25, 1.0, 3.0)
 
 
-def random_tree(rng: np.random.Generator, splits: int) -> list[list]:
-    """A random tree of file rows with ``splits`` split nodes, in preorder.
+def random_tree(rng: np.random.Generator, splits: int, levels=LEVELS) -> list[list]:
+    """A random tree of file rows with ``splits`` split nodes, in preorder,
+    its thresholds drawn from ``levels``.
 
     Leaves carry arbitrary finite thresholds, which routing ignores.
     """
@@ -564,9 +570,9 @@ def random_tree(rng: np.random.Generator, splits: int) -> list[list]:
         total = int(rng.integers(1, 50))
         pos = int(rng.integers(0, total + 1))
         if budget == 0:
-            rows.append([-1, float(rng.choice(LEVELS)), -1, -1, pos, total])
+            rows.append([-1, float(rng.choice(levels)), -1, -1, pos, total])
             return i
-        rows.append([int(rng.integers(0, 13)), float(rng.choice(LEVELS)), -1, -1, pos, total])
+        rows.append([int(rng.integers(0, 13)), float(rng.choice(levels)), -1, -1, pos, total])
         on_left = int(rng.integers(0, budget))
         rows[i][2] = grow(on_left)
         rows[i][3] = grow(budget - 1 - on_left)
@@ -598,16 +604,98 @@ def scored_by_walk(trees: list[list], queries: np.ndarray) -> tuple[np.ndarray, 
         state = tree_mod.params_in({"nodes": trees[0]}, hp)
     else:
         kind, hp = ClassifierKind.RANDOM_FOREST, ForestParams(trees=len(trees))
-        used = [sorted({row[0] for row in rows if row[0] >= 0}) for rows in trees]
-        state = forest_mod.params_in({"trees": trees, "features_used": used}, hp)
+        state = forest_mod.params_in({"trees": trees, "features_used": features_used(trees)}, hp)
     model = TrainedModel(kind=kind, hyperparams=hp, state=state, scaler=None,
                          training_time=0.0, train_fingerprint="stub")
     return predict_many(model, queries)[1], reference_walk(trees, queries)
 
 
+def features_used(trees: list[list]) -> list[list[int]]:
+    return [sorted({row[0] for row in rows if row[0] >= 0}) for rows in trees]
+
+
+def sealed_trees(trees: list[list]) -> bytes:
+    """A model file holding the trees, J48 for one tree, sealed as the
+    writer seals one, but with rows the reader has not checked."""
+    if len(trees) == 1:
+        kind, hp, params = ClassifierKind.J48, None, {"nodes": trees[0]}
+    else:
+        kind, hp = ClassifierKind.RANDOM_FOREST, ForestParams(trees=len(trees))
+        params = {"trees": trees, "features_used": features_used(trees)}
+    blob = save_model(train(kind, gaussian_dataset(n_pos=6, n_neg=6, seed=3), hp))
+    start = len(MODEL_MAGIC) + 6
+    payload = json.loads(blob[start:-32])
+    payload["params"] = params
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    head = MODEL_MAGIC + struct.pack(">HI", MODEL_FORMAT_VERSION, len(body)) + body
+    return head + hashlib.sha256(head).digest()
+
+
+def balanced_tree(rng: np.random.Generator, depth: int) -> list[list]:
+    """A full tree of ``2 ** depth`` leaves in preorder, with thresholds
+    that are all distinct."""
+    rows: list[list] = []
+
+    def grow(level: int) -> int:
+        i = len(rows)
+        if level == depth:
+            rows.append([-1, 0.0, -1, -1, int(rng.integers(0, 3)), 2])
+            return i
+        rows.append([int(rng.integers(0, 13)), float(rng.normal()), -1, -1, 1, 2])
+        rows[i][2] = grow(level + 1)
+        rows[i][3] = grow(level + 1)
+        return i
+
+    grow(0)
+    return rows
+
+
+def split_over(left: list[list], right: list[list]) -> list[list]:
+    """A split on feature 0 at 0.5 over two trees of file rows, in preorder."""
+    def shifted(rows, by):
+        return [[f, t, -1 if a < 0 else a + by, -1 if b < 0 else b + by, p, n]
+                for f, t, a, b, p, n in rows]
+    total = left[0][5] + right[0][5]
+    return [[0, 0.5, 1, 1 + len(left), left[0][4] + right[0][4], total],
+            *shifted(left, 1), *shifted(right, 1 + len(left))]
+
+
+#: Thresholds of the differential test's random trees: the tie-heavy
+#: levels and both zeros.
+SIGNED_LEVELS = (*LEVELS, -0.0)
+
+
+@st.composite
+def forests_and_queries(draw):
+    """Trees in canonical preorder, one to five, and queries at their
+    thresholds.
+
+    A tree is a random shape over ``SIGNED_LEVELS``, a lone leaf, a
+    random shape of 65 to 200 leaves over 40 normal draws, or a 400-split
+    chain.  A query value is a threshold, a ``nextafter`` either side of
+    one, or a zero of either sign.
+    """
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    trees = []
+    for shape in draw(st.lists(st.sampled_from(["random", "lone", "wide", "chain"]),
+                               min_size=1, max_size=5)):
+        if shape == "random":
+            trees.append(random_tree(rng, int(rng.integers(0, 40)), SIGNED_LEVELS))
+        elif shape == "lone":
+            trees.append([[-1, 0.5, -1, -1, int(rng.integers(0, 4)), 3]])
+        elif shape == "wide":
+            trees.append(random_tree(rng, int(rng.integers(64, 200)), rng.normal(size=40)))
+        else:
+            trees.append(chain_tree(400))
+    thresholds = np.array([row[1] for rows in trees for row in rows])
+    values = np.concatenate([thresholds, np.nextafter(thresholds, -np.inf),
+                             np.nextafter(thresholds, np.inf), [0.0, -0.0]])
+    return trees, rng.choice(values, size=(draw(st.integers(0, 40)), 13))
+
+
 class TestTreeRouting:
-    """``tree.scores`` routes every (query, tree) pair at once over the
-    node columns; it must give the per-node walk's scores bit for bit."""
+    """``tree.scores`` finds each (query, tree) pair's exit leaf from the
+    exit tables; it must give the per-node walk's scores bit for bit."""
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("n_trees", [1, 7])
@@ -616,6 +704,19 @@ class TestTreeRouting:
         trees = [random_tree(rng, int(rng.integers(0, 40))) for _ in range(n_trees)]
         got, want = scored_by_walk(trees, level_queries(rng, 300))
         assert np.array_equal(got, want)
+
+    # (slots per fragment, fragments per block, exits per chunk): the
+    # defaults, then small fragments that hop many times, one fragment
+    # per block, and a chunk of one query or a few.
+    @given(forests_and_queries(), st.sampled_from([
+        (64, 128, 1 << 15), (5, 4, 1 << 15), (64, 1, 1 << 15), (64, 128, 7), (3, 2, 50)]))
+    def test_matches_walk_on_any_trees(self, sample, sizes):
+        trees, queries = sample
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in zip(("FRAGMENT_SLOTS", "BLOCK_FRAGMENTS", "CHUNK_EXITS"), sizes):
+                patch.setattr(tree_mod, name, value)
+            got, want = scored_by_walk(trees, queries)
+        assert got.tobytes() == want.tobytes()
 
     def test_query_equal_to_threshold_goes_left(self):
         trees = [[[3, 0.25, 1, 2, 1, 2], [-1, 0.0, -1, -1, 0, 1], [-1, 0.0, -1, -1, 1, 1]]]
@@ -632,11 +733,21 @@ class TestTreeRouting:
             got, want = scored_by_walk(trees, queries)
             assert np.array_equal(got, want)
 
+    def test_sixty_four_leaves_beside_one(self):
+        # 65 slots under the root: the 64-leaf side becomes a fragment of
+        # its own, on either side.
+        rng = np.random.Generator(np.random.PCG64(46))
+        wide, lone = balanced_tree(rng, 6), [[-1, 0.0, -1, -1, 1, 2]]
+        queries = level_queries(rng, 300)
+        for trees in ([split_over(wide, lone)], [split_over(lone, wide)],
+                      [split_over(wide, lone), chain_tree(3)]):
+            got, want = scored_by_walk(trees, queries)
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("lone_leaves", [0, 1, 2, 5, 20])
     def test_lone_leaves_among_deep_chains(self, lone_leaves):
-        # The share of pairs at a split starts at chains / trees and falls
-        # as queries leave each chain, so pairs are dropped at other steps
-        # for each mix.
+        # Chains of more than 64 leaves hop between fragments, shorter
+        # ones and lone leaves do not.
         rng = np.random.Generator(np.random.PCG64(45 + lone_leaves))
         trees = [[[-1, 0.5, -1, -1, 1, 4]]] * lone_leaves + [
             chain_tree(d) for d in (1, 3, 8, 30, 120)]
@@ -645,7 +756,8 @@ class TestTreeRouting:
         assert np.array_equal(got, want)
 
     def test_shared_children(self):
-        # Both children of every split are the next node: a 400-level ladder.
+        # Both children of every split are the next node: a 400-level
+        # ladder, whose 2**400 root-to-leaf paths no exit table could number.
         ladder = [[d % 13, float(d % 7) / 2.0, d + 1, d + 1, d, 2 * d + 1] for d in range(400)]
         ladder.append([-1, 0.0, -1, -1, 1, 3])
         # Two splits whose right child is one subtree (rows 4-6).
@@ -658,15 +770,37 @@ class TestTreeRouting:
             [-1, 0.0, -1, -1, 1, 2],
             [-1, 0.0, -1, -1, 2, 2],
         ]
-        queries = level_queries(np.random.Generator(np.random.PCG64(44)), 300)
         for trees in ([ladder], [shared], [shared, ladder, shared]):
-            got, want = scored_by_walk(trees, queries)
-            assert np.array_equal(got, want)
+            with deadline(1.0):
+                with pytest.raises(ValueError, match="^node 0 is not in canonical preorder$"):
+                    tree_mod.nodes_in(trees)
+                with pytest.raises(MalformedModel, match="node 0 is not in canonical preorder"):
+                    load_model(sealed_trees(trees))
+
+    @pytest.mark.parametrize("trees, bad_row", [
+        # Row 3 follows a complete tree of rows 0-2.
+        ([[[0, 0.5, 1, 2, 1, 2], [-1, 0.0, -1, -1, 0, 1], [-1, 0.0, -1, -1, 1, 1],
+           [-1, 0.0, -1, -1, 1, 1]]], 3),
+        # Row 0's right child, row 3, comes before the end of its left
+        # subtree, rows 1, 2 and 4.
+        ([[[0, 0.5, 1, 3, 2, 4], [1, 0.5, 2, 4, 1, 2], [-1, 0.0, -1, -1, 0, 1],
+           [-1, 0.0, -1, -1, 1, 2], [-1, 0.0, -1, -1, 1, 1]]], 0),
+        # The same, as a forest's second tree.
+        ([[[-1, 0.0, -1, -1, 1, 1]],
+          [[0, 0.5, 1, 3, 2, 4], [1, 0.5, 2, 4, 1, 2], [-1, 0.0, -1, -1, 0, 1],
+           [-1, 0.0, -1, -1, 1, 2], [-1, 0.0, -1, -1, 1, 1]]], 0),
+    ], ids=["unreachable-row", "right-child-inside-left-subtree", "in-second-tree"])
+    def test_rows_out_of_canonical_preorder(self, trees, bad_row):
+        message = f"node {bad_row} is not in canonical preorder"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tree_mod.nodes_in(trees)
+        with pytest.raises(MalformedModel, match=message):
+            load_model(sealed_trees(trees))
 
     @pytest.mark.parametrize("n_trees", [1, 3])
     def test_batches_across_the_chunk_size(self, monkeypatch, n_trees):
-        monkeypatch.setattr(tree_mod, "CHUNK_PAIRS", 40)
-        chunk = 40 // n_trees
+        monkeypatch.setattr(tree_mod, "CHUNK_EXITS", 40)
+        chunk = 40 // n_trees    # each tree is one fragment
         rng = np.random.Generator(np.random.PCG64(41))
         trees = [random_tree(rng, 12) for _ in range(n_trees)]
         queries = level_queries(rng, chunk + 1)
@@ -678,9 +812,12 @@ class TestTreeRouting:
     def test_default_chunk_boundary(self):
         rng = np.random.Generator(np.random.PCG64(42))
         trees = [random_tree(rng, 20) for _ in range(16)]
-        chunk = tree_mod.CHUNK_PAIRS // 16
-        got, want = scored_by_walk(trees, level_queries(rng, chunk + 1))
-        assert np.array_equal(got, want)
+        chunk = tree_mod.CHUNK_EXITS // 16    # each tree is one fragment
+        queries = level_queries(rng, chunk + 1)
+        nodes = tree_mod.nodes_in(trees)
+        want = reference_walk(trees, queries)   # each query's walk is its own
+        for n in (0, 1, chunk - 1, chunk, chunk + 1):
+            assert np.array_equal(tree_mod.scores(nodes, queries[:n]), want[:n])
 
     @pytest.mark.parametrize("kind, hp", [
         (ClassifierKind.J48, None), (ClassifierKind.RANDOM_FOREST, ForestParams(trees=10)),
@@ -695,6 +832,44 @@ class TestTreeRouting:
         queries = level_queries(np.random.Generator(np.random.PCG64(43)), 500)
         queries[:250] = ds.x[:250]
         assert np.array_equal(predict_many(model, queries)[1], reference_walk(trees, queries))
+
+
+def replay_shaped_forest(rng: np.random.Generator, n_trees: int) -> list[list]:
+    """Trees of 34 to 66 leaves, as in the benchmark's replay forest, with
+    thresholds drawn from a normal, so that nearly every split has a cut
+    of its own."""
+    return [random_tree(rng, int(rng.integers(33, 66)), rng.normal(size=1000))
+            for _ in range(n_trees)]
+
+
+class TestExitTables:
+    """The exit tables take at most twice the bytes that the six fields of
+    the nodes' rows read into: 48 per node, as int64 and float64 columns,
+    before ``nodes_in`` stores each column in its smallest type."""
+
+    @staticmethod
+    def within_bound(nodes: tree_mod.Nodes) -> bool:
+        tables = nodes.exit.nbytes + sum(
+            getattr(block, name).nbytes for block in nodes.blocks
+            for name in ("cuts", "cut_start", "counts", "base", "masks", "first_slot"))
+        return tables <= 2 * 48 * len(nodes)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: replay_shaped_forest(rng, 100),
+        lambda rng: [balanced_tree(rng, 12)],
+        lambda rng: [chain_tree(400)],
+    ], ids=["replay-forest", "balanced-4096-leaves", "400-split-chain"])
+    def test_tables_at_most_twice_the_columns(self, make):
+        assert self.within_bound(tree_mod.nodes_in(make(np.random.Generator(np.random.PCG64(50)))))
+
+    def test_fragments_split_into_blocks(self):
+        # One table over 600 fragments would hold a row per cut of the
+        # whole forest for each of them.
+        nodes = tree_mod.nodes_in(replay_shaped_forest(np.random.Generator(np.random.PCG64(50)),
+                                                       600))
+        widths = [len(block.first_slot) for block in nodes.blocks]
+        assert len(widths) > 4 and set(widths[:-1]) == {tree_mod.BLOCK_FRAGMENTS}
+        assert self.within_bound(nodes)
 
 
 class TestForest:

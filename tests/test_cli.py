@@ -313,6 +313,43 @@ class TestEval:
         assert captured.err.count(": accuracy=") == 3
         assert len(captured.out.strip().split("\n")) == 2
 
+    @pytest.mark.parametrize("command", [["eval", "--kind", "j48"],
+                                         ["bench", "--kinds", "j48"]])
+    @pytest.mark.parametrize("split, unread", [
+        (["--split", "kfold", "--k", "3", "--train-ratio", "0.5"], "--train-ratio"),
+        (["--split", "kfold", "--train-ratio", "0.8"], "--train-ratio"),
+        (["--k", "3"], "--k"),
+        (["--split", "holdout", "--train-ratio", "0.5", "--k", "10"], "--k"),
+    ], ids=["kfold-train-ratio", "kfold-default-train-ratio", "holdout-k",
+            "holdout-default-k"])
+    def test_option_the_split_does_not_read_exit_1(self, workspace, capsys, command, split,
+                                                    unread):
+        assert run([command[0], str(workspace / "data.csv"), *command[1:], *split]) == 1
+        err = capsys.readouterr().err
+        assert f"rwdetect {command[0]}: error: {unread} does not apply to --split" in err
+        assert "config:" not in err
+
+    def test_option_the_split_does_not_read_from_config_exit_1(self, workspace, tmp_path,
+                                                                capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("k=3\n")
+        assert run(["eval", str(workspace / "data.csv"), "--kind", "j48",
+                    "--config", str(config)]) == 1
+        assert "error: --k does not apply to --split holdout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split, echoed, not_echoed", [
+        ([], "train_ratio=0.8 seed=42", " k="),
+        (["--train-ratio", "0.5"], "train_ratio=0.5 seed=42", " k="),
+        (["--split", "kfold"], "split=kfold k=10 seed=42", "train_ratio"),
+        (["--split", "kfold", "--k", "3"], "split=kfold k=3 seed=42", "train_ratio"),
+    ], ids=["holdout", "holdout-given", "kfold", "kfold-given"])
+    def test_echo_lists_the_option_the_split_reads(self, workspace, capsys, split, echoed,
+                                                   not_echoed):
+        assert run(["eval", str(workspace / "data.csv"), "--kind", "j48", *split]) == 0
+        echo = next(line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("config:"))
+        assert echoed in echo and not_echoed not in echo
+
     def test_json_format(self, workspace, capsys):
         assert run(["eval", str(workspace / "data.csv"), "--kind", "bayes",
                     "--format", "json"]) == 0
