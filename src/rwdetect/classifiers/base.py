@@ -145,9 +145,14 @@ def train(kind: ClassifierKind, dataset: Dataset,
         scaler = fit_scaler(dataset)
         x = apply_scaler(scaler, x)
 
+    family = FAMILIES[kind]
     started = time.perf_counter()
-    state = FAMILIES[kind].fit(x, y, hp)
+    state = family.fit(x, y, hp)
     elapsed = time.perf_counter() - started
+    try:    # the model file's reader takes every trained state
+        family.params_in(family.params_out(state), hp)
+    except ValueError as exc:
+        raise InvalidHyperparams(f"{kind.value} fitted no loadable model: {exc}") from exc
     return TrainedModel(kind=kind, hyperparams=hp, state=state, scaler=scaler,
                         training_time=elapsed, train_fingerprint=fingerprint,
                         zero_addresses=zero_addresses)

@@ -87,12 +87,13 @@ def gradients(state: MlpState, x: np.ndarray, y: np.ndarray):
 def fit(x: np.ndarray, y: np.ndarray, hp: MlpParams) -> MlpState:
     state = init_state(x.shape[1], hp.hidden_units, hp.seed)
     lr = hp.learning_rate
-    for _ in range(hp.epochs):
-        gw1, gb1, gw2, gb2 = gradients(state, x, y)
-        state.w1 -= lr * gw1
-        state.b1 -= lr * gb1
-        state.w2 -= lr * gw2
-        state.b2 -= lr * gb2
+    with np.errstate(over="ignore", invalid="ignore"):  # train rejects what diverges
+        for _ in range(hp.epochs):
+            gw1, gb1, gw2, gb2 = gradients(state, x, y)
+            state.w1 -= lr * gw1
+            state.b1 -= lr * gb1
+            state.w2 -= lr * gw2
+            state.b2 -= lr * gb2
     return state
 
 

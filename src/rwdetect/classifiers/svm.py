@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import InvalidHyperparams
 from ..features import N_FEATURES
 from ._arrays import array, bounded, number
 
@@ -43,6 +44,8 @@ def fit(x: np.ndarray, y: np.ndarray, hp: SvmParams) -> SvmState:
     n = len(y)
     y_pm = y.astype(np.float64) * 2.0 - 1.0   # {0,1} -> {-1,+1}
     lam = 1.0 / (hp.c * n)
+    if not 0.0 < lam < float("inf"):
+        raise InvalidHyperparams(f"c={hp.c!r} gives the SVM no finite positive lambda on {n} rows")
     w = np.zeros(x.shape[1])
     b = 0.0
     for t in range(1, hp.iterations + 1):

@@ -5,15 +5,16 @@ stdout (or ``-o``); progress, the effective-configuration echo and
 warnings go to stderr.  Exit codes: 0 success, 1 expected failures (bad
 usage, unreadable input, malformed data), 2 unexpected internal errors.
 
-Options are spelled in full.  ``--seed`` (``train``, ``eval``, ``bench``)
-seeds the split and every model.  A ``--config`` file holds ``key=value``
-lines that act as extra flags for the subcommand; flags given on the
-command line win.
+Options are spelled in full.  ``--seed`` (``train``, ``eval``, ``bench``),
+the only seed, seeds the split and every model.  A ``--config`` file holds
+``key=value`` lines that act as extra flags for the subcommand; flags given
+on the command line win.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
@@ -29,8 +30,8 @@ from .classifiers import (
     kind_from_name,
     model_fingerprint,
     read_model,
+    save_model,
     train,
-    write_model,
 )
 from .conversation import aggregate, conversations_to_csv, csv_to_conversations
 from .detect import (
@@ -40,7 +41,7 @@ from .detect import (
     detect_stream,
     load_packets,
 )
-from .errors import InvalidHyperparams, RwdetectError
+from .errors import InvalidHyperparams, RowError, RwdetectError
 from .eval import SplitSpec, benchmark, evaluate, render_report_csv, render_report_json
 from .features import Label, dataset_fingerprint, read_dataset_csv, write_dataset_csv
 
@@ -48,10 +49,27 @@ from .features import Label, dataset_fingerprint, read_dataset_csv, write_datase
 _BOOL_FLAGS = {"lenient", "zero-address-features", "text"}
 
 
+def _read_text(path: str) -> str:
+    """A text input as strict UTF-8, whatever the locale."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise RowError(line, f"{path}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+
+
+def _output(path: str | None):
+    """Where results go, as bytes: stdout without ``-o`` or with ``-o -``, else the file."""
+    if path in (None, "-"):
+        return contextlib.nullcontext(sys.stdout.buffer)
+    return open(path, "wb")
+
+
 def _read_config_args(path: str) -> list[str]:
     """Turn a key=value config file into an equivalent flag list."""
     extra: list[str] = []
-    for raw_line in Path(path).read_text().splitlines():
+    for raw_line in _read_text(path).removeprefix("\ufeff").splitlines():
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -90,13 +108,6 @@ def _echo_config(command: str, **settings) -> None:
     print(f"config: command={command} {parts}", file=sys.stderr)
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
-
-
 def _skip_clause(c: CaptureSummary) -> str:
     """What loading skipped, counted by reason, and the truncation kind if any."""
     truncation = f"; {c.error}" if c.error else ""
@@ -108,7 +119,8 @@ def _cmd_extract(args) -> int:
     _echo_config("extract", input=args.input, lenient=args.lenient)
     packets, capture = load_packets(args.input, args.lenient)
     conversations = aggregate(packets)
-    _write_text(args.output, conversations_to_csv(conversations))
+    with _output(args.output) as out:
+        out.write(conversations_to_csv(conversations).encode())
     print(f"extract: {len(packets)} packets -> {len(conversations)} "
           f"conversations {_skip_clause(capture)}", file=sys.stderr)
     return 0
@@ -120,12 +132,13 @@ def _cmd_label(args) -> int:
     if not args.ransomware and not args.benign:
         raise InvalidHyperparams("need at least one --ransomware or --benign file")
     sets = [
-        (csv_to_conversations(Path(path).read_text(), strict=not args.lenient), label)
+        (csv_to_conversations(_read_text(path), strict=not args.lenient), label)
         for paths, label in ((args.ransomware, Label.RANSOMWARE),
                              (args.benign, Label.BENIGN))
         for path in paths
     ]
-    _write_text(args.output, write_dataset_csv(sets))
+    with _output(args.output) as out:
+        out.write(write_dataset_csv(sets).encode())
     total = sum(len(convs) for convs, _ in sets)
     print(f"label: wrote {total} samples", file=sys.stderr)
     return 0
@@ -139,6 +152,8 @@ def _parse_params(kind: ClassifierKind, seed: int, pairs: list[str]):
         if "=" not in pair:
             raise InvalidHyperparams(f"--param expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
+        if key == "seed":
+            raise InvalidHyperparams("the seed is set by --seed, not --param")
         if key not in fields:
             raise InvalidHyperparams(
                 f"{type(hp).__name__} has no parameter {key!r}"
@@ -164,14 +179,15 @@ def _cmd_train(args) -> int:
     _echo_config("train", kind=kind.value, seed=hp.seed,
                  zero_addresses=args.zero_address_features,
                  params=dataclasses.asdict(hp))
-    dataset = read_dataset_csv(Path(args.input).read_text())
+    dataset = read_dataset_csv(_read_text(args.input))
     model = train(kind, dataset, hp,
                   zero_addresses=args.zero_address_features)
-    write_model(args.output, model)
+    with _output(args.output) as out:
+        out.write(save_model(model))
     print(
         f"train: {kind.value} on {len(dataset)} samples in "
         f"{model.training_time:.6f}s, dataset {model.train_fingerprint[:12]}, "
-        f"model {model_fingerprint(model)[:12]} -> {args.output}",
+        f"model {model_fingerprint(model)[:12]} -> {args.output or '-'}",
         file=sys.stderr,
     )
     return 0
@@ -199,7 +215,7 @@ _RENDER = {"csv": render_report_csv, "json": render_report_json}
 def _cmd_eval(args) -> int:
     kind = kind_from_name(args.kind)
     spec = _split_spec("eval", args, kind=kind.value)
-    dataset = read_dataset_csv(Path(args.input).read_text())
+    dataset = read_dataset_csv(_read_text(args.input))
     result = evaluate(kind, dataset, spec, default_hyperparams(kind, seed=args.seed),
                       zero_addresses=args.zero_address_features)
     if len(result.folds) > 1:
@@ -209,7 +225,8 @@ def _cmd_eval(args) -> int:
                 f"{'n/a' if fold.accuracy is None else f'{fold.accuracy:.4f}'}",
                 file=sys.stderr,
             )
-    _write_text(args.output, _RENDER[args.format]([result.row]))
+    with _output(args.output) as out:
+        out.write(_RENDER[args.format]([result.row]).encode())
     return 0
 
 
@@ -219,13 +236,14 @@ def _cmd_bench(args) -> int:
     else:
         kinds = [kind_from_name(part) for part in args.kinds.split(",")]
     spec = _split_spec("bench", args, kinds=",".join(k.value for k in kinds))
-    dataset = read_dataset_csv(Path(args.input).read_text())
+    dataset = read_dataset_csv(_read_text(args.input))
     print(f"bench: dataset {dataset_fingerprint(dataset)[:12]}, "
           f"{len(dataset)} samples", file=sys.stderr)
     hyperparams = {kind: default_hyperparams(kind, seed=args.seed) for kind in kinds}
     rows = benchmark(kinds, dataset, spec, hyperparams,
                      zero_addresses=args.zero_address_features)
-    _write_text(args.output, _RENDER[args.format](rows))
+    with _output(args.output) as out:
+        out.write(_RENDER[args.format](rows).encode())
     return 0
 
 
@@ -235,17 +253,10 @@ def _cmd_detect(args) -> int:
     model = read_model(args.model)
     packets, capture = load_packets(args.input, lenient=True)
     spec = WindowSpec(interval=args.interval)
-
-    out = sys.stdout if args.output in (None, "-") else open(args.output, "w")
-    try:
-        def sink(alert):
-            line = alert_warning_line(alert) if args.text else alert_to_json(alert)
-            out.write(line + "\n")
-
-        summary = detect_stream(packets, model, spec, sink)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    render = alert_warning_line if args.text else alert_to_json
+    with _output(args.output) as out:
+        summary = detect_stream(packets, model, spec,
+                                lambda alert: out.write((render(alert) + "\n").encode()))
     print(f"detect: {summary.packets} packets in {summary.windows} windows -> "
           f"{summary.conversations} conversations, {summary.alerts} alerts "
           f"{_skip_clause(capture)}", file=sys.stderr)
@@ -349,7 +360,7 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:   # argparse: 0 after --help / --version, 2 on bad usage
         return 1 if exc.code else 0
-    except (RwdetectError, OSError, UnicodeDecodeError) as exc:
+    except (RwdetectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:    # pragma: no cover - defensive

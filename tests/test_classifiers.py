@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import struct
 import warnings
 from typing import NamedTuple
@@ -1126,6 +1127,30 @@ class TestSharedContract:
         ds = gaussian_dataset(n_pos=6, n_neg=6, seed=29)
         model = train(kind, ds, self.fast_params(kind))
         assert model.train_fingerprint == dataset_fingerprint(ds)
+
+
+#: Hyperparameters that pass ``validate_hyperparams`` but fit a state the
+#: model file cannot hold: SVM's lambda ``1 / (c * n)`` is 0 or infinite,
+#: the MLP's weights diverge, Bayes variances overflow.  Id -> (kind,
+#: hyperparameters, what the error says).
+UNLOADABLE_FITS = {
+    "svm-huge-c": (ClassifierKind.SVM, SvmParams(c=1e308, iterations=50),
+                   "c=1e+308 gives the SVM no finite positive lambda"),
+    "svm-tiny-c": (ClassifierKind.SVM, SvmParams(c=1e-320, iterations=50),
+                   "c=1e-320 gives the SVM no finite positive lambda"),
+    "mlp-huge-rate": (ClassifierKind.MLP, MlpParams(learning_rate=1e308, epochs=25),
+                      "MultilayerPerceptron fitted no loadable model: non-finite number"),
+    "bayes-huge-smoothing": (ClassifierKind.BAYES, BayesParams(var_smoothing=1e308),
+                             "BayesNetwork fitted no loadable model: non-finite number"),
+}
+
+
+@pytest.mark.parametrize("kind,hp,message", UNLOADABLE_FITS.values(), ids=UNLOADABLE_FITS)
+def test_fit_the_model_file_cannot_hold_is_invalid(kind, hp, message):
+    ds = gaussian_dataset(n_pos=20, n_neg=20, seed=30)
+    ds = Dataset(ds.x * 100.0, ds.y)    # feature variances above 1
+    with pytest.raises(InvalidHyperparams, match=re.escape(message)):
+        train(kind, ds, hp)
 
 
 class TestZeroAddresses:

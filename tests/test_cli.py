@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import rwdetect.classifiers.base
 import rwdetect.eval
 from rwdetect.capture import parse_packet_csv
 from rwdetect.cli import run
-from rwdetect.classifiers import MODEL_MAGIC, predict_many, read_model
+from rwdetect.classifiers import MODEL_MAGIC, load_model, predict_many, read_model
 from rwdetect.classifiers import tree
 from rwdetect.conversation import aggregate, conversations_to_csv
 from rwdetect.eval import REPORT_CSV_HEADER
@@ -274,6 +279,36 @@ class TestTrain:
         assert run(["train", data, "--kind", "forest", "--seed", "7",
                     "-o", str(out)]) == 0
         assert read_model(out).hyperparams.seed == 7
+
+    @pytest.mark.parametrize("form", ["command-line", "config"])
+    def test_param_seed_exit_1(self, workspace, capsys, form):
+        # --seed is the only seed: --param seed=7 once won over --seed 3.
+        config = workspace / "run.cfg"
+        config.write_text("param=seed=7\n")
+        flags = (["--param", "seed=7"] if form == "command-line"
+                 else ["--config", str(config)])
+        out = workspace / "junk.bin"
+        assert run(["train", str(workspace / "data.csv"), "--kind", "knn", "--seed", "3",
+                    *flags, "-o", str(out)]) == 1
+        assert "error: the seed is set by --seed, not --param" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("params, message", [
+        (["--kind", "svm", "--param", "c=1e308", "--param", "iterations=50"],
+         "c=1e+308 gives the SVM no finite positive lambda on 24 rows"),
+        (["--kind", "svm", "--param", "c=1e-320", "--param", "iterations=50"],
+         "c=1e-320 gives the SVM no finite positive lambda on 24 rows"),
+        (["--kind", "mlp", "--param", "learning_rate=1e308", "--param", "epochs=25"],
+         "MultilayerPerceptron fitted no loadable model: non-finite number"),
+        (["--kind", "bayes", "--param", "var_smoothing=1e308"],
+         "BayesNetwork fitted no loadable model: non-finite number"),
+    ], ids=["svm-huge-c", "svm-tiny-c", "mlp-huge-rate", "bayes-huge-smoothing"])
+    def test_fit_the_model_file_cannot_hold_exit_1(self, workspace, capsys, params,
+                                                   message):
+        out = workspace / "junk.bin"
+        assert run(["train", str(workspace / "data.csv"), *params, "-o", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+        assert not out.exists()
 
     @pytest.mark.parametrize("a, b", CLOSE_VALUES, ids=["adjacent", "overflow"])
     @pytest.mark.parametrize("kind", ["j48", "forest"])
@@ -738,6 +773,106 @@ class TestConfigFile:
         cfg.write_text("verbosity=high\n")
         assert run(["eval", str(workspace / "data.csv"), "--kind", "knn",
                     "--config", str(cfg)]) == 1
+
+
+#: One argv per subcommand, its file arguments relative to ``workspace``.
+SUBCOMMANDS = {
+    "extract": ["extract", "packets.csv"],
+    "label": ["label", "--ransomware", "ransom.csv", "--benign", "benign.csv"],
+    "train": ["train", "data.csv", "--kind", "j48"],
+    "eval": ["eval", "data.csv", "--kind", "knn"],
+    "bench": ["bench", "data.csv", "--kinds", "knn,j48,bayes", "--format", "json"],
+    "detect": ["detect", "packets.csv", "--model", "model.bin", "--interval", "30"],
+}
+
+
+class TestOutputRule:
+    """``-o`` means the same for every subcommand: absent or ``-`` is stdout,
+    anything else a file, with the same bytes."""
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_stdout_and_file_bytes_agree(self, workspace, capsysbinary, monkeypatch,
+                                         command):
+        trained_model_path(workspace)
+        monkeypatch.chdir(workspace)
+        # Reports carry the training time; hold it at 0.
+        monkeypatch.setattr(rwdetect.classifiers.base, "time",
+                            types.SimpleNamespace(perf_counter=lambda: 0.0))
+        argv = SUBCOMMANDS[command]
+        outputs = []
+        for flags in ([], ["-o", "-"]):
+            assert run(argv + flags) == 0
+            outputs.append(capsysbinary.readouterr().out)
+        assert run(argv + ["-o", "out.bin"]) == 0
+        outputs.append((workspace / "out.bin").read_bytes())
+        assert capsysbinary.readouterr().out == b""
+        assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+        assert not (workspace / "-").exists()
+        if command == "train":
+            assert load_model(outputs[0]).kind.value == "DecisionTreeJ48"
+        if command == "detect":
+            assert json.loads(outputs[0])["address_a"] == "192.168.1.4"
+
+
+#: ``rwdetect`` under the POSIX locale with UTF-8 mode off, where the
+#: locale's encoding is ASCII, and in UTF-8 mode.
+LOCALES = {"posix": {"LC_ALL": "POSIX", "PYTHONUTF8": "0"},
+           "utf-8": {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}}
+
+
+def run_in_locale(locale: str, argv: list[str]) -> tuple[int, bytes, list[bytes]]:
+    """Exit code, stdout bytes and ``error:`` lines of ``rwdetect`` in a
+    fresh interpreter under ``LOCALES[locale]``."""
+    src = str(Path(rwdetect.__file__).parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith(("LC_", "PYTHONIOENCODING", "PYTHONUTF8"))}
+    env.update(LOCALES[locale], PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-m", "rwdetect.cli", *argv], env=env,
+                          capture_output=True, timeout=60)
+    errors = [line for line in done.stderr.splitlines() if line.startswith(b"error:")]
+    return done.returncode, done.stdout, errors
+
+
+class TestLocale:
+    """Text inputs decode as UTF-8 whatever the locale, after one optional BOM."""
+
+    CASES = {
+        "bom-dataset": ["train", "bom-data.csv", "--kind", "j48"],
+        "bom-conversations": ["label", "--ransomware", "bom-ransom.csv"],
+        "latin1-dataset": ["train", "latin1-data.csv", "--kind", "j48"],
+        "bom-config": ["train", "data.csv", "--config", "run.cfg"],
+    }
+
+    @pytest.fixture
+    def inputs(self, workspace):
+        bom = b"\xef\xbb\xbf"
+        data = (workspace / "data.csv").read_bytes()
+        (workspace / "bom-data.csv").write_bytes(bom + data)
+        (workspace / "bom-ransom.csv").write_bytes(bom + (workspace / "ransom.csv").read_bytes())
+        lines = data.split(b"\n")
+        lines[2] = lines[2].replace(b"10.0.0.1", b"10.0.0.\xe9", 1)
+        (workspace / "latin1-data.csv").write_bytes(b"\n".join(lines))
+        (workspace / "run.cfg").write_bytes(bom + "# réglage\nkind = j48\n".encode())
+        return workspace
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_result_in_every_locale(self, inputs, case):
+        argv = [str(inputs / arg) if arg.endswith((".csv", ".cfg")) else arg
+                for arg in self.CASES[case]]
+        posix, utf8 = (run_in_locale(locale, argv) for locale in LOCALES)
+        assert posix == utf8
+        code, stdout, errors = posix
+        if case == "latin1-dataset":
+            assert (code, stdout) == (1, b"")
+            assert errors == [f"error: line 3: {inputs / 'latin1-data.csv'}: "
+                              "byte 0xe9 is not UTF-8".encode()]
+            return
+        assert code == 0 and stdout and not errors
+        if argv[0] == "train":      # the model of the plain dataset
+            assert run(["train", str(inputs / "data.csv"), "--kind", "j48",
+                        "-o", str(inputs / "plain.bin")]) == 0
+            assert stdout == (inputs / "plain.bin").read_bytes()
 
 
 class TestExitCodes:
