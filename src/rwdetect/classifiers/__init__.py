@@ -3,12 +3,13 @@
 Each family is one module (``knn``, ``mlp``, ``tree``, ``forest``, ``svm``,
 ``bayes``) defining ``ALIAS`` (its CLI name), ``SCALED`` (min-max scaled inputs
 or raw), ``Params`` (frozen hyperparameter dataclass with a ``seed``),
-``CHECKS`` (``(predicate, message)`` range checks), ``fit(x, y, hp) -> state``,
-``scores(state, queries)`` (positive-class scores in [0, 1]) and
-``params_out(state)``/``params_in(obj, hp)``, which map the state to the model
-file's ``params`` JSON and back; ``KEYS`` names the keys of ``params``, and the
-reader rejects any other.  ``params_in`` reads every float through ``_arrays``
-(a finite JSON float, in the expected shape) and rejects a structure by raising
+``CHECKS`` (``(predicate, message)`` range checks), ``fit(x, y, hp) -> params``
+(the model file's ``params`` JSON), ``params_in(params, hp) -> state`` (the one
+constructor of a state, trained or loaded), ``params_out(state) -> params`` and
+``scores(state, queries)`` (positive-class scores in [0, 1]); ``KEYS`` names the
+keys of ``params``, and the reader rejects any other.  ``params_in`` reads every
+float through ``_arrays`` (a finite JSON float, in the expected shape) and
+rejects a structure by raising
 ``KeyError``, ``TypeError``, ``ValueError``, ``OverflowError`` or
 ``InvalidHyperparams``; the reader reports it as ``MalformedModel``.  A
 ``SCALED`` family needs a scaler, others take none, and its ``params_in``

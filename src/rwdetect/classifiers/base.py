@@ -81,6 +81,11 @@ def check_seed(seed: int) -> None:
         raise InvalidHyperparams("seed must fit an unsigned 64-bit int")
 
 
+#: The largest integer hyperparameter but the seed.  Numpy takes any count up to
+#: it as a size, so a fit too large for the host fails with MemoryError alone.
+MAX_COUNT = 2 ** 31 - 1
+
+
 def default_hyperparams(kind: ClassifierKind, seed: int = 42) -> Hyperparams:
     return FAMILIES[kind].Params(seed=seed)
 
@@ -92,10 +97,13 @@ def validate_hyperparams(kind: ClassifierKind, hp: Hyperparams) -> None:
             f"{kind.value} expects {family.Params.__name__}, got {type(hp).__name__}"
         )
     for f in fields(hp):    # exact types: a bool is no int, an int may stand for a float
-        got, wanted = type(getattr(hp, f.name)), type(f.default)
+        value = getattr(hp, f.name)
+        got, wanted = type(value), type(f.default)
         if got is not wanted and (got, wanted) != (int, float):
             raise InvalidHyperparams(
                 f"{f.name} must be {wanted.__name__}, got {got.__name__}")
+        if wanted is int and f.name != "seed" and value > MAX_COUNT:
+            raise InvalidHyperparams(f"{f.name} must be at most {MAX_COUNT}")
     check_seed(hp.seed)
     if not all(math.isfinite(v) for v in astuple(hp) if isinstance(v, float)):
         raise InvalidHyperparams("hyperparameters must be finite")
@@ -121,8 +129,8 @@ def train(kind: ClassifierKind, dataset: Dataset,
           zero_addresses: bool = False) -> TrainedModel:
     """Fit one classifier family on a labeled dataset.
 
-    ``training_time`` covers only the fit itself, not scaling or
-    validation, so repeated runs differ only in that field.
+    ``training_time`` covers only the fit and the building of its state,
+    not scaling or validation, so repeated runs differ only in that field.
     """
     hp = hyperparams if hyperparams is not None else default_hyperparams(kind)
     validate_hyperparams(kind, hp)
@@ -147,12 +155,12 @@ def train(kind: ClassifierKind, dataset: Dataset,
 
     family = FAMILIES[kind]
     started = time.perf_counter()
-    state = family.fit(x, y, hp)
-    elapsed = time.perf_counter() - started
-    try:    # the model file's reader takes every trained state
-        family.params_in(family.params_out(state), hp)
+    params = family.fit(x, y, hp)
+    try:    # the model file's reader builds every state, trained or loaded
+        state = family.params_in(params, hp)
     except ValueError as exc:
         raise InvalidHyperparams(f"{kind.value} fitted no loadable model: {exc}") from exc
+    elapsed = time.perf_counter() - started
     return TrainedModel(kind=kind, hyperparams=hp, state=state, scaler=scaler,
                         training_time=elapsed, train_fingerprint=fingerprint,
                         zero_addresses=zero_addresses)

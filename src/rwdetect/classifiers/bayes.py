@@ -44,21 +44,19 @@ class BayesState:
     var_neg: np.ndarray
 
 
-def fit(x: np.ndarray, y: np.ndarray, hp: BayesParams) -> BayesState:
+def fit(x: np.ndarray, y: np.ndarray, hp: BayesParams) -> dict:
     pos = x[y == 1]
     neg = x[y == 0]
     epsilon = hp.var_smoothing * float(x.var(axis=0).max())
     if epsilon <= 0.0:
         epsilon = float(np.finfo(np.float64).tiny)
     n = len(y)
-    return BayesState(
-        log_prior_pos=float(np.log(len(pos) / n)),
-        log_prior_neg=float(np.log(len(neg) / n)),
-        mean_pos=pos.mean(axis=0),
-        var_pos=pos.var(axis=0) + epsilon,
-        mean_neg=neg.mean(axis=0),
-        var_neg=neg.var(axis=0) + epsilon,
-    )
+    return {"log_prior_pos": float(np.log(len(pos) / n)),
+            "log_prior_neg": float(np.log(len(neg) / n)),
+            "mean_pos": pos.mean(axis=0).tolist(),
+            "var_pos": (pos.var(axis=0) + epsilon).tolist(),
+            "mean_neg": neg.mean(axis=0).tolist(),
+            "var_neg": (neg.var(axis=0) + epsilon).tolist()}
 
 
 def _log_likelihood(queries, mean, var, log_prior):

@@ -8,9 +8,9 @@ not a copy of its rows; ``tree.grow`` grows all the trees together.
 The ensemble score is the unweighted mean of the tree leaf scores.
 
 A forest is one ``tree.Nodes`` over all its trees, scored by
-``tree.scores``; the model file keeps one list of node rows per tree.
-It also lists each tree's split features (``features_used``); they are
-derived from the trees when written and must match them when read.
+``tree.scores``; the model file keeps one list of node rows per tree,
+``hp.trees`` of them, and each tree's split features (``features_used``),
+derived from the rows when written and matched against them when read.
 """
 
 from __future__ import annotations
@@ -45,38 +45,38 @@ CHECKS = (
 )
 
 
-def fit(x: np.ndarray, y: np.ndarray, hp: ForestParams) -> tree.Nodes:
+def fit(x: np.ndarray, y: np.ndarray, hp: ForestParams) -> dict:
     n = len(y)
     rngs = [np.random.Generator(np.random.PCG64(child))
             for child in np.random.SeedSequence(hp.seed).spawn(hp.trees)]
     # A generator, so that each bootstrap sample is freed once its root splits.
     samples = (rng.integers(0, n, size=n) if hp.bootstrap else np.arange(n)
                for rng in rngs)
-    return tree.grow(x, y, samples, hp.min_leaf, hp.features_per_split, rngs)
+    trees = tree.grow(x, y, samples, hp.min_leaf, hp.features_per_split, rngs)
+    return {"trees": trees, "features_used": _features_used(trees)}
 
 
 scores = tree.scores
 
 
-def _features_used(nodes: tree.Nodes) -> list[list[int]]:
-    """Each tree's split features, sorted."""
-    bounds = [*nodes.roots.tolist(), len(nodes)]
-    return [sorted(set(nodes.feature[lo:hi].tolist()) - {-1})
-            for lo, hi in zip(bounds, bounds[1:])]
+def _features_used(trees: list) -> list[list[int]]:
+    """Each tree's split features, sorted, from its model-file rows."""
+    return [sorted({row[0] for row in rows} - {-1}) for rows in trees]
 
 
 def params_out(nodes: tree.Nodes) -> dict:
-    return {"trees": tree.rows(nodes), "features_used": _features_used(nodes)}
+    trees = tree.rows(nodes)
+    return {"trees": trees, "features_used": _features_used(trees)}
 
 
 KEYS = ("features_used", "trees")
 
 
 def params_in(obj: dict, hp: ForestParams) -> tree.Nodes:
-    if not obj["trees"]:
-        raise ValueError("a forest needs at least one tree")
+    if len(obj["trees"]) != hp.trees:
+        raise ValueError(f"{len(obj['trees'])} trees, hyperparameters say {hp.trees}")
     nodes = tree.nodes_in(obj["trees"])
     used = [[integer(f) for f in features] for features in obj["features_used"]]
-    if used != _features_used(nodes):
+    if used != _features_used(obj["trees"]):
         raise ValueError("features_used disagrees with the trees")
     return nodes

@@ -13,7 +13,8 @@ from ._arrays import array, integer
 ALIAS = "knn"
 SCALED = True
 
-_CHUNK = 256  # bound the (queries x train) distance matrix
+#: Bytes of each (queries, points, features) float64 difference block in ``scores``.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -33,17 +34,9 @@ class KnnState:
     k: int               # copied from KnnParams so scoring needs only the state
 
 
-def _check_k(k: int, points: np.ndarray) -> None:
-    """Checks k against the data, at fit and at load."""
-    if k > len(points):
-        raise InvalidHyperparams("k cannot exceed the training-set size")
-
-
-def fit(x: np.ndarray, y: np.ndarray, hp: KnnParams) -> KnnState:
+def fit(x: np.ndarray, y: np.ndarray, hp: KnnParams) -> dict:
     # Lazy learner: fitting just stores the data.
-    _check_k(hp.k, x)
-    return KnnState(np.array(x, dtype=np.float64), np.array(y, dtype=np.uint8),
-                    hp.k)
+    return {"points": x.tolist(), "labels": y.tolist()}
 
 
 def scores(state: KnnState, queries: np.ndarray) -> np.ndarray:
@@ -53,11 +46,12 @@ def scores(state: KnnState, queries: np.ndarray) -> np.ndarray:
     ties resolve to the lower training index (stable argsort).
     """
     out = np.empty(len(queries))
-    for start in range(0, len(queries), _CHUNK):
-        block = queries[start:start + _CHUNK]
+    chunk = max(1, _BLOCK_BYTES // (8 * state.points.size))
+    for start in range(0, len(queries), chunk):
+        block = queries[start:start + chunk]
         d2 = ((block[:, None, :] - state.points[None, :, :]) ** 2).sum(axis=2)
         nearest = np.argsort(d2, axis=1, kind="stable")[:, :state.k]
-        out[start:start + _CHUNK] = state.labels[nearest].mean(axis=1)
+        out[start:start + chunk] = state.labels[nearest].mean(axis=1)
     return out
 
 
@@ -77,5 +71,6 @@ def params_in(obj: dict, hp: KnnParams) -> KnnState:
         raise ValueError("labels must be 0 or 1")
     if ((points < 0) | (points > 1)).any():
         raise ValueError("points must lie in [0, 1], where queries are scaled")
-    _check_k(hp.k, points)
+    if hp.k > len(points):
+        raise InvalidHyperparams("k cannot exceed the training-set size")
     return KnnState(points=points, labels=labels, k=hp.k)

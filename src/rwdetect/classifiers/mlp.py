@@ -84,7 +84,7 @@ def gradients(state: MlpState, x: np.ndarray, y: np.ndarray):
     return gw1, gb1, gw2, gb2
 
 
-def fit(x: np.ndarray, y: np.ndarray, hp: MlpParams) -> MlpState:
+def fit(x: np.ndarray, y: np.ndarray, hp: MlpParams) -> dict:
     state = init_state(x.shape[1], hp.hidden_units, hp.seed)
     lr = hp.learning_rate
     with np.errstate(over="ignore", invalid="ignore"):  # train rejects what diverges
@@ -94,7 +94,7 @@ def fit(x: np.ndarray, y: np.ndarray, hp: MlpParams) -> MlpState:
             state.b1 -= lr * gb1
             state.w2 -= lr * gw2
             state.b2 -= lr * gb2
-    return state
+    return params_out(state)
 
 
 def scores(state: MlpState, queries: np.ndarray) -> np.ndarray:
@@ -112,6 +112,8 @@ KEYS = ("b1", "b2", "w1", "w2")
 def params_in(obj: dict, hp: MlpParams) -> MlpState:
     w1 = array(obj["w1"], (N_FEATURES, None))
     hidden = w1.shape[1]
+    if hidden != hp.hidden_units:
+        raise ValueError(f"w1 has {hidden} hidden units, hyperparameters say {hp.hidden_units}")
     state = MlpState(w1=w1, b1=array(obj["b1"], (hidden,)),
                      w2=array(obj["w2"], (hidden, 1)), b2=array(obj["b2"], (1,)))
     bounded(state.w1, state.b1)

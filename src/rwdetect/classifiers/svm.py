@@ -40,7 +40,7 @@ class SvmState:
     bias: float
 
 
-def fit(x: np.ndarray, y: np.ndarray, hp: SvmParams) -> SvmState:
+def fit(x: np.ndarray, y: np.ndarray, hp: SvmParams) -> dict:
     n = len(y)
     y_pm = y.astype(np.float64) * 2.0 - 1.0   # {0,1} -> {-1,+1}
     lam = 1.0 / (hp.c * n)
@@ -56,7 +56,7 @@ def fit(x: np.ndarray, y: np.ndarray, hp: SvmParams) -> SvmState:
         eta = 1.0 / (lam * t)
         w = w - eta * grad_w
         b = b - eta * grad_b
-    return SvmState(w, float(b))
+    return {"weights": w.tolist(), "bias": float(b)}
 
 
 def scores(state: SvmState, queries: np.ndarray) -> np.ndarray:

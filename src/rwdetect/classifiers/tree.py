@@ -21,11 +21,11 @@ The model file keeps one list of ``[feature, threshold, left, right,
 pos, total]`` rows per tree, in canonical preorder: a split's left child
 is the next row and its right child the row after the left subtree.
 Child indexes count from the tree's first row, and a leaf is written as
-``feature = -1`` with ``-1`` children.  ``nodes_in`` checks such lists
-and reads them into one ``Nodes`` for a tree, or for every tree of a
-forest: columns over all the nodes (without the left children, which
-canonical preorder implies), and exit tables; ``rows`` writes the rows
-back.
+``feature = -1`` with ``-1`` children.  ``grow`` returns such lists.
+``nodes_in``, the one builder of a ``Nodes``, checks them and reads them
+into one ``Nodes`` for a tree, or for every tree of a forest: columns
+over all the nodes (without the left children, which canonical preorder
+implies), and exit tables; ``rows`` writes the rows back.
 
 ``scores`` finds each (query, tree) pair's exit leaf from the tables
 (QuickScorer: Lucchese et al., SIGIR 2015).  A query goes right at a
@@ -195,8 +195,8 @@ def _search(x, codes, y, rows, candidates, pos):
 
 
 def grow(x: np.ndarray, y: np.ndarray, samples, min_leaf: int,
-         features_per_split: int = N_FEATURES, rngs=None) -> Nodes:
-    """Grow one tree per sample in lockstep: one ``Nodes``, in sample order.
+         features_per_split: int = N_FEATURES, rngs=None) -> list[list[list]]:
+    """Grow one tree per sample in lockstep: each tree's model-file rows, in order.
 
     A sample holds row indices into ``x`` (repeats allowed); ``y`` is 0 or
     1.  A node keeps its own rows, so a sample the caller does not hold is
@@ -239,11 +239,11 @@ def grow(x: np.ndarray, y: np.ndarray, samples, min_leaf: int,
                     stacks[t] += [(right, node, 1, raw[node][4] - left_pos),
                                   (left, node, 0, left_pos)]
         live = [t for t in live if stacks[t]]
-    return nodes_in(trees)
+    return trees
 
 
-def fit(x: np.ndarray, y: np.ndarray, hp: TreeParams) -> Nodes:
-    return grow(x, y, [np.arange(len(y))], hp.min_leaf)
+def fit(x: np.ndarray, y: np.ndarray, hp: TreeParams) -> dict:
+    return {"nodes": grow(x, y, [np.arange(len(y))], hp.min_leaf)[0]}
 
 
 #: Slots of a fragment: the bits of one mask word.

@@ -3,7 +3,8 @@
 Subcommands: extract, label, train, eval, bench, detect.  Results go to
 stdout (or ``-o``); progress, the effective-configuration echo and
 warnings go to stderr.  Exit codes: 0 success, 1 expected failures (bad
-usage, unreadable input, malformed data), 2 unexpected internal errors.
+usage, unreadable input, malformed data, a fit the host has no memory
+for), 2 unexpected internal errors.
 
 Options are spelled in full.  ``--seed`` (``train``, ``eval``, ``bench``),
 the only seed, seeds the split and every model.  A ``--config`` file holds
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import sys
 from pathlib import Path
 
@@ -28,7 +30,6 @@ from .classifiers import (
     ClassifierKind,
     default_hyperparams,
     kind_from_name,
-    model_fingerprint,
     read_model,
     save_model,
     train,
@@ -182,12 +183,13 @@ def _cmd_train(args) -> int:
     dataset = read_dataset_csv(_read_text(args.input))
     model = train(kind, dataset, hp,
                   zero_addresses=args.zero_address_features)
+    blob = save_model(model)
     with _output(args.output) as out:
-        out.write(save_model(model))
+        out.write(blob)
     print(
         f"train: {kind.value} on {len(dataset)} samples in "
         f"{model.training_time:.6f}s, dataset {model.train_fingerprint[:12]}, "
-        f"model {model_fingerprint(model)[:12]} -> {args.output or '-'}",
+        f"model {hashlib.sha256(blob).hexdigest()[:12]} -> {args.output or '-'}",
         file=sys.stderr,
     )
     return 0
@@ -360,7 +362,7 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:   # argparse: 0 after --help / --version, 2 on bad usage
         return 1 if exc.code else 0
-    except (RwdetectError, OSError) as exc:
+    except (RwdetectError, OSError, MemoryError) as exc:   # MemoryError: a fit too large
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:    # pragma: no cover - defensive

@@ -11,12 +11,14 @@ import contextlib
 import ipaddress
 import signal
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from rwdetect.capture import PACKET_CSV_HEADER, PacketRecord
+from rwdetect.classifiers import ALL_KINDS, default_hyperparams
 from rwdetect.conversation import Conversation
 from rwdetect.features import Dataset
 
@@ -24,6 +26,11 @@ settings.register_profile(
     "ci", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("ci")
+
+#: (kind, key) of every integer hyperparameter but the seed.
+INTEGER_HYPERPARAMS = [(kind, f.name) for kind in ALL_KINDS
+                       for f in fields(default_hyperparams(kind))
+                       if type(f.default) is int and f.name != "seed"]
 
 #: Pairs of feature values ``a < b`` whose midpoint ``(a + b) / 2`` is not
 #: below ``b``: adjacent doubles, where it rounds to ``b``, and a sum that

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import re
 import struct
 import warnings
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +42,7 @@ from rwdetect.classifiers import forest as forest_mod
 from rwdetect.classifiers import knn as knn_mod
 from rwdetect.classifiers import mlp as mlp_mod
 from rwdetect.classifiers import tree as tree_mod
+from rwdetect.classifiers.base import FAMILIES, MAX_COUNT
 from rwdetect.classifiers.model_io import MODEL_FORMAT_VERSION, MODEL_MAGIC
 from rwdetect.errors import (
     DimensionMismatch,
@@ -51,7 +54,13 @@ from rwdetect.errors import (
 )
 from rwdetect.features import Dataset, Label
 
-from conftest import CLOSE_VALUES, address_only_dataset, deadline, gaussian_dataset
+from conftest import (
+    CLOSE_VALUES,
+    INTEGER_HYPERPARAMS,
+    address_only_dataset,
+    deadline,
+    gaussian_dataset,
+)
 
 
 def vec13(**positions) -> np.ndarray:
@@ -138,6 +147,23 @@ class TestKindRegistry:
         with pytest.raises(InvalidHyperparams):
             validate_hyperparams(ClassifierKind.KNN, MlpParams())
 
+    @pytest.mark.parametrize("kind,key", INTEGER_HYPERPARAMS,
+                             ids=lambda v: getattr(v, "value", v))
+    def test_integer_above_the_bound(self, kind, key):
+        # Only validated: a fit this large would exhaust the host's time or memory.
+        hp = dataclasses.replace(default_hyperparams(kind), **{key: MAX_COUNT + 1})
+        with pytest.raises(InvalidHyperparams, match=f"{key} must be at most {MAX_COUNT}"):
+            validate_hyperparams(kind, hp)
+        with pytest.raises(InvalidHyperparams, match=f"{key} must be at most {MAX_COUNT}"):
+            train(kind, gaussian_dataset(n_pos=3, n_neg=3, seed=1), hp)
+        if key != "features_per_split":     # that one stops at 13
+            validate_hyperparams(kind, dataclasses.replace(hp, **{key: MAX_COUNT}))
+
+    def test_seed_keeps_its_64_bit_range(self):
+        validate_hyperparams(ClassifierKind.KNN, KnnParams(seed=2 ** 64 - 1))
+        with pytest.raises(InvalidHyperparams, match="seed"):
+            validate_hyperparams(ClassifierKind.KNN, KnnParams(seed=2 ** 64))
+
 
 class TestKnn:
     def test_three_point_vote(self):
@@ -176,9 +202,17 @@ class TestKnn:
         scaled = predict_many(train(ClassifierKind.KNN, blown), blown_queries)[1]
         assert np.allclose(base, scaled)
 
+    def test_scores_do_not_depend_on_the_block_size(self, monkeypatch):
+        model = train(ClassifierKind.KNN, gaussian_dataset(n_pos=40, n_neg=40, seed=13))
+        queries = gaussian_dataset(n_pos=30, n_neg=30, seed=14).x
+        want = predict_many(model, queries)[1]
+        for block_bytes in (1, 8 * 80 * 13 * 7, 1 << 30):   # 1, 7 and all 60 queries a block
+            monkeypatch.setattr(knn_mod, "_BLOCK_BYTES", block_bytes)
+            assert np.array_equal(predict_many(model, queries)[1], want)
+
     def test_k_larger_than_training_set(self):
         ds = gaussian_dataset(n_pos=3, n_neg=3, seed=1)
-        with pytest.raises(InvalidHyperparams):
+        with pytest.raises(InvalidHyperparams, match="k cannot exceed the training-set size"):
             train(ClassifierKind.KNN, ds, KnnParams(k=7))
 
     def test_k_equal_training_set_scores_base_rate(self):
@@ -204,7 +238,7 @@ class TestMlp:
         from rwdetect.features import apply_scaler, fit_scaler
         x = apply_scaler(fit_scaler(ds), x)
         before = mlp_mod.loss(mlp_mod.init_state(13, 16, 42), x, y)
-        state = mlp_mod.fit(x, y, MlpParams())
+        state = mlp_mod.params_in(mlp_mod.fit(x, y, MlpParams()), MlpParams())
         after = mlp_mod.loss(state, x, y)
         assert after < before / 4
 
@@ -485,15 +519,13 @@ class TestLockstepGrowth:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tree_mod, "CHUNK_CELLS", chunk)
             got = forest_mod.fit(x, y, hp)
-        want = tree_mod.nodes_in(reference_forest(x, y, hp))
-        assert tree_mod.rows(got) == tree_mod.rows(want)
+        assert got["trees"] == reference_forest(x, y, hp)
 
     @given(tie_heavy_samples(), st.integers(1, 4))
     def test_j48_matches_per_node_build(self, sample, min_leaf):
         x, y = sample
         got = tree_mod.fit(x, y, TreeParams(min_leaf=min_leaf))
-        want = tree_mod.nodes_in([reference_build(x, y, min_leaf)])
-        assert tree_mod.rows(got) == tree_mod.rows(want)
+        assert got["nodes"] == reference_build(x, y, min_leaf)
 
 
 def tie_dataset() -> Dataset:
@@ -1127,6 +1159,29 @@ class TestSharedContract:
         ds = gaussian_dataset(n_pos=6, n_neg=6, seed=29)
         model = train(kind, ds, self.fast_params(kind))
         assert model.train_fingerprint == dataset_fingerprint(ds)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_train_builds_its_state_with_the_model_file_reader(kind, monkeypatch):
+    """``train`` builds a state as ``load_model`` does, from the ``params``
+    that ``fit`` returns: one ``tree.nodes_in`` per tree fit, and no
+    ``params_out`` but the one with which the MLP's fit writes its dict."""
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(tree_mod, "nodes_in", counted("nodes_in", tree_mod.nodes_in))
+    for family in FAMILIES.values():
+        monkeypatch.setattr(family, "params_out", counted("params_out", family.params_out))
+    train(kind, gaussian_dataset(n_pos=10, n_neg=10, seed=33),
+          TestSharedContract().fast_params(kind))
+    assert calls == Counter(
+        nodes_in=int(kind in (ClassifierKind.J48, ClassifierKind.RANDOM_FOREST)),
+        params_out=int(kind is ClassifierKind.MLP))
 
 
 #: Hyperparameters that pass ``validate_hyperparams`` but fit a state the

@@ -15,17 +15,20 @@ from pathlib import Path
 import pytest
 
 import rwdetect.classifiers.base
+import rwdetect.cli
 import rwdetect.eval
 from rwdetect.capture import parse_packet_csv
 from rwdetect.cli import run
 from rwdetect.classifiers import MODEL_MAGIC, load_model, predict_many, read_model
-from rwdetect.classifiers import tree
+from rwdetect.classifiers import mlp, tree
+from rwdetect.classifiers.base import MAX_COUNT
 from rwdetect.conversation import aggregate, conversations_to_csv
 from rwdetect.eval import REPORT_CSV_HEADER
 from rwdetect.features import DATASET_CSV_HEADER, read_dataset_csv
 
 from conftest import (
     CLOSE_VALUES,
+    INTEGER_HYPERPARAMS,
     SCORING_HAZARDS,
     build_pcap,
     deadline,
@@ -310,6 +313,44 @@ class TestTrain:
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,key", INTEGER_HYPERPARAMS,
+                             ids=lambda v: getattr(v, "value", v))
+    def test_integer_above_the_bound_exit_1(self, workspace, capsys, kind, key):
+        out = workspace / "junk.bin"
+        assert run(["train", str(workspace / "data.csv"), "--kind", kind.value,
+                    "--param", f"{key}={MAX_COUNT + 1}", "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"error: {key} must be at most {MAX_COUNT}"
+        assert not out.exists()
+
+    def test_fit_out_of_memory_exit_1(self, workspace, capsys, monkeypatch):
+        # Raised by a stub: a real allocation this large would strain the host.
+        def fit(x, y, hp):
+            raise MemoryError("Unable to allocate 104. TiB for an array")
+
+        monkeypatch.setattr(mlp, "fit", fit)
+        out = workspace / "junk.bin"
+        assert run(["train", str(workspace / "data.csv"), "--kind", "mlp",
+                    "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == \
+            "error: Unable to allocate 104. TiB for an array"
+        assert not out.exists()
+
+    def test_serializes_the_model_once(self, workspace, capsys, monkeypatch):
+        calls = []
+        save_model = rwdetect.cli.save_model
+        monkeypatch.setattr(rwdetect.cli, "save_model",
+                            lambda model: calls.append(model) or save_model(model))
+        out = workspace / "forest.bin"
+        assert run(["train", str(workspace / "data.csv"), "--kind", "forest",
+                    "--param", "trees=3", "-o", str(out)]) == 0
+        assert len(calls) == 1
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert f"model {digest[:12]} -> {out}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("a, b", CLOSE_VALUES, ids=["adjacent", "overflow"])
     @pytest.mark.parametrize("kind", ["j48", "forest"])
     def test_cut_between_close_values_separates(self, tmp_path, kind, a, b):
@@ -543,6 +584,20 @@ class TestDetect:
         assert run(["detect", self.capture_csv(workspace),
                     "--model", str(model)]) == 1
         assert "features_used disagrees with the trees" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,key,value,message", [
+        ("mlp", "hidden_units", 3, "w1 has 16 hidden units, hyperparameters say 3"),
+        ("forest", "trees", 7, "3 trees, hyperparameters say 7"),
+    ], ids=["mlp-hidden-units", "forest-trees"])
+    def test_resealed_hyperparams_disagreeing_with_the_state_exit_1(
+            self, workspace, capsys, kind, key, value, message):
+        model = workspace / "model.bin"
+        assert run(["train", str(workspace / "data.csv"), "--kind", kind, "--param",
+                    {"mlp": "epochs=10", "forest": "trees=3"}[kind], "-o", str(model)]) == 0
+        reseal(model, lambda payload: payload["hyperparams"].update({key: value}))
+        assert run(["detect", self.capture_csv(workspace),
+                    "--model", str(model)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_resealed_fractional_k_exit_1(self, workspace, capsys):
         model = workspace / "knn.bin"

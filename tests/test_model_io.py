@@ -6,6 +6,7 @@ import copy
 import functools
 import hashlib
 import json
+import re
 import struct
 import time
 import warnings
@@ -33,12 +34,17 @@ from rwdetect.classifiers import (
     write_model,
 )
 from rwdetect.classifiers import model_io
-from rwdetect.classifiers.base import FAMILIES
+from rwdetect.classifiers.base import FAMILIES, MAX_COUNT
 from rwdetect.classifiers.model_io import MODEL_FORMAT_VERSION, MODEL_MAGIC
 from rwdetect.errors import ChecksumFailure, MalformedModel, VersionMismatch
 from rwdetect.features import Dataset
 
-from conftest import SCORING_HAZARDS, address_only_dataset, gaussian_dataset
+from conftest import (
+    INTEGER_HYPERPARAMS,
+    SCORING_HAZARDS,
+    address_only_dataset,
+    gaussian_dataset,
+)
 
 FAST = {
     ClassifierKind.MLP: MlpParams(epochs=25),
@@ -409,6 +415,28 @@ class TestTampering:
         payload["params"]["features_used"] = []
         with pytest.raises(MalformedModel):
             load_model(container(json.dumps(payload).encode()))
+
+    @pytest.mark.parametrize("kind,key,value,message", [
+        (ClassifierKind.MLP, "hidden_units", 3,
+         "w1 has 16 hidden units, hyperparameters say 3"),
+        (ClassifierKind.RANDOM_FOREST, "trees", 7, "4 trees, hyperparameters say 7"),
+        (ClassifierKind.RANDOM_FOREST, "trees", 2 ** 64,
+         f"trees must be at most {MAX_COUNT}"),
+    ], ids=["mlp-hidden-units", "forest-trees", "forest-trees-2**64"])
+    def test_hyperparams_must_match_the_state(self, kind, key, value, message):
+        # Training never writes these: its state is built from the same hyperparameters.
+        payload = valid_payload_dict(kind)
+        payload["hyperparams"][key] = value
+        with pytest.raises(MalformedModel, match=re.escape(message)):
+            load_model(sealed(payload))
+
+    @pytest.mark.parametrize("kind,key", INTEGER_HYPERPARAMS,
+                             ids=lambda v: getattr(v, "value", v))
+    def test_integer_hyperparam_above_the_bound(self, kind, key):
+        payload = copy.deepcopy(fitted_payload(kind))
+        payload["hyperparams"][key] = MAX_COUNT + 1
+        with pytest.raises(MalformedModel, match=f"{key} must be at most {MAX_COUNT}"):
+            load_model(sealed(payload))
 
     @pytest.mark.parametrize("fault", ["entry-changed", "entry-dropped"])
     def test_forest_features_used_must_match_trees(self, fault):
