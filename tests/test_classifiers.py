@@ -538,7 +538,8 @@ def tie_dataset() -> Dataset:
 
 
 class TestPinnedTrees:
-    """Tree model bytes stay the same across rewrites of the split search."""
+    """Model bytes stay the same across rewrites of the split search, of
+    each family's state and of the model file's writer."""
 
     @pytest.mark.parametrize("kind, make_dataset, hp, digest", [
         (ClassifierKind.J48, lambda: gaussian_dataset(n_pos=200, n_neg=200, seed=1), None,
@@ -561,9 +562,18 @@ class TestPinnedTrees:
          "a2fdcc199ce969d34344aeb82d6d55bdede1057d843730080b2bd3ce8616c21e"),
         (ClassifierKind.J48, tie_dataset, TreeParams(min_leaf=5),
          "929156c270cfdc9931a105d74508f0094f5ed2f02d19397cdedae63f756c895d"),
+        (ClassifierKind.KNN, lambda: gaussian_dataset(n_pos=200, n_neg=200, seed=1), None,
+         "401b11e395718cbf02190147443965a100f9d7694f17b5fc661933214e16e75c"),
+        (ClassifierKind.MLP, lambda: gaussian_dataset(n_pos=200, n_neg=200, seed=1), None,
+         "753cfb2eb443eb904d8188140d9e013c1037c3a2918984c308b98fbd8dfe20a1"),
+        (ClassifierKind.SVM, lambda: gaussian_dataset(n_pos=200, n_neg=200, seed=1), None,
+         "3e7de75c375658e81996088c7fe89834fb5ea60758aba8b5916a652b3933fd58"),
+        (ClassifierKind.BAYES, lambda: gaussian_dataset(n_pos=200, n_neg=200, seed=1), None,
+         "5dae3bcb2bb1b941dea9e2a5a0bae05b472df1309ee5895743ac037d8cca2505"),
     ], ids=["j48-gaussian", "forest-gaussian", "j48-ties", "forest-ties",
             "forest-ties-all-features", "forest-ties-min-leaf-1",
-            "forest-gaussian-no-bootstrap", "j48-ties-min-leaf-5"])
+            "forest-gaussian-no-bootstrap", "j48-ties-min-leaf-5",
+            "knn-gaussian", "mlp-gaussian", "svm-gaussian", "bayes-gaussian"])
     def test_model_sha256(self, kind, make_dataset, hp, digest):
         assert model_fingerprint(train(kind, make_dataset(), hp)) == digest
 
