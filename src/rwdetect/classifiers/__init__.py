@@ -7,10 +7,11 @@ or raw), ``Params`` (frozen hyperparameter dataclass with a ``seed``),
 (the model file's ``params`` JSON), ``params_in(params, hp) -> state`` (the one
 constructor of a state, trained or loaded), ``params_out(state) -> params`` and
 ``scores(state, queries)`` (positive-class scores in [0, 1]); ``KEYS`` names the
-keys of ``params``, and the reader rejects any other.  ``params_in`` reads every
-float through ``_arrays`` (a finite JSON float, in the expected shape) and
-rejects a structure by raising
-``KeyError``, ``TypeError``, ``ValueError``, ``OverflowError`` or
+keys of ``params``, and the reader rejects any other.  A state is a dict of the
+``params`` as arrays, which ``_arrays.lists`` writes back, or for J48 and the
+forest a ``tree.Nodes`` scoring table.  ``params_in`` reads every float through
+``_arrays`` (a finite JSON float, in the expected shape) and rejects a structure
+by raising ``KeyError``, ``TypeError``, ``ValueError``, ``OverflowError`` or
 ``InvalidHyperparams``; the reader reports it as ``MalformedModel``.  A
 ``SCALED`` family needs a scaler, others take none, and its ``params_in``
 rejects values that could overflow on queries in [0, 1].
@@ -45,7 +46,6 @@ from .model_io import (
     model_fingerprint,
     read_model,
     save_model,
-    write_model,
 )
 from .svm import SvmParams
 from .tree import TreeParams
@@ -74,5 +74,4 @@ __all__ = [
     "save_model",
     "train",
     "validate_hyperparams",
-    "write_model",
 ]

@@ -1,4 +1,4 @@
-"""Numbers read back from a model file's JSON payload.
+"""Numbers read back from a model file's JSON payload, and written to it.
 
 Every number a family reads from a payload passes through here, so a
 file holding ``NaN`` or an infinity (``json.loads`` accepts both tokens)
@@ -58,3 +58,8 @@ def integers(values) -> np.ndarray:
     if not set(map(type, values)) <= {int}:
         integer(next(v for v in values if type(v) is not int))
     return np.array(values, dtype=np.int64)
+
+
+def lists(state: dict, keys) -> dict:
+    """The model file's ``params`` of a state: its ``keys``, arrays as lists."""
+    return {key: np.asarray(state[key]).tolist() for key in keys}

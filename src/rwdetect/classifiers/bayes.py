@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import N_FEATURES
-from ._arrays import array, number
+from ._arrays import array, lists, number
 
 ALIAS = "bayes"
 SCALED = False
@@ -32,16 +32,6 @@ class BayesParams:
 
 Params = BayesParams
 CHECKS = ((lambda hp: hp.var_smoothing >= 0, "var_smoothing must be non-negative"),)
-
-
-@dataclass
-class BayesState:
-    log_prior_pos: float
-    log_prior_neg: float
-    mean_pos: np.ndarray
-    var_pos: np.ndarray
-    mean_neg: np.ndarray
-    var_neg: np.ndarray
 
 
 def fit(x: np.ndarray, y: np.ndarray, hp: BayesParams) -> dict:
@@ -65,39 +55,34 @@ def _log_likelihood(queries, mean, var, log_prior):
         return log_prior - 0.5 * (np.log(var) + _LOG_2PI + quad).sum(axis=1)
 
 
-def scores(state: BayesState, queries: np.ndarray) -> np.ndarray:
-    ll_pos = _log_likelihood(queries, state.mean_pos, state.var_pos,
-                             state.log_prior_pos)
-    ll_neg = _log_likelihood(queries, state.mean_neg, state.var_neg,
-                             state.log_prior_neg)
+def scores(state: dict, queries: np.ndarray) -> np.ndarray:
+    ll_pos = _log_likelihood(queries, state["mean_pos"], state["var_pos"],
+                             state["log_prior_pos"])
+    ll_neg = _log_likelihood(queries, state["mean_neg"], state["var_neg"],
+                             state["log_prior_neg"])
     lost = (ll_pos == -np.inf) & (ll_neg == -np.inf)
     if lost.any():      # both densities underflowed: the priors decide
-        ll_pos[lost], ll_neg[lost] = state.log_prior_pos, state.log_prior_neg
+        ll_pos[lost], ll_neg[lost] = state["log_prior_pos"], state["log_prior_neg"]
     peak = np.maximum(ll_pos, ll_neg)
     e_pos = np.exp(ll_pos - peak)
     e_neg = np.exp(ll_neg - peak)
     return e_pos / (e_pos + e_neg)
 
 
-def params_out(state: BayesState) -> dict:
-    return {"log_prior_pos": state.log_prior_pos,
-            "log_prior_neg": state.log_prior_neg,
-            "mean_pos": state.mean_pos.tolist(),
-            "var_pos": state.var_pos.tolist(),
-            "mean_neg": state.mean_neg.tolist(),
-            "var_neg": state.var_neg.tolist()}
+def params_out(state: dict) -> dict:
+    return lists(state, KEYS)
 
 
 KEYS = ("log_prior_neg", "log_prior_pos", "mean_neg", "mean_pos", "var_neg", "var_pos")
 
 
-def params_in(obj: dict, hp: BayesParams) -> BayesState:
-    mean_pos, var_pos, mean_neg, var_neg = (
-        array(obj[key], (N_FEATURES,))
-        for key in ("mean_pos", "var_pos", "mean_neg", "var_neg"))
-    if (var_pos <= 0).any() or (var_neg <= 0).any():
+def params_in(obj: dict, hp: BayesParams) -> dict:
+    """The state: the means and variances (d,) as arrays, the log priors floats."""
+    state = {key: array(obj[key], (N_FEATURES,))
+             for key in ("mean_pos", "var_pos", "mean_neg", "var_neg")}
+    if (state["var_pos"] <= 0).any() or (state["var_neg"] <= 0).any():
         raise ValueError("variances must be positive")
-    log_priors = [number(obj[key]) for key in ("log_prior_pos", "log_prior_neg")]
-    if max(log_priors) > 0:
+    log_priors = {key: number(obj[key]) for key in ("log_prior_pos", "log_prior_neg")}
+    if max(log_priors.values()) > 0:
         raise ValueError("log priors must be at most 0: they are log probabilities")
-    return BayesState(*log_priors, mean_pos, var_pos, mean_neg, var_neg)
+    return state | log_priors

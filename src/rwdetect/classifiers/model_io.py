@@ -156,9 +156,5 @@ def model_fingerprint(model: TrainedModel) -> str:
     return model.file_sha256 or hashlib.sha256(save_model(model)).hexdigest()
 
 
-def write_model(path: str | Path, model: TrainedModel) -> None:
-    Path(path).write_bytes(save_model(model))
-
-
 def read_model(path: str | Path) -> TrainedModel:
     return load_model(Path(path).read_bytes())

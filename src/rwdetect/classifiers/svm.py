@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import InvalidHyperparams
 from ..features import N_FEATURES
-from ._arrays import array, bounded, number
+from ._arrays import array, bounded, lists, number
 
 ALIAS = "svm"
 SCALED = True
@@ -32,12 +32,6 @@ CHECKS = (
     (lambda hp: hp.c > 0, "c must be positive"),
     (lambda hp: hp.iterations >= 1, "iterations must be at least 1"),
 )
-
-
-@dataclass
-class SvmState:
-    weights: np.ndarray   # (d,)
-    bias: float
 
 
 def fit(x: np.ndarray, y: np.ndarray, hp: SvmParams) -> dict:
@@ -59,20 +53,20 @@ def fit(x: np.ndarray, y: np.ndarray, hp: SvmParams) -> dict:
     return {"weights": w.tolist(), "bias": float(b)}
 
 
-def scores(state: SvmState, queries: np.ndarray) -> np.ndarray:
-    z = np.clip(queries @ state.weights + state.bias, -500.0, 500.0)
+def scores(state: dict, queries: np.ndarray) -> np.ndarray:
+    z = np.clip(queries @ state["weights"] + state["bias"], -500.0, 500.0)
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def params_out(state: SvmState) -> dict:
-    return {"weights": state.weights.tolist(), "bias": state.bias}
+def params_out(state: dict) -> dict:
+    return lists(state, KEYS)
 
 
 KEYS = ("bias", "weights")
 
 
-def params_in(obj: dict, hp: SvmParams) -> SvmState:
-    state = SvmState(weights=array(obj["weights"], (N_FEATURES,)),
-                     bias=number(obj["bias"]))
-    bounded(state.weights, state.bias)
+def params_in(obj: dict, hp: SvmParams) -> dict:
+    """The state: ``weights`` (d,) as an array, ``bias`` a float."""
+    state = {"weights": array(obj["weights"], (N_FEATURES,)), "bias": number(obj["bias"])}
+    bounded(state["weights"], state["bias"])
     return state

@@ -109,15 +109,21 @@ def detect_stream(packets: Iterable[PacketRecord], model: TrainedModel,
     ``packets`` is a packet table or any iterable of PacketRecords.  Every
     packet must be TCP or UDP, as ``load_packets`` gives them: any other
     protocol raises ValueError when its window is aggregated, after
-    earlier windows' alerts reached the sink.  A sink exception aborts the
-    run with SinkFailure carrying the summary of everything processed
-    before the failure.
+    earlier windows' alerts reached the sink.  A last window that closes
+    past the largest float raises InvalidHyperparams before the first window.
+    A sink exception aborts the run with SinkFailure carrying the summary of
+    everything processed before the failure.
     """
     packets = PacketTable.of(packets)
     capture_start = _capture_start(packets.columns[0], capture_start)
 
     fingerprint = model_fingerprint(model)
     windows = window_packets(packets, spec, capture_start)
+    if windows:     # close times grow with the window number: the last bounds them
+        last_close = float(capture_start) + (windows[-1][0] + 1) * spec.interval
+        if not math.isfinite(last_close):
+            raise InvalidHyperparams(f"window interval {spec.interval!r} closes the "
+                                     "last window past the largest float")
     n_conversations = 0
     n_alerts = 0
 

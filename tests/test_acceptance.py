@@ -267,7 +267,7 @@ def test_04_mlp_gradient_check():
         analytic = mlp_mod.gradients(state, x, y)
         step = 1e-5
         worst = 0.0
-        for arr, grad in zip((state.w1, state.b1, state.w2, state.b2),
+        for arr, grad in zip((state["w1"], state["b1"], state["w2"], state["b2"]),
                              analytic):
             flat, gflat = arr.ravel(), grad.ravel()
             for i in range(flat.size):

@@ -226,10 +226,10 @@ class TestMlp:
     def test_init_matches_seeded_generator(self):
         state = mlp_mod.init_state(13, 4, seed=77)
         rng = np.random.Generator(np.random.PCG64(77))
-        assert np.array_equal(state.w1, rng.uniform(-0.5, 0.5, size=(13, 4)))
-        assert np.array_equal(state.w2, rng.uniform(-0.5, 0.5, size=(4, 1)))
-        assert np.array_equal(state.b1, np.zeros(4))
-        assert np.array_equal(state.b2, np.zeros(1))
+        assert np.array_equal(state["w1"], rng.uniform(-0.5, 0.5, size=(13, 4)))
+        assert np.array_equal(state["w2"], rng.uniform(-0.5, 0.5, size=(4, 1)))
+        assert np.array_equal(state["b1"], np.zeros(4))
+        assert np.array_equal(state["b2"], np.zeros(1))
 
     def test_training_reduces_loss(self):
         ds = gaussian_dataset(n_pos=40, n_neg=40, seed=10)
@@ -248,7 +248,7 @@ class TestMlp:
         y = (rng.uniform(size=12) > 0.5).astype(np.uint8)
         state = mlp_mod.init_state(13, 3, seed=6)
         analytic = mlp_mod.gradients(state, x, y)
-        arrays = [state.w1, state.b1, state.w2, state.b2]
+        arrays = [state["w1"], state["b1"], state["w2"], state["b2"]]
         step = 1e-5
         worst = 0.0
         for arr, grad in zip(arrays, analytic):
@@ -995,7 +995,7 @@ class TestSvm:
         from rwdetect.features import apply_scaler
         queries = gaussian_dataset(n_pos=8, n_neg=8, seed=22).x
         scaled = apply_scaler(model.scaler, queries)
-        decisions = scaled @ model.state.weights + model.state.bias
+        decisions = scaled @ model.state["weights"] + model.state["bias"]
         _, scores = predict_many(model, queries)
         order = np.argsort(decisions)
         assert np.all(np.diff(scores[order]) >= 0)
@@ -1006,7 +1006,7 @@ class TestSvm:
         a = train(ClassifierKind.SVM, ds, SvmParams(iterations=500, seed=1))
         b = train(ClassifierKind.SVM, ds, SvmParams(iterations=500, seed=2))
         # full-batch subgradient descent never draws randomness
-        assert np.array_equal(a.state.weights, b.state.weights)
+        assert np.array_equal(a.state["weights"], b.state["weights"])
 
 
 class TestBayes:
@@ -1040,12 +1040,12 @@ class TestBayes:
         ll_neg = -0.5 * (math.log(2 * math.pi * var) + (x - 1.0) ** 2 / var)
         expected = 1.0 / (1.0 + math.exp(ll_neg - ll_pos))
         assert predict_one(model, vec13(f0=x))[1] == pytest.approx(expected, abs=1e-9)
-        assert state.var_pos[0] == pytest.approx(var)
+        assert state["var_pos"][0] == pytest.approx(var)
 
     def test_population_variance_used(self):
         model = train(ClassifierKind.BAYES, toy_dataset(self.two_cluster_rows()))
         # {4, 6}: population variance 1.0, sample variance would be 2.0
-        assert model.state.var_pos[0] == pytest.approx(1.0, abs=1e-6)
+        assert model.state["var_pos"][0] == pytest.approx(1.0, abs=1e-6)
 
     def test_prior_shifts_posterior(self):
         rows = self.two_cluster_rows() + [
@@ -1053,7 +1053,7 @@ class TestBayes:
             (vec13(f0=1.5), Label.BENIGN),
         ]
         model = train(ClassifierKind.BAYES, toy_dataset(rows))
-        assert model.state.log_prior_neg > model.state.log_prior_pos
+        assert model.state["log_prior_neg"] > model.state["log_prior_pos"]
 
     def test_all_constant_features_survive(self):
         rows = [
@@ -1090,7 +1090,7 @@ class TestBayes:
 
     def test_both_densities_underflow_at_subnormal_variances(self):
         model = self.underflow_model()
-        model.state.var_pos[0] = model.state.var_neg[0] = 1e-320
+        model.state["var_pos"][0] = model.state["var_neg"][0] = 1e-320
         queries = np.random.Generator(np.random.PCG64(7)).normal(size=(64, 13))
         queries[:, 0] += 5.0    # off both class means of feature 0
         self.assert_prior_scores(model, queries)
@@ -1175,7 +1175,7 @@ class TestSharedContract:
 def test_train_builds_its_state_with_the_model_file_reader(kind, monkeypatch):
     """``train`` builds a state as ``load_model`` does, from the ``params``
     that ``fit`` returns: one ``tree.nodes_in`` per tree fit, and no
-    ``params_out`` but the one with which the MLP's fit writes its dict."""
+    ``params_out``."""
     calls = Counter()
 
     def counted(name, function):
@@ -1191,7 +1191,7 @@ def test_train_builds_its_state_with_the_model_file_reader(kind, monkeypatch):
           TestSharedContract().fast_params(kind))
     assert calls == Counter(
         nodes_in=int(kind in (ClassifierKind.J48, ClassifierKind.RANDOM_FOREST)),
-        params_out=int(kind is ClassifierKind.MLP))
+        params_out=0)
 
 
 #: Hyperparameters that pass ``validate_hyperparams`` but fit a state the

@@ -530,6 +530,26 @@ class TestDetect:
                     "--interval", interval]) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
+    def test_last_window_closing_past_the_largest_float_exit_1(self, workspace, capsys):
+        # Both flows alert; the second window's close time, 2e308 s, once
+        # rendered as ``"emitted_at": inf`` with exit 0.
+        packets = (flow_packets(0.0, "192.168.1.4", 2222, "192.168.1.5", 443, n=6, size=900)
+                   + flow_packets(1.79e308, "192.168.1.6", 2222, "192.168.1.7", 443,
+                                  n=6, size=900))
+        path = workspace / "far.csv"
+        path.write_text(packet_csv(packets))
+        model = trained_model_path(workspace)
+        assert run(["detect", str(path), "--model", model, "--interval", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("error: ")
+        assert "past the largest float" in captured.err
+        # The largest float puts both flows in window 0, which closes at it.
+        assert run(["detect", str(path), "--model", model,
+                    "--interval", repr(sys.float_info.max)]) == 0
+        assert [json.loads(line)["emitted_at"] for line in capsys.readouterr().out.split("\n")
+                if line] == [sys.float_info.max] * 2
+
     def test_missing_model_exit_1(self, workspace):
         assert run(["detect", self.capture_csv(workspace),
                     "--model", str(workspace / "nope.bin")]) == 1

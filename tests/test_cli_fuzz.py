@@ -5,7 +5,8 @@
 with a broken seal or a resealed mutated payload) and with options drawn
 around their edges: ``-o`` absent, ``-`` or a file, ``--param`` keys
 with extreme finite values, ``--interval``, ``--split``, ``--k`` and
-``--train-ratio``.  A model ``train`` writes must load.  Hyperparameters
+``--train-ratio``.  A model ``train`` writes must load, and each JSON
+alert line ``detect`` writes must be strict JSON.  Hyperparameters
 that only cost time or memory (a billion SVM iterations) are out of
 scope, so the keys that scale the work draw small values.
 """
@@ -238,14 +239,25 @@ def test_every_subcommand_exits_0_or_1(inputs, data):
     for name, content in files.items():
         (workdir / name).write_bytes(content)
     stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-    with deadline(20), contextlib.chdir(workdir), warnings.catch_warnings(), \
+    with deadline(20), pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(), \
             contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(io.StringIO()) as stderr:
+        patch.chdir(workdir)
         warnings.simplefilter("ignore", UserWarning)     # lenient CSV notices
         code = run(argv)
     assert code in (0, 1), stderr.getvalue()
     assert not (workdir / "-").exists()
-    if code == 0 and argv[0] == "train":
-        written = ((workdir / "out").read_bytes() if argv[-2:] == ["-o", "out"]
-                   else stdout.buffer.getvalue())
+    if code != 0 or argv[0] not in ("train", "detect"):
+        return
+    written = ((workdir / "out").read_bytes() if argv[-2:] == ["-o", "out"]
+               else stdout.buffer.getvalue())
+    if argv[0] == "train":
         load_model(written)
+    elif "text=True" not in stderr.getvalue():     # detect echoes its settings
+        for line in written.decode().splitlines():
+            json.loads(line, parse_constant=reject_constant)
+
+
+def reject_constant(name: str):
+    """``json.loads``'s hook for ``NaN`` and the infinities, which JSON lacks."""
+    raise ValueError(f"{name} is not JSON")

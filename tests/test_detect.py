@@ -201,6 +201,19 @@ class TestDetectStream:
         assert alerts[0].window_index == 2
         assert alerts[0].emitted_at == 30.0
 
+    @pytest.mark.parametrize("start, t", [(0.0, 1.79e308), (1e308, 1.7e308)],
+                             ids=["window-number", "capture-start"])
+    def test_last_window_closing_past_the_largest_float_raises(self, start, t):
+        # Each flow alerts alone; the last window closes at 2e308 s, which
+        # was once emitted as an infinite ``emitted_at``.
+        packets = (flow(start, "192.168.1.4", 2222, "192.168.1.5", 443, n=6, size=600)
+                   + flow(t, "192.168.1.6", 2222, "192.168.1.7", 443, n=6, size=600))
+        alerts: list[Alert] = []
+        with pytest.raises(InvalidHyperparams, match="past the largest float"):
+            detect_stream(packets, bytes_threshold_model(), WindowSpec(1e308),
+                          alerts.append, capture_start=start)
+        assert alerts == []
+
     def test_flow_spanning_windows_alerts_twice(self):
         packets = flow(8.0, "192.168.1.4", 2222, "192.168.1.5", 443,
                        n=8, size=700, spacing=0.5)    # 8.0 .. 11.5

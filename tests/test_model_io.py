@@ -31,7 +31,6 @@ from rwdetect.classifiers import (
     read_model,
     save_model,
     train,
-    write_model,
 )
 from rwdetect.classifiers import model_io
 from rwdetect.classifiers.base import FAMILIES, MAX_COUNT
@@ -161,8 +160,7 @@ class TestRoundTrip:
     def test_file_helpers(self, tmp_path):
         model = quick_model(ClassifierKind.BAYES)
         path = tmp_path / "bayes.rwdmodel"
-        write_model(path, model)
-        assert path.read_bytes() == save_model(model)
+        path.write_bytes(save_model(model))
         loaded = read_model(path)
         assert save_model(loaded) == save_model(model)
 
