@@ -547,8 +547,8 @@ class TestDetect:
         # The largest float puts both flows in window 0, which closes at it.
         assert run(["detect", str(path), "--model", model,
                     "--interval", repr(sys.float_info.max)]) == 0
-        assert [json.loads(line)["emitted_at"] for line in capsys.readouterr().out.split("\n")
-                if line] == [sys.float_info.max] * 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line)["emitted_at"] for line in lines] == [sys.float_info.max] * 2
 
     def test_missing_model_exit_1(self, workspace):
         assert run(["detect", self.capture_csv(workspace),
