@@ -5,14 +5,16 @@ Each family is one module (``knn``, ``mlp``, ``tree``, ``forest``, ``svm``,
 or raw), ``Params`` (frozen hyperparameter dataclass with a ``seed``),
 ``CHECKS`` (``(predicate, message)`` range checks), ``fit(x, y, hp) -> params``
 (the model file's ``params`` JSON), ``params_in(params, hp) -> state`` (the one
-constructor of a state, trained or loaded), ``params_out(state) -> params`` and
-``scores(state, queries)`` (positive-class scores in [0, 1]); ``KEYS`` names the
-keys of ``params``, and the reader rejects any other.  A state is a dict of the
-``params`` as arrays, which ``_arrays.lists`` writes back, or for J48 and the
-forest a ``tree.Nodes`` scoring table.  ``params_in`` reads every float through
-``_arrays`` (a finite JSON float, in the expected shape) and rejects a structure
-by raising ``KeyError``, ``TypeError``, ``ValueError``, ``OverflowError`` or
-``InvalidHyperparams``; the reader reports it as ``MalformedModel``.  A
+constructor of a state, trained or loaded) and ``scores(state, queries)``
+(positive-class scores in [0, 1]); ``KEYS`` names the keys of ``params``, and the
+reader rejects any other.  A state is a dict of the ``params`` as arrays, or for
+J48 and the forest a ``tree.Nodes`` scoring table.  No state is written back:
+``train`` seals ``fit``'s ``params`` into the model file once, and a model keeps
+that file, or the one it was loaded from, as ``blob``.  ``params_in`` reads
+every float through ``_arrays`` (a finite JSON float, in the expected shape) and
+rejects a structure by raising ``KeyError``, ``TypeError``, ``ValueError``,
+``OverflowError`` or ``InvalidHyperparams``; the reader reports it as
+``MalformedModel``.  A
 ``SCALED`` family needs a scaler, others take none, and its ``params_in``
 rejects values that could overflow on queries in [0, 1].
 Adding a family takes its module, a ``ClassifierKind`` member and a

@@ -1,11 +1,11 @@
-"""Numbers read back from a model file's JSON payload, and written to it.
+"""Numbers read from a model file's JSON payload.
 
 Every number a family reads from a payload passes through here, so a
 file holding ``NaN`` or an infinity (``json.loads`` accepts both tokens)
 fails to load instead of scoring NaN.  A float field must hold a JSON
 float and an integer field a JSON integer: ``true`` or ``1`` for a float,
-or ``1.0`` for an integer, would load as another value or type and write
-back other bytes.
+or ``1.0`` for an integer, would load as another value or type than the
+file holds.
 """
 
 import math
@@ -58,8 +58,3 @@ def integers(values) -> np.ndarray:
     if not set(map(type, values)) <= {int}:
         integer(next(v for v in values if type(v) is not int))
     return np.array(values, dtype=np.int64)
-
-
-def lists(state: dict, keys) -> dict:
-    """The model file's ``params`` of a state: its ``keys``, arrays as lists."""
-    return {key: np.asarray(state[key]).tolist() for key in keys}

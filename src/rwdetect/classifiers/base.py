@@ -112,7 +112,7 @@ def validate_hyperparams(kind: ClassifierKind, hp: Hyperparams) -> None:
             raise InvalidHyperparams(message)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainedModel:
     kind: ClassifierKind
     hyperparams: Hyperparams
@@ -120,8 +120,8 @@ class TrainedModel:
     scaler: ScalingParams | None
     training_time: float            # seconds; excluded from serialization
     train_fingerprint: str
+    blob: bytes                     # the model file: sealed by ``train``, or as loaded
     zero_addresses: bool = False
-    file_sha256: str | None = None  # of the bytes ``load_model`` read; not serialized
 
 
 def train(kind: ClassifierKind, dataset: Dataset,
@@ -130,7 +130,8 @@ def train(kind: ClassifierKind, dataset: Dataset,
     """Fit one classifier family on a labeled dataset.
 
     ``training_time`` covers only the fit and the building of its state,
-    not scaling or validation, so repeated runs differ only in that field.
+    not scaling, validation or the sealing of the model file, so repeated
+    runs differ only in that field.
     """
     hp = hyperparams if hyperparams is not None else default_hyperparams(kind)
     validate_hyperparams(kind, hp)
@@ -161,8 +162,10 @@ def train(kind: ClassifierKind, dataset: Dataset,
     except ValueError as exc:
         raise InvalidHyperparams(f"{kind.value} fitted no loadable model: {exc}") from exc
     elapsed = time.perf_counter() - started
+    from .model_io import seal     # model_io imports this module
     return TrainedModel(kind=kind, hyperparams=hp, state=state, scaler=scaler,
                         training_time=elapsed, train_fingerprint=fingerprint,
+                        blob=seal(kind, hp, params, scaler, fingerprint, zero_addresses),
                         zero_addresses=zero_addresses)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import N_FEATURES
-from ._arrays import array, lists, number
+from ._arrays import array, number
 
 ALIAS = "bayes"
 SCALED = False
@@ -67,10 +67,6 @@ def scores(state: dict, queries: np.ndarray) -> np.ndarray:
     e_pos = np.exp(ll_pos - peak)
     e_neg = np.exp(ll_neg - peak)
     return e_pos / (e_pos + e_neg)
-
-
-def params_out(state: dict) -> dict:
-    return lists(state, KEYS)
 
 
 KEYS = ("log_prior_neg", "log_prior_pos", "mean_neg", "mean_pos", "var_neg", "var_pos")

@@ -64,11 +64,6 @@ def _features_used(trees: list) -> list[list[int]]:
     return [sorted({row[0] for row in rows} - {-1}) for rows in trees]
 
 
-def params_out(nodes: tree.Nodes) -> dict:
-    trees = tree.rows(nodes)
-    return {"trees": trees, "features_used": _features_used(trees)}
-
-
 KEYS = ("features_used", "trees")
 
 

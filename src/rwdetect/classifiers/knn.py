@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import InvalidHyperparams
 from ..features import N_FEATURES
-from ._arrays import array, integers, lists
+from ._arrays import array, integers
 
 ALIAS = "knn"
 SCALED = True
@@ -47,10 +47,6 @@ def scores(state: dict, queries: np.ndarray) -> np.ndarray:
         nearest = np.argsort(d2, axis=1, kind="stable")[:, :state["k"]]
         out[start:start + chunk] = labels[nearest].mean(axis=1)
     return out
-
-
-def params_out(state: dict) -> dict:
-    return lists(state, KEYS)
 
 
 KEYS = ("labels", "points")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..features import N_FEATURES
-from ._arrays import array, bounded, lists
+from ._arrays import array, bounded
 
 ALIAS = "mlp"
 SCALED = True
@@ -87,15 +87,11 @@ def fit(x: np.ndarray, y: np.ndarray, hp: MlpParams) -> dict:
             state["b1"] -= lr * gb1
             state["w2"] -= lr * gw2
             state["b2"] -= lr * gb2
-    return lists(state, KEYS)
+    return {key: state[key].tolist() for key in KEYS}
 
 
 def scores(state: dict, queries: np.ndarray) -> np.ndarray:
     return forward(state, queries)[1]
-
-
-def params_out(state: dict) -> dict:
-    return lists(state, KEYS)
 
 
 KEYS = ("b1", "b2", "w1", "w2")

@@ -12,8 +12,9 @@ Layout (big-endian):
 Canonical JSON plus repr-exact floats make serialization deterministic:
 the same kind, hyperparameters, seed and training data always produce
 byte-identical files.  ``training_time`` is measurement, not state, so
-it never enters the payload; nor does ``file_sha256``, the digest of the
-bytes a model was loaded from, which is its fingerprint.
+it never enters the payload.  ``train`` seals a fit's ``params`` once,
+and a model keeps that file, or the one it was loaded from, as
+``blob``: ``save_model`` returns it and the fingerprint is its SHA-256.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from ..errors import (
 )
 from ..features import N_FEATURES, ScalingParams
 from ._arrays import array
-from .base import FAMILIES, ClassifierKind, TrainedModel, validate_hyperparams
+from .base import FAMILIES, ClassifierKind, Hyperparams, TrainedModel, validate_hyperparams
 
 MODEL_MAGIC = b"RWDMODEL"
 MODEL_FORMAT_VERSION = 1
@@ -43,23 +44,29 @@ _KEYS = ("hyperparams", "kind", "params", "scaler", "train_fingerprint", "zero_a
 _SCALER_KEYS = ("fitted_on", "maxs", "mins")
 
 
-def save_model(model: TrainedModel) -> bytes:
-    """Serialize a trained model to the container format."""
+def seal(kind: ClassifierKind, hp: Hyperparams, params: dict, scaler: ScalingParams | None,
+         train_fingerprint: str, zero_addresses: bool) -> bytes:
+    """The model file of a fit's ``params`` and the metadata it was trained with."""
     payload = {
-        "kind": model.kind.value,
-        "hyperparams": asdict(model.hyperparams),
-        "params": FAMILIES[model.kind].params_out(model.state),
-        "scaler": None if model.scaler is None else {
-            "mins": model.scaler.mins.tolist(),
-            "maxs": model.scaler.maxs.tolist(),
-            "fitted_on": model.scaler.fitted_on,
+        "kind": kind.value,
+        "hyperparams": asdict(hp),
+        "params": params,
+        "scaler": None if scaler is None else {
+            "mins": scaler.mins.tolist(),
+            "maxs": scaler.maxs.tolist(),
+            "fitted_on": scaler.fitted_on,
         },
-        "train_fingerprint": model.train_fingerprint,
-        "zero_addresses": model.zero_addresses,
+        "train_fingerprint": train_fingerprint,
+        "zero_addresses": zero_addresses,
     }
     body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     blob = MODEL_MAGIC + _HEADER.pack(MODEL_FORMAT_VERSION, len(body)) + body
     return blob + hashlib.sha256(blob).digest()
+
+
+def save_model(model: TrainedModel) -> bytes:
+    """The model file: as ``train`` sealed it, or as ``load_model`` read it."""
+    return model.blob
 
 
 def load_model(data: bytes) -> TrainedModel:
@@ -70,11 +77,9 @@ def load_model(data: bytes) -> TrainedModel:
     truncation, not a foreign format.
     """
     buf = bytes(data)
-    if len(buf) < len(MODEL_MAGIC):
+    if not buf.startswith(MODEL_MAGIC):
         if MODEL_MAGIC.startswith(buf):
             raise ChecksumFailure("model file truncated before the header")
-        raise MalformedModel("bad model magic")
-    if buf[:len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise MalformedModel("bad model magic")
     header_end = len(MODEL_MAGIC) + _HEADER.size
     if len(buf) < len(MODEL_MAGIC) + 2:
@@ -129,13 +134,12 @@ def load_model(data: bytes) -> TrainedModel:
         raise MalformedModel(f"model payload structure invalid: {exc}") from exc
     return TrainedModel(kind=kind, hyperparams=hp, state=state, scaler=scaler,
                         training_time=0.0, train_fingerprint=fingerprint,
-                        zero_addresses=zero_addresses,
-                        file_sha256=hashlib.sha256(buf).hexdigest())
+                        blob=buf, zero_addresses=zero_addresses)
 
 
 def _known(obj: dict, keys) -> None:
-    """Require the keys of ``obj`` to be exactly ``keys``: an unknown key
-    would not be written back, and a missing one would load as a default."""
+    """Require the keys of ``obj`` to be exactly ``keys``: the reader would
+    ignore an unknown key, and a missing one would load as a default."""
     unknown, missing = set(obj) - set(keys), set(keys) - set(obj)
     if unknown:
         raise ValueError(f"unknown key {min(unknown)!r}")
@@ -151,9 +155,8 @@ def _typed(obj: dict, key: str, kind: type):
 
 
 def model_fingerprint(model: TrainedModel) -> str:
-    """SHA-256 hex digest of the model file: of the bytes the model was
-    loaded from, or of ``save_model(model)`` for a model never loaded."""
-    return model.file_sha256 or hashlib.sha256(save_model(model)).hexdigest()
+    """SHA-256 hex digest of the model file, ``save_model(model)``."""
+    return hashlib.sha256(model.blob).hexdigest()
 
 
 def read_model(path: str | Path) -> TrainedModel:

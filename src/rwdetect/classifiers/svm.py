@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import InvalidHyperparams
 from ..features import N_FEATURES
-from ._arrays import array, bounded, lists, number
+from ._arrays import array, bounded, number
 
 ALIAS = "svm"
 SCALED = True
@@ -56,10 +56,6 @@ def fit(x: np.ndarray, y: np.ndarray, hp: SvmParams) -> dict:
 def scores(state: dict, queries: np.ndarray) -> np.ndarray:
     z = np.clip(queries @ state["weights"] + state["bias"], -500.0, 500.0)
     return 1.0 / (1.0 + np.exp(-z))
-
-
-def params_out(state: dict) -> dict:
-    return lists(state, KEYS)
 
 
 KEYS = ("bias", "weights")

@@ -23,9 +23,9 @@ is the next row and its right child the row after the left subtree.
 Child indexes count from the tree's first row, and a leaf is written as
 ``feature = -1`` with ``-1`` children.  ``grow`` returns such lists.
 ``nodes_in``, the one builder of a ``Nodes``, checks them and reads them
-into one ``Nodes`` for a tree, or for every tree of a forest: columns
-over all the nodes (without the left children, which canonical preorder
-implies), and exit tables; ``rows`` writes the rows back.
+into one ``Nodes`` for a tree, or for every tree of a forest: each
+node's leaf score ``pos / total``, and exit tables.  Nothing turns a
+``Nodes`` back into rows: a model keeps the file it was read from.
 
 ``scores`` finds each (query, tree) pair's exit leaf from the tables
 (QuickScorer: Lucchese et al., SIGIR 2015).  A query goes right at a
@@ -94,21 +94,16 @@ class Block:
 
 @dataclass(frozen=True, eq=False)
 class Nodes:
-    """The nodes of one or more trees as columns, the integer ones in the
-    smallest type that holds them, and their exit tables; ``len()`` is
-    the node count."""
-    feature: np.ndarray     # split feature, -1 at a leaf
-    threshold: np.ndarray
-    right: np.ndarray       # each split's right child, counted from its tree's first
-                            # node (its left child is the next node)
-    pos: np.ndarray         # positive training samples that reached the node
-    total: np.ndarray
+    """The nodes of one or more trees: their roots, exit tables and
+    scores; ``len()`` is the node count."""
     roots: np.ndarray       # each tree's root, its first node, in tree order
     blocks: tuple           # fragment f's tables are in block f // BLOCK_FRAGMENTS
     exit: np.ndarray        # each slot's leaf, or -1 - the fragment it roots
+    score: np.ndarray       # pos / total: the positive share of the training
+                            # samples that reached the node
 
     def __len__(self) -> int:
-        return len(self.feature)
+        return len(self.score)
 
 
 def _binary_entropy(pos, total):
@@ -285,9 +280,8 @@ def scores(nodes: Nodes, queries: np.ndarray) -> np.ndarray:
     the value, and the count picks the running AND of those splits'
     masks; the lowest bit set in the AND of the 13 picks is the exit.  A
     (query, tree) pair takes its tree's root fragment's exit, then, while
-    that slot roots a fragment, the exit there.  The leaf fractions
-    ``pos / total`` are added tree by tree, in tree order, then divided
-    by the tree count.
+    that slot roots a fragment, the exit there.  The leaf scores are
+    added tree by tree, in tree order, then divided by the tree count.
     """
     n_trees = len(nodes.roots)
     n_fragments = sum(len(block.first_slot) for block in nodes.blocks)
@@ -307,13 +301,13 @@ def scores(nodes: Nodes, queries: np.ndarray) -> np.ndarray:
             hopping = leaf[tree, row] < 0
             tree, row = tree[hopping], row[hopping]
         part = total[lo:lo + chunk_rows]
-        for fraction in nodes.pos.take(leaf) / nodes.total.take(leaf):
-            part += fraction
+        for score in nodes.score.take(leaf):
+            part += score
     return total / n_trees
 
 
 def nodes_in(trees) -> Nodes:
-    """Columns and exit tables of trees given as lists of model-file rows.
+    """Leaf scores and exit tables of trees given as lists of model-file rows.
 
     Raises ValueError on rows that fail the checks of
     docs/model_format.md, which make each tree one canonical preorder.
@@ -331,11 +325,9 @@ def nodes_in(trees) -> Nodes:
     last = _check(feature, left, right, pos, total, start, sizes)
     split = np.flatnonzero(feature != -1)
     frag, keep, first_slot, exits = _slots(split, right, start, sizes, last)
-    feature, pos, total = map(_compact, (feature, pos, total))
-    return Nodes(feature=feature, threshold=threshold, right=_compact(right[split]), pos=pos,
-                 total=total, roots=start,
+    return Nodes(roots=start,
                  blocks=_blocks(frag, feature[split], threshold[split], keep, first_slot),
-                 exit=exits)
+                 exit=exits, score=pos / total)
 
 
 def _compact(column: np.ndarray) -> np.ndarray:
@@ -523,22 +515,6 @@ def _block(frag, feat, row, keep, cuts, cut_start, first_slot) -> Block:
     return Block(cuts=cuts, cut_start=cut_start, counts=counts, base=base, masks=masks,
                  first_slot=first_slot)
 
-
-def rows(nodes: Nodes) -> list[list[tuple]]:
-    """Each tree's model-file rows."""
-    bounds = [*nodes.roots.tolist(), len(nodes)]
-    split = nodes.feature >= 0
-    left, right = np.full((2, len(nodes)), -1)
-    left[split] = (np.arange(len(nodes)) - np.repeat(nodes.roots, np.diff(bounds)))[split] + 1
-    right[split] = nodes.right
-    columns = [column.tolist() for column in (nodes.feature, nodes.threshold, left, right,
-                                              nodes.pos, nodes.total)]
-    return [list(zip(*(column[lo:hi] for column in columns)))
-            for lo, hi in zip(bounds, bounds[1:])]
-
-
-def params_out(nodes: Nodes) -> dict:
-    return {"nodes": rows(nodes)[0]}
 
 
 KEYS = ("nodes",)

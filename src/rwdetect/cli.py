@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import hashlib
 import sys
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from .classifiers import (
     ClassifierKind,
     default_hyperparams,
     kind_from_name,
+    model_fingerprint,
     read_model,
     save_model,
     train,
@@ -145,6 +145,17 @@ def _cmd_label(args) -> int:
     return 0
 
 
+def _number(cast):
+    """``cast``, ``int`` or ``float``, of a number written as in a CSV: ``cast``
+    alone also reads other scripts' digits, whitespace and ``_``."""
+    def read(text: str):
+        if not text.isascii() or "_" in text or any(c.isspace() for c in text):
+            raise ValueError(text)
+        return cast(text)
+    read.__name__ = cast.__name__   # argparse names the type in its message
+    return read
+
+
 def _parse_params(kind: ClassifierKind, seed: int, pairs: list[str]):
     hp = default_hyperparams(kind, seed=seed)
     fields = {f.name: f.type for f in dataclasses.fields(hp)}
@@ -166,8 +177,7 @@ def _parse_params(kind: ClassifierKind, seed: int, pairs: list[str]):
             overrides[key] = value.lower() == "true"
         else:
             try:
-                overrides[key] = int(value) if isinstance(current, int) \
-                    else float(value)
+                overrides[key] = _number(type(current))(value)
             except ValueError:
                 raise InvalidHyperparams(
                     f"{key} takes a number, got {value!r}") from None
@@ -183,13 +193,12 @@ def _cmd_train(args) -> int:
     dataset = read_dataset_csv(_read_text(args.input))
     model = train(kind, dataset, hp,
                   zero_addresses=args.zero_address_features)
-    blob = save_model(model)
     with _output(args.output) as out:
-        out.write(blob)
+        out.write(save_model(model))
     print(
         f"train: {kind.value} on {len(dataset)} samples in "
         f"{model.training_time:.6f}s, dataset {model.train_fingerprint[:12]}, "
-        f"model {hashlib.sha256(blob).hexdigest()[:12]} -> {args.output or '-'}",
+        f"model {model_fingerprint(model)[:12]} -> {args.output or '-'}",
         file=sys.stderr,
     )
     return 0
@@ -266,7 +275,7 @@ def _cmd_detect(args) -> int:
 
 
 def _add_training(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=42,
+    parser.add_argument("--seed", type=_number(int), default=42,
                         help="seed of every random draw (default 42)")
     parser.add_argument("--zero-address-features", action="store_true",
                         help="train with the two address features zeroed")
@@ -275,9 +284,9 @@ def _add_training(parser: argparse.ArgumentParser) -> None:
 def _add_split(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--split", choices=("holdout", "kfold"),
                         default="holdout")
-    parser.add_argument("--train-ratio", type=float,
+    parser.add_argument("--train-ratio", type=_number(float),
                         help="holdout training fraction (default 0.8)")
-    parser.add_argument("--k", type=int,
+    parser.add_argument("--k", type=_number(int),
                         help="k-fold cross-validation folds (default 10)")
     parser.add_argument("--format", choices=tuple(_RENDER), default="csv")
     parser.set_defaults(usage_error=parser.error)
@@ -346,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "run windowed detection over a capture")
     p.add_argument("input", help="pcap file or packet CSV")
     p.add_argument("--model", required=True, help="trained model file")
-    p.add_argument("--interval", type=float, default=60.0,
+    p.add_argument("--interval", type=_number(float), default=60.0,
                    help="window length in seconds (default 60)")
     p.add_argument("--text", action="store_true",
                    help="emit human-readable alert lines instead of JSON")

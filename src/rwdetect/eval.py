@@ -122,11 +122,7 @@ class SplitSpec:
 def _permuted_class_indices(labels01: np.ndarray, seed: int):
     """Positive then negative index permutations from one seeded generator."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    by_class = []
-    for value in (1, 0):
-        idx = np.nonzero(labels01 == value)[0]
-        by_class.append(rng.permutation(idx))
-    return by_class
+    return [rng.permutation(np.flatnonzero(labels01 == value)) for value in (1, 0)]
 
 
 def split(dataset: Dataset, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarray]]:

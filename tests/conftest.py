@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import ipaddress
+import json
 import signal
 import struct
 from dataclasses import fields
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from rwdetect.capture import PACKET_CSV_HEADER, PacketRecord
-from rwdetect.classifiers import ALL_KINDS, default_hyperparams
+from rwdetect.classifiers import ALL_KINDS, MODEL_MAGIC, default_hyperparams, save_model
 from rwdetect.conversation import Conversation
 from rwdetect.features import Dataset
 
@@ -36,6 +37,18 @@ INTEGER_HYPERPARAMS = [(kind, f.name) for kind in ALL_KINDS
 #: below ``b``: adjacent doubles, where it rounds to ``b``, and a sum that
 #: overflows to ``inf``.
 CLOSE_VALUES = [(1.0 + 2.0**-52, 1.0 + 2.0**-51), (1e308, 1.7e308)]
+
+
+def model_params(model) -> dict:
+    """The ``params`` of a model's file: its JSON payload lies between
+    the 14-byte header and the 32-byte digest."""
+    return json.loads(save_model(model)[len(MODEL_MAGIC) + 6:-32])["params"]
+
+
+def model_trees(model) -> list[list]:
+    """The node rows of each tree in a J48 or forest model's file."""
+    params = model_params(model)
+    return [params["nodes"]] if "nodes" in params else params["trees"]
 
 
 @contextlib.contextmanager

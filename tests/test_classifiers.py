@@ -38,9 +38,11 @@ from rwdetect.classifiers import (
     train,
     validate_hyperparams,
 )
+from rwdetect import classifiers
 from rwdetect.classifiers import forest as forest_mod
 from rwdetect.classifiers import knn as knn_mod
 from rwdetect.classifiers import mlp as mlp_mod
+from rwdetect.classifiers import model_io
 from rwdetect.classifiers import tree as tree_mod
 from rwdetect.classifiers.base import FAMILIES, MAX_COUNT
 from rwdetect.classifiers.model_io import MODEL_FORMAT_VERSION, MODEL_MAGIC
@@ -60,6 +62,8 @@ from conftest import (
     address_only_dataset,
     deadline,
     gaussian_dataset,
+    model_params,
+    model_trees,
 )
 
 
@@ -82,7 +86,7 @@ class TreeNode(NamedTuple):
 
 def j48_rows(model: TrainedModel) -> list[TreeNode]:
     """A J48 model's nodes as the model file's rows."""
-    return [TreeNode(*row) for row in tree_mod.params_out(model.state)["nodes"]]
+    return [TreeNode(*row) for row in model_params(model)["nodes"]]
 
 
 def predict_one(model: TrainedModel, vector: np.ndarray) -> tuple[int, float]:
@@ -414,9 +418,7 @@ class TestTree:
         with deadline(30):
             model = load_model(save_model(train(kind, Dataset(x, [0, 0, 1, 1]))))
         assert predict_many(model, x)[0].tolist() == [0, 0, 1, 1]
-        trees = [tree_mod.params_out(model.state)["nodes"]] if kind is ClassifierKind.J48 \
-            else forest_mod.params_out(model.state)["trees"]
-        splits = [TreeNode(*row) for rows in trees for row in rows if row[0] >= 0]
+        splits = [TreeNode(*row) for rows in model_trees(model) for row in rows if row[0] >= 0]
         assert splits and all(s.feature == 12 and s.threshold == a for s in splits)
 
 
@@ -642,14 +644,7 @@ def level_queries(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def scored_by_walk(trees: list[list], queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(``tree.scores``, ``reference_walk``) of the trees: J48 for one tree."""
-    if len(trees) == 1:
-        kind, hp = ClassifierKind.J48, TreeParams()
-        state = tree_mod.params_in({"nodes": trees[0]}, hp)
-    else:
-        kind, hp = ClassifierKind.RANDOM_FOREST, ForestParams(trees=len(trees))
-        state = forest_mod.params_in({"trees": trees, "features_used": features_used(trees)}, hp)
-    model = TrainedModel(kind=kind, hyperparams=hp, state=state, scaler=None,
-                         training_time=0.0, train_fingerprint="stub")
+    model = load_model(sealed_trees(trees))
     return predict_many(model, queries)[1], reference_walk(trees, queries)
 
 
@@ -868,13 +863,10 @@ class TestTreeRouting:
     def test_trained_models_match_walk(self, kind, hp):
         ds = tie_dataset()
         model = train(kind, ds, hp)
-        if kind is ClassifierKind.J48:
-            trees = [tree_mod.params_out(model.state)["nodes"]]
-        else:
-            trees = forest_mod.params_out(model.state)["trees"]
         queries = level_queries(np.random.Generator(np.random.PCG64(43)), 500)
         queries[:250] = ds.x[:250]
-        assert np.array_equal(predict_many(model, queries)[1], reference_walk(trees, queries))
+        assert np.array_equal(predict_many(model, queries)[1],
+                              reference_walk(model_trees(model), queries))
 
 
 def replay_shaped_forest(rng: np.random.Generator, n_trees: int) -> list[list]:
@@ -917,14 +909,8 @@ class TestExitTables:
 
 class TestForest:
     def stub_model(self, leaf_scores):
-        trees = [[TreeNode(-1, 0.0, -1, -1, int(s), 1)] for s in leaf_scores]
-        hp = ForestParams(trees=len(trees))
-        return TrainedModel(
-            kind=ClassifierKind.RANDOM_FOREST, hyperparams=hp,
-            state=forest_mod.params_in(
-                {"trees": trees, "features_used": [[] for _ in trees]}, hp),
-            scaler=None, training_time=0.0, train_fingerprint="stub",
-        )
+        """A forest of one-leaf trees, a tree per score."""
+        return load_model(sealed_trees([[[-1, 0.0, -1, -1, int(s), 1]] for s in leaf_scores]))
 
     def test_vote_average_three_quarters(self):
         model = self.stub_model([1, 1, 1, 0])
@@ -958,7 +944,7 @@ class TestForest:
     def test_per_tree_feature_records(self):
         ds = gaussian_dataset(n_pos=25, n_neg=25, seed=16)
         model = train(ClassifierKind.RANDOM_FOREST, ds, ForestParams(trees=10))
-        params = forest_mod.params_out(model.state)
+        params = model_params(model)
         features_used = params["features_used"]
         assert len(features_used) == 10
         for used, rows in zip(features_used, params["trees"]):
@@ -1174,8 +1160,7 @@ class TestSharedContract:
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_train_builds_its_state_with_the_model_file_reader(kind, monkeypatch):
     """``train`` builds a state as ``load_model`` does, from the ``params``
-    that ``fit`` returns: one ``tree.nodes_in`` per tree fit, and no
-    ``params_out``."""
+    that ``fit`` returns: one ``tree.nodes_in`` per tree fit."""
     calls = Counter()
 
     def counted(name, function):
@@ -1185,13 +1170,40 @@ def test_train_builds_its_state_with_the_model_file_reader(kind, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(tree_mod, "nodes_in", counted("nodes_in", tree_mod.nodes_in))
-    for family in FAMILIES.values():
-        monkeypatch.setattr(family, "params_out", counted("params_out", family.params_out))
     train(kind, gaussian_dataset(n_pos=10, n_neg=10, seed=33),
           TestSharedContract().fast_params(kind))
     assert calls == Counter(
-        nodes_in=int(kind in (ClassifierKind.J48, ClassifierKind.RANDOM_FOREST)),
-        params_out=0)
+        nodes_in=int(kind in (ClassifierKind.J48, ClassifierKind.RANDOM_FOREST)))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_train_seals_the_model_file_once(kind, monkeypatch):
+    """``train`` writes the model file once; ``save_model`` returns it and
+    ``model_fingerprint`` hashes it, neither writing it again."""
+    seals = []
+    seal = model_io.seal
+    monkeypatch.setattr(model_io, "seal", lambda *args: seals.append(args) or seal(*args))
+    model = train(kind, gaussian_dataset(n_pos=10, n_neg=10, seed=33),
+                  TestSharedContract().fast_params(kind))
+    assert len(seals) == 1
+    blob = save_model(model)
+    assert blob == model.blob == save_model(model)
+    assert model_fingerprint(model) == hashlib.sha256(blob).hexdigest()
+    assert len(seals) == 1
+
+
+#: The names the package docstring's contract asks of each family module.
+FAMILY_CONTRACT = ("ALIAS", "SCALED", "Params", "CHECKS", "fit", "params_in", "scores", "KEYS")
+
+
+def test_every_family_keeps_the_contract():
+    """Each ``base.FAMILIES`` module defines every name of the contract in
+    the package docstring, and none writes a state back to ``params``."""
+    assert all(f"``{name}``" in classifiers.__doc__ or f"``{name}(" in classifiers.__doc__
+               for name in FAMILY_CONTRACT)
+    for family in FAMILIES.values():
+        assert [name for name in FAMILY_CONTRACT if not hasattr(family, name)] == []
+        assert not hasattr(family, "params_out"), family.__name__
 
 
 #: Hyperparameters that pass ``validate_hyperparams`` but fit a state the

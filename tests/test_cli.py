@@ -20,7 +20,7 @@ import rwdetect.eval
 from rwdetect.capture import parse_packet_csv
 from rwdetect.cli import run
 from rwdetect.classifiers import MODEL_MAGIC, load_model, predict_many, read_model
-from rwdetect.classifiers import mlp, tree
+from rwdetect.classifiers import mlp, model_io
 from rwdetect.classifiers.base import MAX_COUNT
 from rwdetect.conversation import aggregate, conversations_to_csv
 from rwdetect.eval import REPORT_CSV_HEADER
@@ -35,6 +35,7 @@ from conftest import (
     ether_frame,
     make_conversation,
     make_packet,
+    model_trees,
     packet_csv,
     tcp_udp_frame,
 )
@@ -272,6 +273,29 @@ class TestTrain:
         assert "learning_rate takes a number, got 'fast'" in capsys.readouterr().err
         assert not (workspace / "junk.bin").exists()
 
+    @pytest.mark.parametrize("kind, pair", [
+        ("knn", "k=\u0663"), ("knn", "k= 3 "), ("knn", "k=1_0"), ("knn", "k=3\n"),
+        ("mlp", "learning_rate=0.0_5"), ("mlp", "learning_rate=\u0660.5"),
+    ], ids=["arabic-indic-digit", "spaces", "underscore", "newline", "float-underscore",
+            "float-arabic-indic-digit"])
+    def test_param_number_not_written_as_in_a_csv_exit_1(self, workspace, capsys, kind, pair):
+        # int and float alone also read these: k=3, k=10, learning_rate=0.05.
+        out = workspace / "junk.bin"
+        assert run(["train", str(workspace / "data.csv"), "--kind", kind,
+                    "--param", pair, "-o", str(out)]) == 1
+        key, value = pair.split("=", 1)
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"error: {key} takes a number, got {value!r}"
+        assert not out.exists()
+
+    def test_param_numbers_in_ascii_forms(self, workspace):
+        out = workspace / "mlp.bin"
+        assert run(["train", str(workspace / "data.csv"), "--kind", "mlp",
+                    "--param", "learning_rate=5e-2", "--param", "epochs=+25",
+                    "-o", str(out)]) == 0
+        hp = read_model(out).hyperparams
+        assert (hp.learning_rate, hp.epochs) == (0.05, 25)
+
     def test_unknown_kind_exit_1(self, workspace):
         assert run(["train", str(workspace / "data.csv"),
                     "--kind", "boosting", "-o", "-"]) == 1
@@ -340,14 +364,13 @@ class TestTrain:
         assert not out.exists()
 
     def test_serializes_the_model_once(self, workspace, capsys, monkeypatch):
-        calls = []
-        save_model = rwdetect.cli.save_model
-        monkeypatch.setattr(rwdetect.cli, "save_model",
-                            lambda model: calls.append(model) or save_model(model))
+        seals = []
+        seal = model_io.seal
+        monkeypatch.setattr(model_io, "seal", lambda *args: seals.append(args) or seal(*args))
         out = workspace / "forest.bin"
         assert run(["train", str(workspace / "data.csv"), "--kind", "forest",
                     "--param", "trees=3", "-o", str(out)]) == 0
-        assert len(calls) == 1
+        assert len(seals) == 1
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert f"model {digest[:12]} -> {out}" in capsys.readouterr().err
 
@@ -366,8 +389,8 @@ class TestTrain:
         model = read_model(out)
         dataset = read_dataset_csv(data.read_text())
         assert predict_many(model, dataset.x)[0].tolist() == [0, 0, 1, 1]
-        splits = [row for rows in tree.rows(model.state) for row in rows if row[0] >= 0]
-        assert splits and all(row[:2] == (12, a) for row in splits)
+        splits = [row for rows in model_trees(model) for row in rows if row[0] >= 0]
+        assert splits and all(row[:2] == [12, a] for row in splits)
 
 
 class TestEval:
@@ -848,6 +871,51 @@ class TestConfigFile:
         cfg.write_text("verbosity=high\n")
         assert run(["eval", str(workspace / "data.csv"), "--kind", "knn",
                     "--config", str(cfg)]) == 1
+
+
+class TestNumberFlags:
+    """A number flag reads ASCII only, as a CSV number does, with no
+    whitespace or ``_``: int and float alone read each value below, and
+    each once ran as the number it spells."""
+
+    #: (argv before the flag, the flag, its argparse type) of every number flag.
+    FLAGS = {
+        "seed": (["train", "data.csv", "--kind", "knn"], "--seed", "int"),
+        "k": (["eval", "data.csv", "--kind", "knn", "--split", "kfold"], "--k", "int"),
+        "train-ratio": (["eval", "data.csv", "--kind", "knn"], "--train-ratio", "float"),
+        "interval": (["detect", "packets.csv", "--model", "model.bin"], "--interval", "float"),
+    }
+    VALUES = {"seed": ("\u0664\u0662", " 42", "4_2"), "k": ("\u0663", "3 ", "1_0"),
+              "train-ratio": ("\u0660.5", "0.5\t", "0.7_5"),
+              "interval": ("\u0661\u0660", " 10", "1_0")}
+
+    def argv(self, workspace, flag: str) -> list[str]:
+        """The argv before ``flag``, its files in ``workspace``."""
+        trained_model_path(workspace)
+        return [str(workspace / arg) if arg.endswith((".csv", ".bin")) else arg
+                for arg in self.FLAGS[flag][0]]
+
+    def refused(self, err: str, flag: str, value: str) -> bool:
+        _, option, type_name = self.FLAGS[flag]
+        return err.splitlines()[-1].endswith(
+            f"error: argument {option}: invalid {type_name} value: {value!r}")
+
+    @pytest.mark.parametrize("flag, value", [
+        (flag, value) for flag, values in VALUES.items() for value in values])
+    def test_not_written_as_in_a_csv_exit_1(self, workspace, capsys, flag, value):
+        out = workspace / "out"
+        assert run(self.argv(workspace, flag) + [self.FLAGS[flag][1], value,
+                                                 "-o", str(out)]) == 1
+        assert self.refused(capsys.readouterr().err, flag, value)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["seed", "interval"])
+    def test_config_value_not_written_as_in_a_csv_exit_1(self, workspace, capsys, flag):
+        value = self.VALUES[flag][0]
+        cfg = workspace / "run.cfg"
+        cfg.write_text(f"{flag}={value}\n")
+        assert run(self.argv(workspace, flag) + ["--config", str(cfg)]) == 1
+        assert self.refused(capsys.readouterr().err, flag, value)
 
 
 #: One argv per subcommand, its file arguments relative to ``workspace``.
