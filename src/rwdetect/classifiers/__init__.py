@@ -14,9 +14,8 @@ that file, or the one it was loaded from, as ``blob``.  ``params_in`` reads
 every float through ``_arrays`` (a finite JSON float, in the expected shape) and
 rejects a structure by raising ``KeyError``, ``TypeError``, ``ValueError``,
 ``OverflowError`` or ``InvalidHyperparams``; the reader reports it as
-``MalformedModel``.  A
-``SCALED`` family needs a scaler, others take none, and its ``params_in``
-rejects values that could overflow on queries in [0, 1].
+``MalformedModel``.  A ``SCALED`` family needs a scaler, others take none, and
+its ``params_in`` rejects values that could overflow on queries in [0, 1].
 Adding a family takes its module, a ``ClassifierKind`` member and a
 ``base.FAMILIES`` entry; ``ALL_KINDS``, ``SCALED_KINDS``, ``KIND_ALIASES``,
 training, prediction and model files follow from that table.
