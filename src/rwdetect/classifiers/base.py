@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -81,8 +81,19 @@ def check_seed(seed: int) -> None:
         raise InvalidHyperparams("seed must fit an unsigned 64-bit int")
 
 
+def check_types(spec) -> None:
+    """Each field of a dataclass with a default holds a value of the
+    default's exact type: a bool is no int, an int may stand for a float."""
+    for f in fields(spec):
+        got, wanted = type(getattr(spec, f.name)), type(f.default)
+        if f.default is not MISSING and got is not wanted and (got, wanted) != (int, float):
+            raise InvalidHyperparams(f"{f.name} must be {wanted.__name__}, got {got.__name__}")
+
+
 #: The largest integer hyperparameter but the seed.  Numpy takes any count up to
-#: it as a size, so a fit too large for the host fails with MemoryError alone.
+#: it as a size, so a fit too large for the host fails with MemoryError, except
+#: for ``trees``: the forest first spawns a seed sequence per tree, one Python
+#: object each, and runs out of memory slowly.
 MAX_COUNT = 2 ** 31 - 1
 
 
@@ -96,13 +107,9 @@ def validate_hyperparams(kind: ClassifierKind, hp: Hyperparams) -> None:
         raise InvalidHyperparams(
             f"{kind.value} expects {family.Params.__name__}, got {type(hp).__name__}"
         )
-    for f in fields(hp):    # exact types: a bool is no int, an int may stand for a float
-        value = getattr(hp, f.name)
-        got, wanted = type(value), type(f.default)
-        if got is not wanted and (got, wanted) != (int, float):
-            raise InvalidHyperparams(
-                f"{f.name} must be {wanted.__name__}, got {got.__name__}")
-        if wanted is int and f.name != "seed" and value > MAX_COUNT:
+    check_types(hp)
+    for f in fields(hp):
+        if type(f.default) is int and f.name != "seed" and getattr(hp, f.name) > MAX_COUNT:
             raise InvalidHyperparams(f"{f.name} must be at most {MAX_COUNT}")
     check_seed(hp.seed)
     if not all(math.isfinite(v) for v in astuple(hp) if isinstance(v, float)):

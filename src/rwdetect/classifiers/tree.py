@@ -43,10 +43,10 @@ the exit.
 A mask is one 64-bit word, so trees of more leaves are cut into
 fragments of at most ``FRAGMENT_SLOTS`` slots, a slot being a leaf or the
 root of a further fragment; a pair whose exit slot roots a fragment hops
-to its exit there.  The tables of up to ``BLOCK_FRAGMENTS`` fragments
-make a block, which ranks queries among its own thresholds only, so the
-tables grow with the node count rather than with thresholds times
-fragments.
+to its exit there.  Each fragment's running ANDs are stored once; the
+count tables of up to ``BLOCK_FRAGMENTS`` fragments make a block, which
+ranks queries among its own thresholds only, so the tables grow with the
+node count rather than with thresholds times fragments.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ CHECKS = ((lambda hp: hp.min_leaf >= 1, "min_leaf must be at least 1"),)
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """Exit tables of up to ``BLOCK_FRAGMENTS`` consecutive fragments.
+    """The count table of up to ``BLOCK_FRAGMENTS`` consecutive fragments.
 
     A feature's cuts are the distinct thresholds of the block's splits
     on it.  A query value above ``r`` of them goes right at every such
@@ -85,19 +85,19 @@ class Block:
     cut_start: np.ndarray   # feature f's cuts are cuts[cut_start[f]:cut_start[f + 1]]
     counts: np.ndarray      # uint8, (len(cuts) + 13, fragments): row cut_start[f] + f + r
                             # counts each fragment's splits on f at f's first r cuts
-    base: np.ndarray        # uint16, (13, fragments): where masks holds the
-                            # fragment's running ANDs over its splits on f
-    masks: np.ndarray       # uint64: masks[base + count] keeps the slots that the
-                            # first ``count`` splits on f, by threshold, leave reachable
-    first_slot: np.ndarray  # each fragment's first slot
 
 
 @dataclass(frozen=True, eq=False)
 class Nodes:
-    """The nodes of one or more trees: their roots, exit tables and
-    scores; ``len()`` is the node count."""
-    roots: np.ndarray       # each tree's root, its first node, in tree order
-    blocks: tuple           # fragment f's tables are in block f // BLOCK_FRAGMENTS
+    """The nodes of one or more trees: their exit tables and scores;
+    ``len()`` is the node count."""
+    n_trees: int            # fragment t, for t below it, is tree t's root
+    masks: np.ndarray       # uint64: masks[base + count] keeps the slots that the
+                            # first ``count`` splits on f, by threshold, leave reachable
+    base: np.ndarray        # (13, fragments), the smallest type indexing masks: where
+                            # masks holds the fragment's running ANDs over its splits on f
+    first_slot: np.ndarray  # each fragment's first slot
+    blocks: tuple           # fragment f's count table is in block f // BLOCK_FRAGMENTS
     exit: np.ndarray        # each slot's leaf, or -1 - the fragment it roots
     score: np.ndarray       # pos / total: the positive share of the training
                             # samples that reached the node
@@ -246,8 +246,7 @@ FRAGMENT_SLOTS = 64
 
 #: Fragments per table block.  A block's count table has a row per
 #: distinct threshold of the block's own splits and a column per fragment,
-#: so blocks keep the tables linear in the node count.  At 128 a block
-#: holds under 10,000 masks, which ``Block.base`` indexes as uint16.
+#: so blocks keep the tables linear in the node count.
 BLOCK_FRAGMENTS = 128
 
 #: (query, fragment) exit slots ``scores`` finds at once; bounds its
@@ -256,18 +255,6 @@ CHUNK_EXITS = 1 << 14
 
 _ALL = np.uint64(2**64 - 1)
 _ONE = np.uint64(1)
-
-
-def _exit_slots(block: Block, queries: np.ndarray, out: np.ndarray) -> None:
-    """Each query's exit slot in each fragment of the block, into ``out``
-    (queries, fragments)."""
-    reach = np.full(out.shape, _ALL)
-    for f, (lo, hi) in enumerate(pairwise(block.cut_start.tolist())):
-        if lo < hi:
-            row = np.searchsorted(block.cuts[lo:hi], queries[:, f]) + (lo + f)
-            reach &= block.masks.take(block.base[f] + block.counts.take(row, axis=0))
-    # The exit is the lowest set bit; the bits up to it count its index + 1.
-    np.add(block.first_slot - 1, np.bitwise_count(reach ^ (reach - _ONE)), out=out)
 
 
 def scores(nodes: Nodes, queries: np.ndarray) -> np.ndarray:
@@ -283,8 +270,7 @@ def scores(nodes: Nodes, queries: np.ndarray) -> np.ndarray:
     that slot roots a fragment, the exit there.  The leaf scores are
     added tree by tree, in tree order, then divided by the tree count.
     """
-    n_trees = len(nodes.roots)
-    n_fragments = sum(len(block.first_slot) for block in nodes.blocks)
+    n_fragments = len(nodes.first_slot)
     chunk_rows = max(1, CHUNK_EXITS // n_fragments)
     total = np.zeros(len(queries))
     for lo in range(0, len(queries), chunk_rows):
@@ -292,9 +278,17 @@ def scores(nodes: Nodes, queries: np.ndarray) -> np.ndarray:
         slot = np.empty((len(chunk), n_fragments), dtype=np.int64)
         end = 0
         for block in nodes.blocks:
-            start, end = end, end + len(block.first_slot)
-            _exit_slots(block, chunk, slot[:, start:end])
-        leaf = nodes.exit.take(slot[:, :n_trees].T)   # fragment t is tree t's root
+            start, end = end, end + block.counts.shape[1]
+            base = nodes.base[:, start:end]
+            reach = np.full((len(chunk), end - start), _ALL)
+            for f, (a, b) in enumerate(pairwise(block.cut_start.tolist())):
+                if a < b:
+                    row = np.searchsorted(block.cuts[a:b], chunk[:, f]) + (a + f)
+                    reach &= nodes.masks.take(base[f] + block.counts.take(row, axis=0))
+            # The exit is the lowest set bit; the bits up to it count its index + 1.
+            np.add(nodes.first_slot[start:end] - 1, np.bitwise_count(reach ^ (reach - _ONE)),
+                   out=slot[:, start:end])
+        leaf = nodes.exit.take(slot[:, :nodes.n_trees].T)
         tree, row = np.nonzero(leaf < 0)
         while len(row):
             leaf[tree, row] = nodes.exit.take(slot[row, -1 - leaf[tree, row]])
@@ -303,7 +297,7 @@ def scores(nodes: Nodes, queries: np.ndarray) -> np.ndarray:
         part = total[lo:lo + chunk_rows]
         for score in nodes.score.take(leaf):
             part += score
-    return total / n_trees
+    return total / nodes.n_trees
 
 
 def nodes_in(trees) -> Nodes:
@@ -325,9 +319,10 @@ def nodes_in(trees) -> Nodes:
     last = _check(feature, left, right, pos, total, start, sizes)
     split = np.flatnonzero(feature != -1)
     frag, keep, first_slot, exits = _slots(split, right, start, sizes, last)
-    return Nodes(roots=start,
-                 blocks=_blocks(frag, feature[split], threshold[split], keep, first_slot),
-                 exit=exits, score=pos / total)
+    masks, base, blocks = _tables(frag, feature[split], threshold[split], keep,
+                                  len(first_slot))
+    return Nodes(n_trees=len(sizes), masks=masks, base=base, first_slot=first_slot,
+                 blocks=blocks, exit=exits, score=pos / total)
 
 
 def _compact(column: np.ndarray) -> np.ndarray:
@@ -448,10 +443,9 @@ def _slots(split, right, start, sizes, last):
     return frag, keep, first_slot, _compact(exits)
 
 
-def _blocks(frag, feat, value, keep, first_slot) -> tuple:
-    """Each block's tables from its splits' fragments, features,
-    thresholds and slots left when a query goes right."""
-    n_fragments = len(first_slot)
+def _tables(frag, feat, value, keep, n_fragments) -> tuple:
+    """The masks, their bases and each block's count table, from the splits'
+    fragments, features, thresholds and slots left when a query goes right."""
     n_blocks = -(-n_fragments // BLOCK_FRAGMENTS)
     block = frag // BLOCK_FRAGMENTS
     # Stable sorts of small keys after one of the thresholds: splits by
@@ -469,32 +463,7 @@ def _blocks(frag, feat, value, keep, first_slot) -> tuple:
     # feature's zero row.
     row = np.empty(len(frag), dtype=np.int64)
     row[by_cut] = np.cumsum(new) + feat[by_cut] - cut_bounds[N_FEATURES * block[by_cut]]
-    frag_bounds = np.searchsorted(block[by_frag], np.arange(n_blocks + 1))
-    blocks = []
-    for b in range(n_blocks):
-        fa = b * BLOCK_FRAGMENTS
-        mine = by_frag[frag_bounds[b]:frag_bounds[b + 1]]
-        bounds = cut_bounds[b * N_FEATURES:(b + 1) * N_FEATURES + 1]
-        blocks.append(_block(frag[mine] - fa, feat[mine], row[mine], keep[mine],
-                             cuts[bounds[0]:bounds[-1]], bounds - bounds[0],
-                             first_slot[fa:fa + BLOCK_FRAGMENTS]))
-    return tuple(blocks)
-
-
-def _block(frag, feat, row, keep, cuts, cut_start, first_slot) -> Block:
-    """A block's tables from its splits sorted by fragment, feature and
-    threshold: each one's fragment in the block, feature, count-table row
-    and the slots left when a query goes right at it."""
-    k = len(first_slot)
-    # Count table: each fragment's splits at each row, then running sums
-    # down each feature's rows.
-    first = np.ones(len(frag), dtype=bool)
-    first[1:] = (np.diff(row) != 0) | (np.diff(frag) != 0)
-    counts = np.zeros((len(cuts) + N_FEATURES, k), dtype=np.uint8)
-    counts[row[first], frag[first]] = np.diff(np.flatnonzero(first), append=len(first))
-    for lo, hi in pairwise((cut_start + np.arange(N_FEATURES + 1)).tolist()):
-        if hi - lo > 1:
-            np.cumsum(counts[lo:hi], axis=0, out=counts[lo:hi])
+    frag, feat, row = frag[by_frag], feat[by_frag], row[by_frag]
     # Masks: an all-ones word for groups without splits, then each
     # (fragment, feature) group's running AND by threshold, after an
     # all-ones head of its own.
@@ -502,7 +471,7 @@ def _block(frag, feat, row, keep, cuts, cut_start, first_slot) -> Block:
     head[1:] = (np.diff(feat) != 0) | (np.diff(frag) != 0)
     at = np.arange(len(frag)) + np.cumsum(head) + 1
     masks = np.full(len(frag) + head.sum() + 1, _ALL)
-    masks[at] = keep
+    masks[at] = keep[by_frag]
     segment = np.zeros(len(masks), dtype=np.int64)
     segment[at[head] - 1] = 1
     segment = np.cumsum(segment)
@@ -510,11 +479,28 @@ def _block(frag, feat, row, keep, cuts, cut_start, first_slot) -> Block:
     while step < FRAGMENT_SLOTS:    # a running AND within each group, by doubling
         masks[step:] &= np.where(segment[step:] == segment[:-step], masks[:-step], _ALL)
         step *= 2
-    base = np.zeros((N_FEATURES, k), dtype=np.uint16)
+    base = np.zeros((N_FEATURES, n_fragments), dtype=np.min_scalar_type(len(masks) - 1))
     base[feat[head], frag[head]] = at[head] - 1
-    return Block(cuts=cuts, cut_start=cut_start, counts=counts, base=base, masks=masks,
-                 first_slot=first_slot)
-
+    # Count tables: each fragment's splits at each row of its block's,
+    # then running sums down each feature's rows.
+    first = np.ones(len(frag), dtype=bool)
+    first[1:] = (np.diff(row) != 0) | (np.diff(frag) != 0)
+    run = np.flatnonzero(first)
+    run_length = np.diff(run, append=len(first))
+    run_bounds = np.searchsorted(frag[run], np.arange(n_blocks + 1) * BLOCK_FRAGMENTS)
+    blocks = []
+    for b, fa in enumerate(range(0, n_fragments, BLOCK_FRAGMENTS)):
+        bounds = cut_bounds[b * N_FEATURES:(b + 1) * N_FEATURES + 1]
+        cut_start = bounds - bounds[0]
+        counts = np.zeros((cut_start[-1] + N_FEATURES, min(BLOCK_FRAGMENTS, n_fragments - fa)),
+                          dtype=np.uint8)
+        mine = run[run_bounds[b]:run_bounds[b + 1]]
+        counts[row[mine], frag[mine] - fa] = run_length[run_bounds[b]:run_bounds[b + 1]]
+        for lo, hi in pairwise((cut_start + np.arange(N_FEATURES + 1)).tolist()):
+            if hi - lo > 1:
+                np.cumsum(counts[lo:hi], axis=0, out=counts[lo:hi])
+        blocks.append(Block(cuts[bounds[0]:bounds[-1]], cut_start, counts))
+    return masks, base, tuple(blocks)
 
 
 KEYS = ("nodes",)

@@ -36,6 +36,7 @@ from .capture import (
     parse_pcap,
 )
 from .classifiers import TrainedModel, model_fingerprint, predict_many
+from .classifiers.base import check_types
 from .conversation import Conversation, _capture_start, aggregate
 from .errors import BadMagic, InvalidHyperparams, SinkFailure
 from .features import FEATURE_NAMES, encode_many
@@ -46,6 +47,7 @@ class WindowSpec:
     interval: float = 60.0   # seconds
 
     def __post_init__(self):
+        check_types(self)
         if not (self.interval > 0 and math.isfinite(self.interval)):
             raise InvalidHyperparams("window interval must be a positive finite number")
 

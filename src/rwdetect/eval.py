@@ -22,7 +22,7 @@ from .classifiers import (
     predict_many,
     train,
 )
-from .classifiers.base import check_seed
+from .classifiers.base import check_seed, check_types
 from .errors import EmptyInput, InvalidHyperparams, LengthMismatch, TooFewSamples
 from .features import Dataset, _labels01
 
@@ -104,6 +104,7 @@ class SplitSpec:
     def __post_init__(self):
         if self.method not in ("holdout", "kfold"):
             raise InvalidHyperparams(f"unknown split method: {self.method!r}")
+        check_types(self)
         if not 0.0 < self.train_ratio < 1.0:
             raise InvalidHyperparams("train_ratio must be in (0, 1)")
         if self.k < 2:

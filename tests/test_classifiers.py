@@ -54,7 +54,7 @@ from rwdetect.errors import (
     NonFiniteFeature,
     SingleClassDataset,
 )
-from rwdetect.features import Dataset, Label
+from rwdetect.features import N_FEATURES, Dataset, Label
 
 from conftest import (
     CLOSE_VALUES,
@@ -884,9 +884,10 @@ class TestExitTables:
 
     @staticmethod
     def within_bound(nodes: tree_mod.Nodes) -> bool:
-        tables = nodes.exit.nbytes + sum(
+        tables = sum(getattr(nodes, name).nbytes
+                     for name in ("exit", "masks", "base", "first_slot")) + sum(
             getattr(block, name).nbytes for block in nodes.blocks
-            for name in ("cuts", "cut_start", "counts", "base", "masks", "first_slot"))
+            for name in ("cuts", "cut_start", "counts"))
         return tables <= 2 * 48 * len(nodes)
 
     @pytest.mark.parametrize("make", [
@@ -902,9 +903,23 @@ class TestExitTables:
         # whole forest for each of them.
         nodes = tree_mod.nodes_in(replay_shaped_forest(np.random.Generator(np.random.PCG64(50)),
                                                        600))
-        widths = [len(block.first_slot) for block in nodes.blocks]
+        widths = [block.counts.shape[1] for block in nodes.blocks]
         assert len(widths) > 4 and set(widths[:-1]) == {tree_mod.BLOCK_FRAGMENTS}
         assert self.within_bound(nodes)
+
+    def test_masks_stored_once_per_forest(self):
+        # A word per split, a head per (fragment, feature) group with
+        # splits, and the one all-ones word of the groups without.
+        trees = replay_shaped_forest(np.random.Generator(np.random.PCG64(50)), 600)
+        nodes = tree_mod.nodes_in(trees)
+        assert len(nodes.blocks) > 4
+        assert nodes.base.shape == (N_FEATURES, len(nodes.first_slot))
+        split_rows = [row for rows in trees for row in rows if row[0] != -1]
+        groups = {(fragment, feature) for fragment in range(len(nodes.first_slot))
+                  for feature in range(N_FEATURES) if nodes.base[feature, fragment]}
+        assert len(groups) >= sum(len({row[0] for row in rows} - {-1}) for rows in trees)
+        assert len(nodes.masks) == len(split_rows) + len(groups) + 1
+        assert np.iinfo(nodes.base.dtype).max >= len(nodes.masks) - 1
 
 
 class TestForest:

@@ -69,6 +69,17 @@ class TestWindowSpec:
         with pytest.raises(InvalidHyperparams):
             WindowSpec(interval=bad)
 
+    @pytest.mark.parametrize("bad, got", [
+        ("60", "str"), (True, "bool"), (np.float64(60.0), "float64"),
+    ])
+    def test_rejects_other_types(self, bad, got):
+        # A str once failed in the comparison, and True was a 1 s window.
+        with pytest.raises(InvalidHyperparams, match=f"^interval must be float, got {got}$"):
+            WindowSpec(bad)
+
+    def test_int_interval_stands_for_float(self):
+        assert WindowSpec(60).interval == 60
+
 
 class TestWindowPackets:
     def test_half_open_boundaries(self):

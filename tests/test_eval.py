@@ -160,6 +160,25 @@ class TestSplitSpec:
         with pytest.raises(InvalidHyperparams, match=re.escape(message)):
             SplitSpec(**fields)
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(method="kfold", k=2.5), "k must be int, got float"),
+        (dict(method="kfold", k=True), "k must be int, got bool"),
+        (dict(method="holdout", seed=1.5), "seed must be int, got float"),
+        (dict(method="holdout", seed=True), "seed must be int, got bool"),
+        (dict(method="holdout", train_ratio="0.5"), "train_ratio must be float, got str"),
+        (dict(method="holdout", train_ratio=np.float64(0.5)),
+         "train_ratio must be float, got float64"),
+    ])
+    def test_fields_of_other_types_are_refused(self, fields, message):
+        # These once constructed, then failed in ``split`` with an untyped
+        # TypeError or in a comparison; a True seed was taken as 1.
+        with pytest.raises(InvalidHyperparams, match=f"^{re.escape(message)}$"):
+            SplitSpec(**fields)
+
+    def test_int_train_ratio_stands_for_float(self):
+        with pytest.raises(InvalidHyperparams, match=re.escape("train_ratio must be in (0, 1)")):
+            SplitSpec.holdout(train_ratio=1)
+
 
 class TestSplit:
     def test_holdout_counts_and_stratification(self):
