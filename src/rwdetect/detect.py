@@ -5,12 +5,11 @@ aligned to the capture start; ``window_packets`` splits a packet table by
 window with one stable sort.  Flows are aggregated per window but keep
 capture-relative times, so a conversation confined to one window comes out
 identical to a whole-capture aggregation.  A window's conversation table
-is its feature matrix; ``Conversation`` rows are built only for the
-positive classifications, which alert, at most one per (window,
-conversation key), ordered by window then by key, as
-``ConversationTable.key_order`` defines it.  An alert is a positive
-classification by construction: it carries the score, and its JSON label
-is always ``"ransomware"``.
+is its feature matrix, and a positive classification alerts with its
+conversation's row of it (addresses as u32 values), at most one per
+(window, conversation key), ordered by window then by key, as
+``ConversationTable.key_order`` defines it.  An alert carries the score,
+and its JSON label is always ``"ransomware"``.
 ``emitted_at`` is the close time of the window, a value derived from the
 data rather than the wall clock, so repeated runs are byte-identical.
 """
@@ -34,10 +33,11 @@ from .capture import (
     PacketTable,
     parse_packet_csv,
     parse_pcap,
+    u32_to_ip,
 )
 from .classifiers import TrainedModel, model_fingerprint, predict_many
 from .classifiers.base import check_types
-from .conversation import Conversation, _capture_start, aggregate
+from .conversation import _capture_start, aggregate
 from .errors import BadMagic, InvalidHyperparams, SinkFailure
 from .features import FEATURE_NAMES, encode_many
 
@@ -57,11 +57,10 @@ class Alert:
     """A conversation the model classified ransomware in one window."""
 
     window_index: int
-    conversation: Conversation
     score: float                  # positive-class score, at least 0.5
     model_fingerprint: str
     emitted_at: float
-    features: tuple[float, ...]   # ``encode(conversation)``, from the window's matrix
+    features: tuple[float, ...]   # window-matrix row, integral but the two times
 
 
 @dataclass(frozen=True)
@@ -77,10 +76,10 @@ def window_packets(packets: Iterable[PacketRecord], spec: WindowSpec,
                    capture_start: float | None = None,
                    ) -> list[tuple[int, PacketTable]]:
     """Split packets into windows, each a table of its packets in input
-    order; empty windows are omitted.
-
-    With an explicit ``capture_start``, a packet stamped earlier than it
-    raises ClockSkew carrying the offending input position.
+    order; empty windows are omitted.  With an explicit ``capture_start``,
+    a packet stamped earlier than it raises ClockSkew carrying the offending
+    input position.  A last window that closes past the largest float
+    raises InvalidHyperparams.
     """
     table = PacketTable.of(packets)
     ts = table.columns[0]
@@ -88,15 +87,16 @@ def window_packets(packets: Iterable[PacketRecord], spec: WindowSpec,
     if not len(table):
         return []
     # Window numbers stay float64: ``int`` of each distinct one equals
-    # ``math.floor`` of the quotient, however large.  A quotient that
-    # overflows is infinite and has no window.
+    # ``math.floor`` of the quotient, however large.  An overflowing
+    # quotient gives an infinite window, which closes at infinity.
     with np.errstate(over="ignore"):
         window = np.floor((ts - capture_start) / spec.interval)
-    if not np.isfinite(window).all():
-        raise InvalidHyperparams(f"window interval {spec.interval!r} is too small "
-                                 "for the capture's time span")
     order = np.argsort(window, kind="stable")
     window = window[order]
+    # The last close time bounds the rest; Python floats do not warn on overflow.
+    if not math.isfinite(float(capture_start) + (window.item(-1) + 1) * spec.interval):
+        raise InvalidHyperparams(f"window interval {spec.interval!r} closes the "
+                                 "last window past the largest float")
     cuts = np.flatnonzero(window[1:] != window[:-1]) + 1
     return [(int(w), table[rows])
             for w, rows in zip(window[np.r_[0, cuts]], np.split(order, cuts))]
@@ -111,8 +111,8 @@ def detect_stream(packets: Iterable[PacketRecord], model: TrainedModel,
     ``packets`` is a packet table or any iterable of PacketRecords.  Every
     packet must be TCP or UDP, as ``load_packets`` gives them: any other
     protocol raises ValueError when its window is aggregated, after
-    earlier windows' alerts reached the sink.  A last window that closes
-    past the largest float raises InvalidHyperparams before the first window.
+    earlier windows' alerts reached the sink.  ``window_packets`` raises
+    InvalidHyperparams for a last window closing past the largest float.
     A sink exception aborts the run with SinkFailure carrying the summary of
     everything processed before the failure.
     """
@@ -121,11 +121,6 @@ def detect_stream(packets: Iterable[PacketRecord], model: TrainedModel,
 
     fingerprint = model_fingerprint(model)
     windows = window_packets(packets, spec, capture_start)
-    if windows:     # close times grow with the window number: the last bounds them
-        last_close = float(capture_start) + (windows[-1][0] + 1) * spec.interval
-        if not math.isfinite(last_close):
-            raise InvalidHyperparams(f"window interval {spec.interval!r} closes the "
-                                     "last window past the largest float")
     n_conversations = 0
     n_alerts = 0
 
@@ -144,12 +139,10 @@ def detect_stream(packets: Iterable[PacketRecord], model: TrainedModel,
         by_key = conversations.key_order()
         hits = by_key[labels01[by_key] != 0]
         emitted_at = float(capture_start + (w + 1) * spec.interval)  # no numpy scalar
-        for conv, score, row in zip(conversations[hits], scores[hits].tolist(),
-                                    vectors[hits].tolist()):
+        for score, row in zip(scores[hits].tolist(), vectors[hits].tolist()):
             alert = Alert(
-                window_index=w, conversation=conv, score=score,
-                model_fingerprint=fingerprint, emitted_at=emitted_at,
-                features=tuple(row),
+                window_index=w, score=score, model_fingerprint=fingerprint,
+                emitted_at=emitted_at, features=tuple(row),
             )
             try:
                 sink(alert)
@@ -185,8 +178,8 @@ def read_packet_source(path: str | Path) -> tuple[PacketTable, int, int]:
 
 #: ``alert_to_json``'s line: ``json.dumps(payload, sort_keys=True)`` of the
 #: alert's payload, with a slot per value (``%s`` a JSON string, ``%r`` a
-#: finite float, ``%d`` an int), the features in sorted-name order and
-#: the label a constant.
+#: finite float, ``%d`` an int or an integral float, which JSON shows as an
+#: int), the features in sorted-name order and the label a constant.
 _FEATURE_ORDER = sorted(range(len(FEATURE_NAMES)), key=FEATURE_NAMES.__getitem__)
 _ALERT_LINE = (
     '{"address_a": %s, "address_b": %s, "emitted_at": %r, "features": {'
@@ -197,23 +190,21 @@ _ALERT_LINE = (
 
 def alert_to_json(alert: Alert) -> str:
     """One-line JSON rendering of an alert, keys sorted."""
-    conv = alert.conversation
     features = alert.features
+    protocol, address_a, port_a, address_b, port_b = features[:5]
     return _ALERT_LINE % (
-        _json_str(conv.address_a), _json_str(conv.address_b), alert.emitted_at,
-        *[features[i] for i in _FEATURE_ORDER],
+        _json_str(u32_to_ip(address_a)), _json_str(u32_to_ip(address_b)),
+        alert.emitted_at, *[features[i] for i in _FEATURE_ORDER],
         _json_str(alert.model_fingerprint),
-        conv.port_a, conv.port_b, conv.protocol, alert.score,
-        alert.window_index)
+        port_a, port_b, protocol, alert.score, alert.window_index)
 
 
 def alert_warning_line(alert: Alert) -> str:
     """Terse human-readable alert line for logs."""
-    conv = alert.conversation
-    proto = "tcp" if conv.protocol == TCP else "udp"
+    protocol, address_a, port_a, address_b, port_b, packets, size = alert.features[:7]
+    proto = "tcp" if protocol == TCP else "udp"
     return (
         f"ALERT window={alert.window_index} {proto} "
-        f"{conv.address_a}:{conv.port_a} <-> {conv.address_b}:{conv.port_b} "
-        f"score={alert.score:.4f} packets={conv.packets} "
-        f"bytes={conv.bytes}"
+        f"{u32_to_ip(address_a)}:{int(port_a)} <-> {u32_to_ip(address_b)}:{int(port_b)} "
+        f"score={alert.score:.4f} packets={int(packets)} bytes={int(size)}"
     )

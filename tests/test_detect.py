@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import ipaddress
 import json
 import struct
 
@@ -21,7 +22,7 @@ from rwdetect.classifiers import (
     train,
 )
 from rwdetect.classifiers import model_io
-from rwdetect.conversation import aggregate
+from rwdetect.conversation import ConversationTable, aggregate
 from rwdetect.detect import (
     Alert,
     DetectionSummary,
@@ -38,7 +39,6 @@ from rwdetect.features import FEATURE_NAMES, Dataset, encode
 from conftest import (
     build_pcap,
     conversation_key,
-    make_conversation,
     make_packet,
     packet_csv,
     tcp_udp_frame,
@@ -50,6 +50,12 @@ def bytes_threshold_model():
     x = np.zeros((6, 13))
     x[:, 6] = (100.0, 300.0, 800.0, 4300.0, 5000.0, 9000.0)
     return train(ClassifierKind.J48, Dataset(x, [0, 0, 0, 1, 1, 1]))
+
+
+def alert_conversation(alert: Alert):
+    """The Conversation whose feature row the alert holds."""
+    return ConversationTable(np.array([value], dtype) for value, dtype
+                             in zip(alert.features, ConversationTable._dtypes))[0]
 
 
 def flow(t0, src, sport, dst, dport, n, size, spacing=0.1, protocol=6):
@@ -114,10 +120,20 @@ class TestWindowPackets:
         assert window_packets([], WindowSpec()) == []
 
     def test_interval_too_small_for_span(self):
-        # One second over 1e-320 s overflows to infinity, which has no floor.
+        # One second over 1e-320 s overflows to an infinite window number,
+        # whose window closes at infinity.
         packets = [make_packet(0.0), make_packet(1.0)]
-        with pytest.raises(InvalidHyperparams, match="too small"):
+        with pytest.raises(InvalidHyperparams, match="past the largest float"):
             window_packets(packets, WindowSpec(interval=1e-320))
+
+    @pytest.mark.parametrize("start", [0.0, np.float64(0.0), 1e308, np.float64(1e308)],
+                             ids=["float", "numpy", "late-float", "late-numpy"])
+    def test_last_window_closing_past_the_largest_float(self, start):
+        # Every window number is finite, yet the last window closes at
+        # 2e308 s.  A numpy capture start must not warn on the overflow.
+        packets = [make_packet(float(start)), make_packet(1.7e308)]
+        with pytest.raises(InvalidHyperparams, match="past the largest float"):
+            window_packets(packets, WindowSpec(interval=1e308), start)
 
 
 #: The three entry points that take packets and a capture start.
@@ -169,7 +185,7 @@ class TestDetectStream:
             windows=1, conversations=2, alerts=1, packets=8,
             skipped_malformed=0)
         [alert] = alerts
-        assert alert.conversation.address_a == "192.168.1.4"
+        assert alert_conversation(alert).address_a == "192.168.1.4"
         assert alert.score >= 0.5
         assert alert.model_fingerprint == model_fingerprint(model)
 
@@ -191,7 +207,7 @@ class TestDetectStream:
             + flow(1.0, "10.0.0.7", 1111, "10.0.0.8", 80, n=6, size=700)
         )
         alerts, _, _ = self.run(packets)
-        assert [a.conversation.address_a for a in alerts] == [
+        assert [alert_conversation(a).address_a for a in alerts] == [
             "10.0.0.7", "192.168.1.4"]     # canonical key order, not arrival
 
     def test_windows_ordered_before_keys(self):
@@ -203,7 +219,7 @@ class TestDetectStream:
         alerts, summary, _ = self.run(packets)
         assert summary.windows == 2
         assert [a.window_index for a in alerts] == [0, 1]
-        assert alerts[0].conversation.address_a == "192.168.1.4"
+        assert alert_conversation(alerts[0]).address_a == "192.168.1.4"
 
     def test_emitted_at_is_window_close(self):
         packets = flow(23.0, "192.168.1.4", 2222, "192.168.1.5", 443,
@@ -231,7 +247,7 @@ class TestDetectStream:
         alerts, summary, _ = self.run(packets)
         assert summary.windows == 2
         assert [a.window_index for a in alerts] == [0, 1]
-        keys = {conversation_key(a.conversation) for a in alerts}
+        keys = {conversation_key(alert_conversation(a)) for a in alerts}
         assert len(keys) == 1
 
     def test_unsupported_protocol_raises(self):
@@ -302,7 +318,7 @@ class TestBatchEquivalence:
         alerts: list[Alert] = []
         detect_stream(packets, model, WindowSpec(10.0), alerts.append,
                       capture_start=0.0)
-        assert {conversation_key(a.conversation) for a in alerts} == batch_positive
+        assert {conversation_key(alert_conversation(a)) for a in alerts} == batch_positive
         assert len(batch_positive) == 2
 
     def test_windowed_features_match_batch_for_confined_flows(self):
@@ -312,8 +328,28 @@ class TestBatchEquivalence:
         detect_stream(packets, bytes_threshold_model(), WindowSpec(10.0),
                       alerts.append, capture_start=0.0)
         for alert in alerts:
-            twin = batch[conversation_key(alert.conversation)]
-            assert np.array_equal(encode(alert.conversation), encode(twin))
+            twin = batch[conversation_key(alert_conversation(alert))]
+            assert np.array_equal(alert.features, encode(twin))
+
+    def test_builds_no_conversation_rows(self, monkeypatch):
+        packets = self.confined_packets()
+        model = bytes_threshold_model()
+
+        def lines():
+            out = []
+            detect_stream(packets, model, WindowSpec(10.0),
+                          lambda a: out.append(alert_to_json(a)),
+                          capture_start=0.0)
+            return out
+
+        expected = lines()
+
+        def refuse(*_values):
+            raise AssertionError("a Conversation row was built")
+
+        monkeypatch.setattr(ConversationTable, "_row", refuse)
+        assert lines() == expected
+        assert len({json.loads(line)["window"] for line in expected}) == 2
 
     def test_rerun_is_byte_identical(self):
         packets = self.confined_packets()
@@ -379,15 +415,15 @@ class TestPacketSource:
 
 def dumped_alert(alert: Alert) -> str:
     """An alert line as ``json.dumps`` renders the alert's payload."""
-    conv = alert.conversation
+    protocol, address_a, port_a, address_b, port_b = alert.features[:5]
     payload = {
         "window": alert.window_index,
         "emitted_at": alert.emitted_at,
-        "protocol": conv.protocol,
-        "address_a": conv.address_a,
-        "port_a": conv.port_a,
-        "address_b": conv.address_b,
-        "port_b": conv.port_b,
+        "protocol": int(protocol),
+        "address_a": str(ipaddress.IPv4Address(int(address_a))),
+        "port_a": int(port_a),
+        "address_b": str(ipaddress.IPv4Address(int(address_b))),
+        "port_b": int(port_b),
         "label": "ransomware",
         "score": alert.score,
         "model_fingerprint": alert.model_fingerprint,
@@ -406,6 +442,13 @@ FLOATS = st.one_of(
 )
 INTS = st.one_of(st.integers(0, 65535),
                  st.sampled_from([0, 1, 255, 65535, -1, 2 ** 63 - 1, -2 ** 63, 2 ** 80]))
+#: The protocol, the two addresses and the two ports of a feature row, as
+#: detection gives them: integral floats of a TCP/UDP number, a u32 and a u16.
+ENDPOINTS = st.tuples(
+    st.sampled_from([6.0, 17.0]),
+    st.integers(0, 2 ** 32 - 1).map(float), st.integers(0, 65535).map(float),
+    st.integers(0, 2 ** 32 - 1).map(float), st.integers(0, 65535).map(float),
+)
 
 
 class TestAlertRendering:
@@ -435,19 +478,13 @@ class TestAlertRendering:
         assert json.loads(alert_to_json(alerts[0]))["emitted_at"] == 10.0
         assert alert_to_json(alerts[0]) == dumped_alert(alerts[0])
 
-    @given(floats=st.lists(FLOATS, min_size=15, max_size=15),
-           ints=st.lists(INTS, min_size=4, max_size=4),
-           texts=st.lists(st.text(), min_size=3, max_size=3))
-    def test_json_matches_json_dumps(self, floats, ints, texts):
-        window, protocol, port_a, port_b = ints
+    @given(floats=st.lists(FLOATS, min_size=10, max_size=10), window=INTS,
+           endpoints=ENDPOINTS, fingerprint=st.text())
+    def test_json_matches_json_dumps(self, floats, window, endpoints, fingerprint):
         alert = Alert(
-            window_index=window,
-            conversation=make_conversation(protocol=protocol, address_a=texts[0],
-                                           port_a=port_a, address_b=texts[1],
-                                           port_b=port_b),
-            score=floats[0],
-            model_fingerprint=texts[2], emitted_at=floats[1],
-            features=tuple(floats[2:]),
+            window_index=window, score=floats[0],
+            model_fingerprint=fingerprint, emitted_at=floats[1],
+            features=(*endpoints, *floats[2:]),
         )
         assert alert_to_json(alert) == dumped_alert(alert)
 
