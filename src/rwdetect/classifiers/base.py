@@ -83,10 +83,16 @@ def check_seed(seed: int) -> None:
 
 def check_types(spec) -> None:
     """Each field of a dataclass with a default holds a value of the
-    default's exact type: a bool is no int, an int may stand for a float."""
+    default's exact type: a bool is no int, and an int given for a float is
+    stored as the float it equals, or raises if it is past the float range."""
     for f in fields(spec):
         got, wanted = type(getattr(spec, f.name)), type(f.default)
-        if f.default is not MISSING and got is not wanted and (got, wanted) != (int, float):
+        if (got, wanted) == (int, float):
+            try:
+                object.__setattr__(spec, f.name, float(getattr(spec, f.name)))
+            except OverflowError:
+                raise InvalidHyperparams(f"{f.name} is an int past the float range") from None
+        elif f.default is not MISSING and got is not wanted:
             raise InvalidHyperparams(f"{f.name} must be {wanted.__name__}, got {got.__name__}")
 
 

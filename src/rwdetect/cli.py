@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -34,7 +35,12 @@ from .classifiers import (
     save_model,
     train,
 )
-from .conversation import aggregate, conversations_to_csv, csv_to_conversations
+from .conversation import (
+    ConversationCsvWarning,
+    aggregate,
+    conversations_to_csv,
+    csv_to_conversations,
+)
 from .detect import (
     WindowSpec,
     alert_to_json,
@@ -127,13 +133,24 @@ def _cmd_extract(args) -> int:
     return 0
 
 
+def _read_conversations(path: str, lenient: bool) -> list:
+    """``csv_to_conversations`` of one file, each warning naming the file."""
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ConversationCsvWarning)
+            return csv_to_conversations(_read_text(path), strict=not lenient)
+    finally:    # outside the recording context, which would record these too
+        for w in caught:    # Python shows one text from one place once
+            warnings.warn(f"{path}: {w.message}", w.category)
+
+
 def _cmd_label(args) -> int:
     _echo_config("label", ransomware=len(args.ransomware),
                  benign=len(args.benign), lenient=args.lenient)
     if not args.ransomware and not args.benign:
         raise InvalidHyperparams("need at least one --ransomware or --benign file")
     sets = [
-        (csv_to_conversations(_read_text(path), strict=not args.lenient), label)
+        (_read_conversations(path, args.lenient), label)
         for paths, label in ((args.ransomware, Label.RANSOMWARE),
                              (args.benign, Label.BENIGN))
         for path in paths

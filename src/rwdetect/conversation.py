@@ -116,19 +116,22 @@ def _flow_key(x: np.ndarray, y: np.ndarray, protocol: np.ndarray):
 
 
 def _capture_start(ts: np.ndarray, capture_start: float | None) -> float | None:
-    """The earliest timestamp, None for no packets, when ``capture_start``
-    is None; otherwise ``capture_start``, after raising InvalidHyperparams
-    if it is not finite and ClockSkew for the first packet stamped earlier."""
+    """The earliest timestamp, None for no packets, when ``capture_start`` is None;
+    otherwise ``capture_start`` as a Python float, after raising InvalidHyperparams
+    if no finite float equals it, and ClockSkew for the first packet stamped earlier."""
     if capture_start is None:
         return float(ts.min()) if len(ts) else None
-    if not math.isfinite(capture_start):
-        raise InvalidHyperparams(f"capture start {capture_start!r} is not finite")
+    try:
+        if not math.isfinite(capture_start):
+            raise InvalidHyperparams(f"capture start {capture_start!r} is not finite")
+    except OverflowError:
+        raise InvalidHyperparams("capture start is past the float range") from None
     early = ts < capture_start
     if np.count_nonzero(early):
         i = int(early.argmax())
         raise ClockSkew(i, f"packet {i} at {ts.item(i)!r} precedes "
                            f"capture start {capture_start!r}")
-    return capture_start
+    return float(capture_start)
 
 
 def aggregate(packets: Iterable[PacketRecord],

@@ -94,7 +94,7 @@ def window_packets(packets: Iterable[PacketRecord], spec: WindowSpec,
     order = np.argsort(window, kind="stable")
     window = window[order]
     # The last close time bounds the rest; Python floats do not warn on overflow.
-    if not math.isfinite(float(capture_start) + (window.item(-1) + 1) * spec.interval):
+    if not math.isfinite(capture_start + (window.item(-1) + 1) * spec.interval):
         raise InvalidHyperparams(f"window interval {spec.interval!r} closes the "
                                  "last window past the largest float")
     cuts = np.flatnonzero(window[1:] != window[:-1]) + 1
@@ -138,7 +138,7 @@ def detect_stream(packets: Iterable[PacketRecord], model: TrainedModel,
         labels01, scores = predict_many(model, vectors)
         by_key = conversations.key_order()
         hits = by_key[labels01[by_key] != 0]
-        emitted_at = float(capture_start + (w + 1) * spec.interval)  # no numpy scalar
+        emitted_at = capture_start + (w + 1) * spec.interval
         for score, row in zip(scores[hits].tolist(), vectors[hits].tolist()):
             alert = Alert(
                 window_index=w, score=score, model_fingerprint=fingerprint,

@@ -10,14 +10,17 @@ from __future__ import annotations
 import contextlib
 import ipaddress
 import json
+import os
 import signal
 import struct
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import rwdetect
 from rwdetect.capture import PACKET_CSV_HEADER, PacketRecord
 from rwdetect.classifiers import ALL_KINDS, MODEL_MAGIC, default_hyperparams, save_model
 from rwdetect.conversation import Conversation
@@ -65,6 +68,14 @@ def deadline(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def subprocess_env() -> dict[str, str]:
+    """This environment, with the tested ``rwdetect`` first on the path of
+    a fresh interpreter."""
+    src = str(Path(rwdetect.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
 
 
 MAGIC_MICROS = 0xA1B2C3D4

@@ -1246,6 +1246,33 @@ def test_fit_the_model_file_cannot_hold_is_invalid(kind, hp, message):
         train(kind, ds, hp)
 
 
+#: Each float hyperparameter: (kind, field, hyperparameters fast to fit).
+FLOAT_HYPERPARAMS = [
+    (ClassifierKind.SVM, "c", SvmParams(iterations=200)),
+    (ClassifierKind.MLP, "learning_rate", MlpParams(epochs=25)),
+    (ClassifierKind.BAYES, "var_smoothing", BayesParams()),
+]
+
+
+@pytest.mark.parametrize("kind,key,hp", FLOAT_HYPERPARAMS, ids=lambda v: getattr(v, "value", v))
+def test_int_for_a_float_hyperparam_seals_as_that_float(kind, key, hp):
+    # An equal int once sealed as ``"c":1`` where the float sealed ``"c":1.0``.
+    ds = gaussian_dataset(n_pos=12, n_neg=12, seed=31)
+    as_int, as_float = (train(kind, ds, dataclasses.replace(hp, **{key: value}))
+                        for value in (1, 1.0))
+    assert type(getattr(as_int.hyperparams, key)) is float
+    assert save_model(as_int) == save_model(as_float)
+
+
+@pytest.mark.parametrize("digits", [401, 5001])
+@pytest.mark.parametrize("kind,key,hp", FLOAT_HYPERPARAMS, ids=lambda v: getattr(v, "value", v))
+def test_int_past_the_float_range_is_invalid(kind, key, hp, digits):
+    # Once an OverflowError; past 4,300 digits the int cannot even be repr'd.
+    hp = dataclasses.replace(hp, **{key: 10 ** (digits - 1)})
+    with pytest.raises(InvalidHyperparams, match=f"^{key} is an int past the float range$"):
+        train(kind, gaussian_dataset(n_pos=3, n_neg=3, seed=1), hp)
+
+
 class TestZeroAddresses:
     def test_predictions_ignore_addresses(self):
         ds = address_only_dataset()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import struct
 import subprocess
@@ -37,6 +36,7 @@ from conftest import (
     make_packet,
     model_trees,
     packet_csv,
+    subprocess_env,
     tcp_udp_frame,
 )
 
@@ -208,6 +208,22 @@ class TestLabel:
             code = run(["label", "--lenient", "--ransomware", str(path), "-o", "-"])
         assert code == 1
         assert "line 2: recomputed totals outside" in capsys.readouterr().err
+
+    def test_lenient_warnings_name_their_file(self, tmp_path):
+        # Python shows a warning text from one code location once, so the
+        # same line recomputed in two files once printed a single warning.
+        row = "6,1.1.1.1,1,2.2.2.2,2,5,10,3,10,1,0,0.0,0.0\n"
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_text(conversations_to_csv([]) + row)
+        done = subprocess.run(
+            [sys.executable, "-m", "rwdetect.cli", "label", "--lenient",
+             "--ransomware", "a.csv", "--benign", "b.csv", "-o", "data.csv"],
+            cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        warned = [line.split("ConversationCsvWarning: ", 1)[1]
+                  for line in done.stderr.splitlines() if "ConversationCsvWarning: " in line]
+        assert warned == [f"{name}: line 2: totals recomputed from directional fields"
+                          for name in ("a.csv", "b.csv")]
 
 
 class TestTrain:
@@ -966,11 +982,9 @@ LOCALES = {"posix": {"LC_ALL": "POSIX", "PYTHONUTF8": "0"},
 def run_in_locale(locale: str, argv: list[str]) -> tuple[int, bytes, list[bytes]]:
     """Exit code, stdout bytes and ``error:`` lines of ``rwdetect`` in a
     fresh interpreter under ``LOCALES[locale]``."""
-    src = str(Path(rwdetect.__file__).parents[1])
-    env = {key: value for key, value in os.environ.items()
+    env = {key: value for key, value in subprocess_env().items()
            if not key.startswith(("LC_", "PYTHONIOENCODING", "PYTHONUTF8"))}
-    env.update(LOCALES[locale], PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env.update(LOCALES[locale])
     done = subprocess.run([sys.executable, "-m", "rwdetect.cli", *argv], env=env,
                           capture_output=True, timeout=60)
     errors = [line for line in done.stderr.splitlines() if line.startswith(b"error:")]

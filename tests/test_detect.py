@@ -86,6 +86,12 @@ class TestWindowSpec:
     def test_int_interval_stands_for_float(self):
         assert WindowSpec(60).interval == 60
 
+    @pytest.mark.parametrize("digits", [401, 5001])
+    def test_int_past_the_float_range(self, digits):
+        # Once an OverflowError from math.isfinite.
+        with pytest.raises(InvalidHyperparams, match="^interval is an int past the float range$"):
+            WindowSpec(10 ** (digits - 1))
+
 
 class TestWindowPackets:
     def test_half_open_boundaries(self):
@@ -152,6 +158,14 @@ def test_non_finite_capture_start_rejected(run, start):
     for packets in ([make_packet(1.0), make_packet(2.0)], []):
         with pytest.raises(InvalidHyperparams, match="capture start"):
             run(packets, start)
+
+
+@PACKET_CONSUMERS
+def test_capture_start_past_the_float_range_rejected(run):
+    # Once an OverflowError from math.isfinite.
+    for packets in ([make_packet(1.0), make_packet(2.0)], []):
+        with pytest.raises(InvalidHyperparams, match="capture start is past the float range"):
+            run(packets, 10 ** 400)
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])

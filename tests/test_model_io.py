@@ -342,6 +342,13 @@ class TestTampering:
         payload["hyperparams"]["c"] = 1
         assert load_model(container(json.dumps(payload).encode())).hyperparams.c == 1
 
+    def test_int_past_the_float_range_hyperparam(self):
+        # A 401-digit c once loaded, though every float hyperparameter is finite.
+        payload = valid_payload_dict(ClassifierKind.SVM)
+        payload["hyperparams"]["c"] = 10 ** 400
+        with pytest.raises(MalformedModel, match="c is an int past the float range"):
+            load_model(sealed(payload))
+
     def test_wrong_param_shape(self):
         payload = valid_payload_dict(ClassifierKind.KNN)
         payload["params"]["points"] = [[1.0, 2.0]]    # 2 columns, not 13
