@@ -244,8 +244,7 @@ def _cmd_eval(args) -> int:
     kind = kind_from_name(args.kind)
     spec = _split_spec("eval", args, kind=kind.value)
     dataset = read_dataset_csv(_read_text(args.input))
-    result = evaluate(kind, dataset, spec, default_hyperparams(kind, seed=args.seed),
-                      zero_addresses=args.zero_address_features)
+    result = evaluate(kind, dataset, spec, zero_addresses=args.zero_address_features)
     if len(result.folds) > 1:
         for i, fold in enumerate(result.folds):
             print(
@@ -263,13 +262,14 @@ def _cmd_bench(args) -> int:
         kinds = list(ALL_KINDS)
     else:
         kinds = [kind_from_name(part) for part in args.kinds.split(",")]
+        if len(set(kinds)) < len(kinds):
+            repeated = max(kinds, key=kinds.count)
+            raise InvalidHyperparams(f"--kinds lists {repeated.value} more than once")
     spec = _split_spec("bench", args, kinds=",".join(k.value for k in kinds))
     dataset = read_dataset_csv(_read_text(args.input))
     print(f"bench: dataset {dataset_fingerprint(dataset)[:12]}, "
           f"{len(dataset)} samples", file=sys.stderr)
-    hyperparams = {kind: default_hyperparams(kind, seed=args.seed) for kind in kinds}
-    rows = benchmark(kinds, dataset, spec, hyperparams,
-                     zero_addresses=args.zero_address_features)
+    rows = benchmark(kinds, dataset, spec, zero_addresses=args.zero_address_features)
     with _output(args.output) as out:
         out.write(_RENDER[args.format](rows).encode())
     return 0

@@ -116,22 +116,23 @@ def _flow_key(x: np.ndarray, y: np.ndarray, protocol: np.ndarray):
 
 
 def _capture_start(ts: np.ndarray, capture_start: float | None) -> float | None:
-    """The earliest timestamp, None for no packets, when ``capture_start`` is None;
-    otherwise ``capture_start`` as a Python float, after raising InvalidHyperparams
-    if no finite float equals it, and ClockSkew for the first packet stamped earlier."""
+    """The earliest timestamp, None for no packets, when ``capture_start`` is None; otherwise
+    ``capture_start`` as a Python float, after raising InvalidHyperparams for a bool or a
+    number no finite float equals, and ClockSkew for the first packet stamped earlier."""
     if capture_start is None:
         return float(ts.min()) if len(ts) else None
     try:
-        if not math.isfinite(capture_start):
-            raise InvalidHyperparams(f"capture start {capture_start!r} is not finite")
+        if isinstance(capture_start, (bool, np.bool_)) or not math.isfinite(capture_start):
+            raise InvalidHyperparams(f"capture start {capture_start!r} is not a finite number")
     except OverflowError:
         raise InvalidHyperparams("capture start is past the float range") from None
+    capture_start = float(capture_start)
     early = ts < capture_start
     if np.count_nonzero(early):
         i = int(early.argmax())
         raise ClockSkew(i, f"packet {i} at {ts.item(i)!r} precedes "
                            f"capture start {capture_start!r}")
-    return float(capture_start)
+    return capture_start
 
 
 def aggregate(packets: Iterable[PacketRecord],

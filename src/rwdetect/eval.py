@@ -4,6 +4,8 @@ Metrics with a zero denominator are undefined, carried as ``None`` and
 rendered as ``n/a`` (CSV) or ``null`` (JSON) rather than coerced to 0.
 Splits are always stratified and derive entirely from (labels, spec),
 so every classifier evaluated under the same spec sees identical folds.
+``evaluate`` and ``benchmark`` train each family's defaults seeded by ``spec.seed``;
+other hyperparameters are scored by ``split``, then ``train``, then ``evaluate_model``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 
 from .classifiers import (
     ClassifierKind,
-    Hyperparams,
     TrainedModel,
+    default_hyperparams,
     predict_many,
     train,
 )
@@ -194,14 +196,14 @@ def _mean_report(classifier: str, folds: list[MetricsReport]) -> MetricsReport:
     return MetricsReport(classifier, **rates, training_time_s=time_mean)
 
 
-def evaluate(kind: ClassifierKind, dataset: Dataset, spec: SplitSpec,
-             hyperparams: Hyperparams | None = None, *,
+def evaluate(kind: ClassifierKind, dataset: Dataset, spec: SplitSpec, *,
              zero_addresses: bool = False) -> EvaluationResult:
-    """Train and score one family across every fold of a split spec.
+    """Train and score one family's defaults, seeded by ``spec.seed``, on every fold.
 
     The mean row averages fold metrics without weighting; an undefined
     metric in any fold leaves the mean undefined.
     """
+    hyperparams = default_hyperparams(kind, seed=spec.seed)
     folds = []
     for train_idx, test_idx in split(dataset, spec):
         model = train(kind, dataset.subset(train_idx), hyperparams,
@@ -216,16 +218,10 @@ def evaluate(kind: ClassifierKind, dataset: Dataset, spec: SplitSpec,
 
 
 def benchmark(kinds: Sequence[ClassifierKind], dataset: Dataset,
-              spec: SplitSpec,
-              hyperparams: dict[ClassifierKind, Hyperparams] | None = None, *,
-              zero_addresses: bool = False) -> list[MetricsReport]:
+              spec: SplitSpec, *, zero_addresses: bool = False) -> list[MetricsReport]:
     """One report row per kind, all kinds sharing the identical folds."""
-    rows = []
-    for kind in kinds:
-        hp = hyperparams.get(kind) if hyperparams else None
-        rows.append(evaluate(kind, dataset, spec, hp,
-                             zero_addresses=zero_addresses).row)
-    return rows
+    return [evaluate(kind, dataset, spec, zero_addresses=zero_addresses).row
+            for kind in kinds]
 
 
 def _fmt(value: float | None, pattern: str, scale: float = 1.0) -> str:

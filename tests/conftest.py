@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import rwdetect
+import rwdetect.eval
 from rwdetect.capture import PACKET_CSV_HEADER, PacketRecord
 from rwdetect.classifiers import ALL_KINDS, MODEL_MAGIC, default_hyperparams, save_model
 from rwdetect.conversation import Conversation
@@ -40,6 +41,20 @@ INTEGER_HYPERPARAMS = [(kind, f.name) for kind in ALL_KINDS
 #: below ``b``: adjacent doubles, where it rounds to ``b``, and a sum that
 #: overflows to ``inf``.
 CLOSE_VALUES = [(1.0 + 2.0**-52, 1.0 + 2.0**-51), (1e308, 1.7e308)]
+
+
+@pytest.fixture
+def trained_models(monkeypatch) -> list:
+    """Every model that ``evaluate`` scores, in order."""
+    models = []
+    original = rwdetect.eval.evaluate_model
+
+    def recorder(model, dataset, test_idx):
+        models.append(model)
+        return original(model, dataset, test_idx)
+
+    monkeypatch.setattr(rwdetect.eval, "evaluate_model", recorder)
+    return models
 
 
 def model_params(model) -> dict:

@@ -15,7 +15,6 @@ import pytest
 
 import rwdetect.classifiers.base
 import rwdetect.cli
-import rwdetect.eval
 from rwdetect.capture import parse_packet_csv
 from rwdetect.cli import run
 from rwdetect.classifiers import MODEL_MAGIC, load_model, predict_many, read_model
@@ -76,20 +75,6 @@ def workspace(tmp_path):
                 "-o", str(tmp_path / "data.csv")])
     assert code == 0
     return tmp_path
-
-
-@pytest.fixture
-def trained_models(monkeypatch) -> list:
-    """Every model that ``evaluate`` scores, in order."""
-    models = []
-    original = rwdetect.eval.evaluate_model
-
-    def recorder(model, dataset, test_idx):
-        models.append(model)
-        return original(model, dataset, test_idx)
-
-    monkeypatch.setattr(rwdetect.eval, "evaluate_model", recorder)
-    return models
 
 
 def trained_model_path(workspace) -> str:
@@ -520,6 +505,16 @@ class TestBench:
                     "--seed", "7"]) == 0
         seeds = [(model.kind.value, model.hyperparams.seed) for model in trained_models]
         assert seeds == [("RandomForest", 7), ("MultilayerPerceptron", 7)]
+
+    @pytest.mark.parametrize("kinds, named", [("knn,knn", "KNearestNeighbor"),
+                                              ("bayes,forest,RandomForest", "RandomForest")],
+                             ids=["alias-twice", "alias-and-name"])
+    def test_repeated_kind_exit_1_before_reading(self, tmp_path, capsys, kinds, named):
+        # A repeated kind was once fitted twice and reported in two rows.
+        assert run(["bench", str(tmp_path / "absent.csv"), "--kinds", kinds]) == 1
+        err = capsys.readouterr().err
+        assert f"error: --kinds lists {named} more than once" in err
+        assert "config:" not in err
 
 
 class TestDetect:

@@ -152,7 +152,9 @@ PACKET_CONSUMERS = pytest.mark.parametrize("run", [
 ], ids=["aggregate", "window_packets", "detect_stream"])
 
 
-@pytest.mark.parametrize("start", [float("nan"), float("inf"), float("-inf")])
+# A bool is no number: True was once taken as a start of 1.0, False as 0.0.
+@pytest.mark.parametrize("start", [float("nan"), float("inf"), float("-inf"), True, False,
+                                   pytest.param(np.True_, id="numpy-True")])
 @PACKET_CONSUMERS
 def test_non_finite_capture_start_rejected(run, start):
     for packets in ([make_packet(1.0), make_packet(2.0)], []):
@@ -166,6 +168,15 @@ def test_capture_start_past_the_float_range_rejected(run):
     for packets in ([make_packet(1.0), make_packet(2.0)], []):
         with pytest.raises(InvalidHyperparams, match="capture start is past the float range"):
             run(packets, 10 ** 400)
+
+
+@pytest.mark.parametrize("start", [np.float64(2.0), np.float32(2.0), np.int64(2), 2],
+                         ids=["float64", "float32", "int64", "int"])
+@PACKET_CONSUMERS
+def test_capture_start_reported_as_a_float(run, start):
+    # Once reported as given: "np.float64(2.0)", "np.int64(2)", "2".
+    with pytest.raises(ClockSkew, match=r"^packet 0 at 1\.0 precedes capture start 2\.0$"):
+        run([make_packet(1.0)], start)
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])

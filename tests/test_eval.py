@@ -11,11 +11,6 @@ import numpy as np
 import pytest
 
 from rwdetect.classifiers import ALL_KINDS, ClassifierKind, KnnParams, train
-from rwdetect.classifiers import (
-    ForestParams,
-    MlpParams,
-    SvmParams,
-)
 from rwdetect.errors import (
     EmptyInput,
     InvalidHyperparams,
@@ -40,12 +35,6 @@ from rwdetect.eval import _METRIC_FIELDS, _mean_or_none
 from rwdetect.features import Label
 
 from conftest import gaussian_dataset
-
-FAST_PARAMS = {
-    ClassifierKind.MLP: MlpParams(epochs=30),
-    ClassifierKind.SVM: SvmParams(iterations=300),
-    ClassifierKind.RANDOM_FOREST: ForestParams(trees=5),
-}
 
 
 def written(row: MetricsReport) -> dict:
@@ -269,6 +258,14 @@ class TestEvaluate:
         kfold = evaluate(ClassifierKind.KNN, ds, SplitSpec.kfold(k=3))
         assert kfold.row is kfold.mean
 
+    def test_split_seed_seeds_every_fold_model(self, trained_models):
+        # Every fold's model was once trained with seed 42, whatever the spec.
+        ds = gaussian_dataset(n_pos=15, n_neg=15, seed=9)
+        evaluate(ClassifierKind.RANDOM_FOREST, ds, SplitSpec.kfold(k=3, seed=7))
+        assert [model.hyperparams.seed for model in trained_models] == [7, 7, 7]
+        benchmark([ClassifierKind.KNN, ClassifierKind.J48], ds, SplitSpec.holdout(seed=8))
+        assert [model.hyperparams.seed for model in trained_models[3:]] == [8, 8]
+
     def test_evaluate_model_direct(self):
         ds = gaussian_dataset(n_pos=20, n_neg=20, seed=10)
         [(train_idx, test_idx)] = split(ds, SplitSpec.holdout(seed=11))
@@ -284,14 +281,12 @@ class TestEvaluate:
 class TestBenchmark:
     def test_rows_one_per_kind_in_order(self):
         ds = gaussian_dataset(n_pos=30, n_neg=30, seed=12)
-        rows = benchmark(ALL_KINDS, ds, SplitSpec.holdout(),
-                         hyperparams=FAST_PARAMS)
+        rows = benchmark(ALL_KINDS, ds, SplitSpec.holdout())
         assert [r.classifier for r in rows] == [k.value for k in ALL_KINDS]
 
     def test_all_kinds_share_the_split(self):
         ds = gaussian_dataset(n_pos=30, n_neg=30, seed=13)
-        rows = benchmark(ALL_KINDS, ds, SplitSpec.holdout(),
-                         hyperparams=FAST_PARAMS)
+        rows = benchmark(ALL_KINDS, ds, SplitSpec.holdout())
         prints = {r.train_fingerprint for r in rows}
         assert len(prints) == 1 and None not in prints
 
