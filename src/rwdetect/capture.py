@@ -5,8 +5,8 @@ global header (magic 0xA1B2C3D4 for microsecond timestamps, 0xA1B23C4D for
 nanosecond, either byte order) followed by 16-byte per-record headers.  The
 link type must be Ethernet (1).  pcapng input is rejected as BadMagic.
 
-Only IPv4 TCP/UDP packets enter the packet table.  Every other record is
-counted in the capture summary instead:
+Only IPv4 TCP/UDP packets enter the packet table, whether a reader or
+``PacketTable.of`` builds it.  The readers count every other record:
 
 * ``packets_skipped_non_ip``: frames that do not carry IPv4 at all (ARP,
   IPv6, double-tagged VLAN, frames too short or mangled to hold an IPv4
@@ -66,6 +66,8 @@ from .errors import (
 TCP = 6
 UDP = 17
 SUPPORTED_PROTOCOLS = (TCP, UDP)
+#: Protocol number -> whether the packet table holds it.
+_SUPPORTED = np.isin(np.arange(256), SUPPORTED_PROTOCOLS)
 
 #: The four leading byte sequences a classic pcap file can start with,
 #: each mapped to its (byte order, timestamp divisor).
@@ -174,12 +176,17 @@ class PacketTable(_Table):
 
     @classmethod
     def of(cls, rows: Iterable) -> PacketTable:
-        """``_Table.of``; a row's timestamp below 0 or not finite raises ValueError."""
+        """``_Table.of``; a row's timestamp below 0 or not finite, or its
+        protocol other than TCP or UDP, raises ValueError."""
         if isinstance(rows, cls):
             return rows
         table = super().of(rows)
         if not ((table.columns[0] >= 0) & (table.columns[0] < np.inf)).all():
             raise ValueError("packet timestamps must be finite and non-negative")
+        supported = _SUPPORTED[table.columns[5]]
+        if not supported.all():
+            i = int(supported.argmin())
+            raise ValueError(f"packet {i}: protocol {table[i].protocol} is not TCP (6) or UDP (17)")
         return table
 
 
@@ -313,8 +320,7 @@ def _decode_chunk(buf: np.ndarray, starts: np.ndarray, byte_order: str,
     short_ip = ip_len < 20
     non_ip = ((np.where(tagged, inner_ethertype, ethertype) != _ETHERTYPE_IPV4)
               | (ip_len < 1) | (version != 4) | (~short_ip & (ihl < 20)))
-    unsupported = ~non_ip & (short_ip | (frag_offset != 0)
-                             | ((protocol != TCP) & (protocol != UDP))
+    unsupported = ~non_ip & (short_ip | (frag_offset != 0) | ~_SUPPORTED[protocol]
                              | (ip_len < ihl + 4))
     summary.packets_skipped_non_ip += int(np.count_nonzero(non_ip))
     summary.packets_skipped_unsupported_protocol += int(np.count_nonzero(unsupported))

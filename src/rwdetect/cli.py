@@ -34,6 +34,7 @@ from .classifiers import (
     read_model,
     save_model,
     train,
+    validate_hyperparams,
 )
 from .conversation import (
     ConversationCsvWarning,
@@ -207,6 +208,7 @@ def _cmd_train(args) -> int:
     _echo_config("train", kind=kind.value, seed=hp.seed,
                  zero_addresses=args.zero_address_features,
                  params=dataclasses.asdict(hp))
+    validate_hyperparams(kind, hp)
     dataset = read_dataset_csv(_read_text(args.input))
     model = train(kind, dataset, hp,
                   zero_addresses=args.zero_address_features)
@@ -278,9 +280,9 @@ def _cmd_bench(args) -> int:
 def _cmd_detect(args) -> int:
     _echo_config("detect", model=args.model, interval=args.interval,
                  text=args.text)
+    spec = WindowSpec(interval=args.interval)
     model = read_model(args.model)
     packets, capture = load_packets(args.input, lenient=True)
-    spec = WindowSpec(interval=args.interval)
     render = alert_warning_line if args.text else alert_to_json
     with _output(args.output) as out:
         summary = detect_stream(packets, model, spec,

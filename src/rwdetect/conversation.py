@@ -94,10 +94,6 @@ class ConversationTable(_capture._Table):
         return np.lexsort((hk, lo))
 
 
-#: Protocol number -> whether ``aggregate`` takes it.
-_AGGREGATABLE = np.isin(np.arange(256), _capture.SUPPORTED_PROTOCOLS)
-
-
 def _endpoint(address: np.ndarray, port: np.ndarray) -> np.ndarray:
     """``address << 16 | port`` as int64."""
     packed = address.astype(np.int64)
@@ -152,11 +148,6 @@ def aggregate(packets: Iterable[PacketRecord],
     n = len(table)
     if not n:
         return ConversationTable.of(())
-    supported = _AGGREGATABLE[protocol]
-    if np.count_nonzero(supported) < n:
-        i = int(supported.argmin())
-        raise ValueError(f"packet {i}: protocol {protocol.item(i)} cannot be "
-                         "aggregated, filter to TCP/UDP first")
 
     src, dst = _endpoint(src_addr, src_port), _endpoint(dst_addr, dst_port)
     lo, hk = _flow_key(src, dst, protocol)

@@ -108,13 +108,12 @@ def detect_stream(packets: Iterable[PacketRecord], model: TrainedModel,
                   skipped_malformed: int = 0) -> DetectionSummary:
     """Run windowed detection over packets, pushing alerts into ``sink``.
 
-    ``packets`` is a packet table or any iterable of PacketRecords.  Every
-    packet must be TCP or UDP, as ``load_packets`` gives them: any other
-    protocol raises ValueError when its window is aggregated, after
-    earlier windows' alerts reached the sink.  ``window_packets`` raises
-    InvalidHyperparams for a last window closing past the largest float.
-    A sink exception aborts the run with SinkFailure carrying the summary of
-    everything processed before the failure.
+    ``packets`` is a packet table or any iterable of PacketRecords.  A
+    packet the table refuses (``PacketTable.of``) raises ValueError, and a
+    last window closing past the largest float InvalidHyperparams, both
+    before the first alert.  So only a sink exception ends a run part-way:
+    it aborts with SinkFailure carrying the summary of everything processed
+    before the failure.
     """
     packets = PacketTable.of(packets)
     capture_start = _capture_start(packets.columns[0], capture_start)

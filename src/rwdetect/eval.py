@@ -122,24 +122,22 @@ class SplitSpec:
         return cls(method="kfold", k=k, seed=seed)
 
 
-def _permuted_class_indices(labels01: np.ndarray, seed: int):
-    """Positive then negative index permutations from one seeded generator."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return [rng.permutation(np.flatnonzero(labels01 == value)) for value in (1, 0)]
-
-
 def split(dataset: Dataset, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """Fold list of (train_indices, test_indices), each sorted ascending."""
     labels01 = dataset.y
     counts = [int((labels01 == 1).sum()), int((labels01 == 0).sum())]
+    need, name = (2, "holdout") if spec.method == "holdout" else (spec.k, f"{spec.k}-fold")
+    if min(counts) < need:
+        raise TooFewSamples(
+            f"{name} needs at least {need} samples of each class, got "
+            f"{counts[0]} positive / {counts[1]} negative"
+        )
+    # Positive then negative index permutations from one seeded generator.
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    perms = [rng.permutation(np.flatnonzero(labels01 == value)) for value in (1, 0)]
     if spec.method == "holdout":
-        if min(counts) < 2:
-            raise TooFewSamples(
-                "holdout needs at least 2 samples of each class, got "
-                f"{counts[0]} positive / {counts[1]} negative"
-            )
         train_parts, test_parts = [], []
-        for perm in _permuted_class_indices(labels01, spec.seed):
+        for perm in perms:
             n_class = len(perm)
             n_train = round(spec.train_ratio * n_class)
             n_train = min(max(n_train, 1), n_class - 1)
@@ -150,12 +148,6 @@ def split(dataset: Dataset, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarra
         return [(train_idx, test_idx)]
 
     k = spec.k
-    if k > min(counts):
-        raise TooFewSamples(
-            f"{k}-fold needs at least {k} samples of each class, got "
-            f"{counts[0]} positive / {counts[1]} negative"
-        )
-    perms = _permuted_class_indices(labels01, spec.seed)
     folds = [np.sort(np.concatenate([perm[f::k] for perm in perms])) for f in range(k)]
     return [(np.sort(np.concatenate(folds[:f] + folds[f + 1:])), folds[f])
             for f in range(k)]

@@ -22,7 +22,7 @@ from rwdetect.classifiers import mlp, model_io
 from rwdetect.classifiers.base import MAX_COUNT
 from rwdetect.conversation import aggregate, conversations_to_csv
 from rwdetect.eval import REPORT_CSV_HEADER
-from rwdetect.features import DATASET_CSV_HEADER, read_dataset_csv
+from rwdetect.features import DATASET_CSV_HEADER, Label, read_dataset_csv, write_dataset_csv
 
 from conftest import (
     CLOSE_VALUES,
@@ -251,6 +251,12 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not (workspace / "junk.bin").exists()
 
+    def test_bad_param_value_exit_1_before_reading(self, tmp_path, capsys):
+        # The dataset was once read first, so a missing file hid the option's error.
+        assert run(["train", str(tmp_path / "absent.csv"), "--kind", "forest",
+                    "--param", "trees=0"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "error: trees must be at least 1"
+
     def test_bad_param_values_exit_1(self, workspace, capsys):
         data = str(workspace / "data.csv")
         out = str(workspace / "junk.bin")
@@ -475,6 +481,23 @@ class TestEval:
                     "--seed", seed]) == 1
         assert "error: seed must fit an unsigned 64-bit int" in capsys.readouterr().err
 
+    def test_zero_address_features(self, tmp_path, capsys):
+        # The classes differ in their addresses alone.
+        ransom = [make_conversation(address_a=f"203.0.113.{i}", address_b="203.0.113.200",
+                                    port_a=1000 + i, rel_start=float(i)) for i in range(20)]
+        benign = [make_conversation(address_a=f"10.0.0.{i}", address_b="10.0.0.200",
+                                    port_a=1000 + i, rel_start=float(i)) for i in range(20)]
+        data = tmp_path / "data.csv"
+        data.write_text(write_dataset_csv([(ransom, Label.RANSOMWARE),
+                                           (benign, Label.BENIGN)]))
+        accuracy = {}
+        for flags in ([], ["--zero-address-features"]):
+            assert run(["eval", str(data), "--kind", "knn", "--format", "json", *flags]) == 0
+            [row] = json.loads(capsys.readouterr().out)
+            accuracy[bool(flags)] = row["accuracy"]
+        assert accuracy[False] == 1.0
+        assert accuracy[True] <= 0.5
+
     def test_malformed_dataset_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "data.csv"
         bad.write_text("these,are,not\nthe,right,columns\n")
@@ -583,6 +606,14 @@ class TestDetect:
                     "--interval", repr(sys.float_info.max)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [json.loads(line)["emitted_at"] for line in lines] == [sys.float_info.max] * 2
+
+    def test_bad_interval_exit_1_before_reading(self, tmp_path, capsys):
+        # The model and capture were once read first, so a missing file hid
+        # the option's error.
+        assert run(["detect", str(tmp_path / "absent.pcap"), "--model",
+                    str(tmp_path / "absent.model"), "--interval", "0"]) == 1
+        assert (capsys.readouterr().err.splitlines()[-1]
+                == "error: window interval must be a positive finite number")
 
     def test_missing_model_exit_1(self, workspace):
         assert run(["detect", self.capture_csv(workspace),

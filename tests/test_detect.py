@@ -191,6 +191,20 @@ def test_record_timestamp_outside_the_readers_range_rejected(run, t):
         PacketTable.of([make_packet(t)])
 
 
+@pytest.mark.parametrize("protocol", [0, 1, 255])
+@PACKET_CONSUMERS
+def test_record_protocol_other_than_tcp_udp_rejected(run, protocol):
+    # Such a packet once entered the table: ``window_packets`` put it in a
+    # window, and only ``aggregate`` refused it, by its place in the window.
+    packets = [make_packet(1.0), make_packet(2.0, protocol=protocol)]
+    message = rf"^packet 1: protocol {protocol} is not TCP \(6\) or UDP \(17\)$"
+    for start in (None, 0.0):
+        with pytest.raises(ValueError, match=message):
+            run(packets, start)
+    with pytest.raises(ValueError, match=message):
+        PacketTable.of(packets)
+
+
 class TestDetectStream:
     def run(self, packets, model=None, interval=10.0, capture_start=0.0):
         model = model or bytes_threshold_model()
@@ -276,15 +290,21 @@ class TestDetectStream:
         assert len(keys) == 1
 
     def test_unsupported_protocol_raises(self):
-        # load_packets yields TCP/UDP only; a hand-built record of another
-        # protocol reaches aggregate's check
+        # load_packets yields TCP/UDP only; a hand-built ICMP record at input
+        # position 6, in window 2, once failed only when its window was
+        # aggregated: after window 0's alert reached the sink, and named as
+        # "packet 0", its place in the window.
         packets = flow(1.0, "192.168.1.4", 2222, "192.168.1.5", 443,
                        n=6, size=600)
-        icmpish = PacketRecord(
-            timestamp=2.0, src_addr="10.0.0.1", src_port=0,
+        assert len(self.run(packets)[0]) == 1
+        icmp = PacketRecord(
+            timestamp=25.0, src_addr="10.0.0.1", src_port=0,
             dst_addr="10.0.0.2", dst_port=0, protocol=1, wire_bytes=64)
-        with pytest.raises(ValueError, match="protocol 1 cannot be aggregated"):
-            self.run(packets + [icmpish])
+        alerts: list[Alert] = []
+        with pytest.raises(ValueError, match=r"^packet 6: protocol 1 is not TCP"):
+            detect_stream(packets + [icmp], bytes_threshold_model(), WindowSpec(10.0),
+                          alerts.append, capture_start=0.0)
+        assert alerts == []
 
     def test_skipped_malformed_passthrough(self):
         packets = flow(1.0, "10.0.0.7", 1111, "10.0.0.8", 80, n=2, size=100)

@@ -205,7 +205,8 @@ class TestSplit:
 
     def test_holdout_needs_two_per_class(self):
         ds = gaussian_dataset(n_pos=1, n_neg=10, seed=5)
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(TooFewSamples, match="^holdout needs at least 2 samples of each "
+                                                "class, got 1 positive / 10 negative$"):
             split(ds, SplitSpec.holdout())
 
     def test_kfold_sizes(self):
@@ -228,7 +229,8 @@ class TestSplit:
 
     def test_kfold_needs_k_per_class(self):
         ds = gaussian_dataset(n_pos=4, n_neg=40, seed=7)
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(TooFewSamples, match="^5-fold needs at least 5 samples of each "
+                                                "class, got 4 positive / 40 negative$"):
             split(ds, SplitSpec.kfold(k=5))
 
 

@@ -355,6 +355,12 @@ class TestTampering:
         with pytest.raises(MalformedModel):
             load_model(container(json.dumps(payload).encode()))
 
+    def test_knn_labels_and_points_disagree(self):
+        payload = valid_payload_dict(ClassifierKind.KNN)
+        payload["params"]["labels"] = payload["params"]["labels"][:-1]
+        with pytest.raises(MalformedModel, match="labels and points disagree"):
+            load_model(sealed(payload))
+
     def test_knn_point_width_checked_when_labels_match(self):
         payload = valid_payload_dict(ClassifierKind.KNN)
         payload["hyperparams"]["k"] = 1
