@@ -5,8 +5,8 @@ global header (magic 0xA1B2C3D4 for microsecond timestamps, 0xA1B23C4D for
 nanosecond, either byte order) followed by 16-byte per-record headers.  The
 link type must be Ethernet (1).  pcapng input is rejected as BadMagic.
 
-Only IPv4 TCP/UDP packets enter the packet table, whether a reader or
-``PacketTable.of`` builds it.  The readers count every other record:
+Only IPv4 TCP/UDP packets enter the packet table, however it is built.
+The readers count every other record:
 
 * ``packets_skipped_non_ip``: frames that do not carry IPv4 at all (ARP,
   IPv6, double-tagged VLAN, frames too short or mangled to hold an IPv4
@@ -115,7 +115,12 @@ class _Table(Sequence):
     _dtypes: tuple      # the type of each column
 
     def __init__(self, columns: Iterable[np.ndarray]):
-        self.columns = tuple(columns)
+        self.columns = columns = tuple(columns)
+        if not (len(columns) == len(self._dtypes) and all(
+                isinstance(c, np.ndarray) and c.dtype == dtype and c.ndim == 1
+                and len(c) == len(columns[0]) for c, dtype in zip(columns, self._dtypes))):
+            raise ValueError(f"a {type(self).__name__} takes {len(self._dtypes)} equal-length "
+                             "1-D arrays of its column types")
 
     @classmethod
     def of(cls, rows: Iterable):
@@ -129,14 +134,14 @@ class _Table(Sequence):
         u32 = {text: ip_to_u32(text) for text in {*columns[1], *columns[3]}}
         columns[1] = [u32[a] for a in columns[1]]
         columns[3] = [u32[a] for a in columns[3]]
-        table = cls(map(np.array, columns, cls._dtypes))
-        for name, column, given in zip(cls._names, table.columns, columns):
+        arrays = list(map(np.array, columns, cls._dtypes))
+        for name, column, given in zip(cls._names, arrays, columns):
             stored = column.tolist()
             if stored != list(given):
                 for a, b in zip(stored, given):
                     if a != b and not (a != a and b != b):
                         raise ValueError(f"column {name} cannot hold {b!r} exactly")
-        return table
+        return cls(arrays)
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -165,7 +170,9 @@ class _Table(Sequence):
 
 class PacketTable(_Table):
     """Packets as seven columns in ``PacketRecord`` field order: float64
-    timestamps, u32 addresses, u16 ports, u8 protocol, u32 wire bytes."""
+    timestamps, u32 addresses, u16 ports, u8 protocol, u32 wire bytes.
+    However it is built, a timestamp below 0 or not finite, or a protocol
+    other than TCP or UDP, raises ValueError."""
 
     __slots__ = ()
     _row = PacketRecord
@@ -174,20 +181,14 @@ class PacketTable(_Table):
     _dtypes = (np.float64, np.uint32, np.uint16, np.uint32, np.uint16,
                np.uint8, np.uint32)
 
-    @classmethod
-    def of(cls, rows: Iterable) -> PacketTable:
-        """``_Table.of``; a row's timestamp below 0 or not finite, or its
-        protocol other than TCP or UDP, raises ValueError."""
-        if isinstance(rows, cls):
-            return rows
-        table = super().of(rows)
-        if not ((table.columns[0] >= 0) & (table.columns[0] < np.inf)).all():
+    def __init__(self, columns: Iterable[np.ndarray]):
+        super().__init__(columns)
+        ts, protocol = self.columns[0], self.columns[5]
+        if not (ts.min(initial=0.0) >= 0 and ts.max(initial=0.0) < np.inf):
             raise ValueError("packet timestamps must be finite and non-negative")
-        supported = _SUPPORTED[table.columns[5]]
-        if not supported.all():
-            i = int(supported.argmin())
-            raise ValueError(f"packet {i}: protocol {table[i].protocol} is not TCP (6) or UDP (17)")
-        return table
+        if not _SUPPORTED.take(protocol).all():
+            i = int(_SUPPORTED.take(protocol).argmin())
+            raise ValueError(f"packet {i}: protocol {protocol.item(i)} is not TCP (6) or UDP (17)")
 
 
 @dataclass

@@ -54,7 +54,8 @@ def fit(x: np.ndarray, y: np.ndarray, hp: SvmParams) -> dict:
 
 
 def scores(state: dict, queries: np.ndarray) -> np.ndarray:
-    z = np.clip(queries @ state["weights"] + state["bias"], -500.0, 500.0)
+    # Unlike a matmul, an elementwise sum adds up each row alike at any batch size.
+    z = np.clip((queries * state["weights"]).sum(axis=1) + state["bias"], -500.0, 500.0)
     return 1.0 / (1.0 + np.exp(-z))
 
 

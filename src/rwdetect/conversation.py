@@ -172,7 +172,7 @@ def aggregate(packets: Iterable[PacketRecord],
     rel_start = first - capture_start
     duration = np.maximum.reduceat(ts, starts) - first
 
-    rows = np.lexsort((hk[starts], lo[starts], rel_start))
+    rows = np.argsort(rel_start, kind="stable")   # flows are in key order already
     heads = starts[rows]
     a, b = src[heads], dst[order[heads]]
     # Indexing the rows of a small array costs less than unpacking it.

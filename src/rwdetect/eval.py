@@ -4,6 +4,7 @@ Metrics with a zero denominator are undefined, carried as ``None`` and
 rendered as ``n/a`` (CSV) or ``null`` (JSON) rather than coerced to 0.
 Splits are always stratified and derive entirely from (labels, spec),
 so every classifier evaluated under the same spec sees identical folds.
+A fold is its test indices, and it trains on every other row.
 ``evaluate`` and ``benchmark`` train each family's defaults seeded by ``spec.seed``;
 other hyperparameters are scored by ``split``, then ``train``, then ``evaluate_model``.
 """
@@ -17,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .capture import _csv_text
 from .classifiers import (
     ClassifierKind,
     TrainedModel,
@@ -55,10 +57,7 @@ def confusion(actual, predicted) -> ConfusionCounts:
         raise LengthMismatch(f"{len(a)} actual labels vs {len(p)} predicted")
     if len(a) == 0:
         raise EmptyInput("cannot build a confusion matrix from zero labels")
-    tp = int(((a == 1) & (p == 1)).sum())
-    fn = int(((a == 1) & (p == 0)).sum())
-    fp = int(((a == 0) & (p == 1)).sum())
-    tn = int(((a == 0) & (p == 0)).sum())
+    tn, fp, fn, tp = np.bincount(2 * a + p, minlength=4).tolist()
     return ConfusionCounts(tp=tp, fn=fn, fp=fp, tn=tn)
 
 
@@ -124,8 +123,7 @@ class SplitSpec:
 
 def split(dataset: Dataset, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """Fold list of (train_indices, test_indices), each sorted ascending."""
-    labels01 = dataset.y
-    counts = [int((labels01 == 1).sum()), int((labels01 == 0).sum())]
+    counts = dataset.class_counts()
     need, name = (2, "holdout") if spec.method == "holdout" else (spec.k, f"{spec.k}-fold")
     if min(counts) < need:
         raise TooFewSamples(
@@ -134,23 +132,17 @@ def split(dataset: Dataset, spec: SplitSpec) -> list[tuple[np.ndarray, np.ndarra
         )
     # Positive then negative index permutations from one seeded generator.
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    perms = [rng.permutation(np.flatnonzero(labels01 == value)) for value in (1, 0)]
+    perms = [rng.permutation(np.flatnonzero(dataset.y == value)) for value in (1, 0)]
     if spec.method == "holdout":
-        train_parts, test_parts = [], []
-        for perm in perms:
-            n_class = len(perm)
-            n_train = round(spec.train_ratio * n_class)
-            n_train = min(max(n_train, 1), n_class - 1)
-            train_parts.append(perm[:n_train])
-            test_parts.append(perm[n_train:])
-        train_idx = np.sort(np.concatenate(train_parts))
-        test_idx = np.sort(np.concatenate(test_parts))
-        return [(train_idx, test_idx)]
-
-    k = spec.k
-    folds = [np.sort(np.concatenate([perm[f::k] for perm in perms])) for f in range(k)]
-    return [(np.sort(np.concatenate(folds[:f] + folds[f + 1:])), folds[f])
-            for f in range(k)]
+        # Each class trains on its rounded share, clamped to 1..n-1, and tests on the rest.
+        cuts = [min(max(round(spec.train_ratio * len(perm)), 1), len(perm) - 1)
+                for perm in perms]
+        tests = [np.concatenate([perm[cut:] for perm, cut in zip(perms, cuts)])]
+    else:
+        tests = [np.concatenate([perm[f::spec.k] for perm in perms])
+                 for f in range(spec.k)]
+    every = np.arange(len(dataset.y))
+    return [(np.delete(every, test), np.sort(test)) for test in tests]
 
 
 def evaluate_model(model: TrainedModel, dataset: Dataset,
@@ -173,17 +165,11 @@ class EvaluationResult:
         return self.folds[0] if len(self.folds) == 1 else self.mean
 
 
-def _mean_or_none(values: list[float | None]) -> float | None:
-    if any(v is None for v in values):
-        return None
-    return float(np.mean(values))
-
-
 def _mean_report(classifier: str, folds: list[MetricsReport]) -> MetricsReport:
-    rates = {
-        name: _mean_or_none([getattr(f, name) for f in folds])
-        for name in _METRIC_FIELDS
-    }
+    rates = {}
+    for name in _METRIC_FIELDS:
+        values = [getattr(f, name) for f in folds]
+        rates[name] = None if None in values else float(np.mean(values))
     time_mean = float(np.mean([f.training_time_s for f in folds]))
     return MetricsReport(classifier, **rates, training_time_s=time_mean)
 
@@ -223,20 +209,17 @@ def _fmt(value: float | None, pattern: str, scale: float = 1.0) -> str:
 
 
 def render_report_csv(rows: Sequence[MetricsReport]) -> str:
-    """Fixed-width report: rates in percent, scores on [0, 1]."""
-    lines = [",".join(REPORT_CSV_HEADER)]
-    for row in rows:
-        lines.append(",".join([
-            row.classifier,
-            _fmt(row.tpr, "%.2f", 100.0),
-            _fmt(row.fpr, "%.2f", 100.0),
-            _fmt(row.precision, "%.4f"),
-            _fmt(row.recall, "%.4f"),
-            _fmt(row.f_measure, "%.4f"),
-            _fmt(row.accuracy, "%.4f"),
-            "%.6f" % row.training_time_s,
-        ]))
-    return "\n".join(lines) + "\n"
+    """Fixed-decimal report: rates in percent, scores on [0, 1]."""
+    return _csv_text(REPORT_CSV_HEADER, ([
+        row.classifier,
+        _fmt(row.tpr, "%.2f", 100.0),
+        _fmt(row.fpr, "%.2f", 100.0),
+        _fmt(row.precision, "%.4f"),
+        _fmt(row.recall, "%.4f"),
+        _fmt(row.f_measure, "%.4f"),
+        _fmt(row.accuracy, "%.4f"),
+        "%.6f" % row.training_time_s,
+    ] for row in rows))
 
 
 def render_report_json(rows: Sequence[MetricsReport]) -> str:

@@ -1150,11 +1150,12 @@ class TestSharedContract:
         assert score == pytest.approx(scores[0], rel=1e-12, abs=1e-15)
         assert label == (score >= 0.5)
 
-    # MLP and SVM score through BLAS matmuls, whose kernel, and so summation
-    # order, depends on the batch shape: their scores can differ in the last
-    # bits with batch size (ROADMAP item 13), so they are left out here.
+    # MLP scores through BLAS matmuls, whose kernel, and so summation order,
+    # depends on the batch shape: its scores can differ in the last bits with
+    # batch size (ROADMAP item 13), so it is left out here.
     @pytest.mark.parametrize("batch_kind", [ClassifierKind.KNN, ClassifierKind.J48,
                                             ClassifierKind.RANDOM_FOREST,
+                                            ClassifierKind.SVM,
                                             ClassifierKind.BAYES], ids=lambda k: k.value)
     def test_scores_independent_of_batching(self, batch_kind):
         model = train(batch_kind, gaussian_dataset(n_pos=150, n_neg=150, seed=28))

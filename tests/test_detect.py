@@ -205,6 +205,37 @@ def test_record_protocol_other_than_tcp_udp_rejected(run, protocol):
         PacketTable.of(packets)
 
 
+def packet_columns(values, dtypes=PacketTable._dtypes):
+    return [np.array([value], dtype) for value, dtype in zip(values, dtypes)]
+
+
+_PACKET = (1.0, 1, 1000, 2, 80, 6, 60)
+_INT64_PROTOCOL = PacketTable._dtypes[:5] + (np.int64, np.uint32)
+_FLOAT_PROTOCOL = PacketTable._dtypes[:5] + (np.float64, np.uint32)
+
+
+# Each of these columns once built a table; what became of it is noted.
+@pytest.mark.parametrize("columns, message", [
+    # aggregate gave a conversation of protocol 1 with rel_start=nan
+    (packet_columns((float("nan"), 1, 1000, 2, 80, 1, 60)), "finite and non-negative"),
+    (packet_columns((1.0, 1, 1000, 2, 80, 1, 60)), r"^packet 0: protocol 1 is not TCP"),
+    # aggregate gave a conversation of protocol 44
+    (packet_columns((1.0, 1, 1000, 2, 80, 300, 60), _INT64_PROTOCOL), "7 equal-length"),
+    # aggregate raised TypeError
+    (packet_columns(_PACKET, _FLOAT_PROTOCOL), "7 equal-length"),
+    # window_packets raised IndexError
+    ([np.array([1.0, 2.0])] + packet_columns(_PACKET)[1:], "7 equal-length"),
+    # aggregate raised "not enough values to unpack"
+    (packet_columns(_PACKET)[:6], "7 equal-length"),
+    (packet_columns(_PACKET)[:6] + [np.array([[60]], np.uint32)], "7 equal-length"),
+    (packet_columns(_PACKET)[:6] + [[60]], "7 equal-length"),
+], ids=["nan-timestamp", "icmp", "int64-protocol", "float-protocol", "unequal-lengths",
+        "six-columns", "2d-column", "list-column"])
+def test_table_built_from_columns_keeps_the_rules(columns, message):
+    with pytest.raises(ValueError, match=message):
+        PacketTable(columns)
+
+
 class TestDetectStream:
     def run(self, packets, model=None, interval=10.0, capture_start=0.0):
         model = model or bytes_threshold_model()

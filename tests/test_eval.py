@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import hashlib
+import io
 import json
 import re
 from fractions import Fraction
@@ -31,8 +34,8 @@ from rwdetect.eval import (
     render_report_json,
     split,
 )
-from rwdetect.eval import _METRIC_FIELDS, _mean_or_none
-from rwdetect.features import Label
+from rwdetect.eval import _METRIC_FIELDS, _mean_report
+from rwdetect.features import Dataset, Label
 
 from conftest import gaussian_dataset
 
@@ -194,6 +197,21 @@ class TestSplit:
         assert np.array_equal(a[0][0], b[0][0])
         assert not np.array_equal(a[0][0], c[0][0])
 
+    # Digests of the folds as little-endian int64 bytes, ``train|test/`` per fold.
+    @pytest.mark.parametrize("spec, digest", [
+        (SplitSpec.holdout(0.8, seed=7), "7b7ba0218ebd40ba"),
+        (SplitSpec.holdout(0.3, seed=2**64 - 1), "ff0591db7635adc2"),
+        (SplitSpec.kfold(5, seed=11), "e843fa8e48d89ae1"),
+    ], ids=["holdout-0.8", "holdout-0.3", "kfold-5"])
+    def test_folds_are_pinned(self, spec, digest):
+        ds = Dataset(np.zeros((57, 13)), np.arange(57) % 3 == 0)
+        h = hashlib.sha256()
+        for train_idx, test_idx in split(ds, spec):
+            assert train_idx.dtype == test_idx.dtype == np.int64
+            h.update(train_idx.astype("<i8").tobytes() + b"|"
+                     + test_idx.astype("<i8").tobytes() + b"/")
+        assert h.hexdigest()[:16] == digest
+
     def test_holdout_clamps_to_leave_one_out(self):
         ds = gaussian_dataset(n_pos=2, n_neg=2, seed=4)
         [(train_idx, test_idx)] = split(
@@ -275,9 +293,11 @@ class TestEvaluate:
         values = evaluate_model(model, ds, test_idx)
         assert values["accuracy"] == 1.0
 
-    def test_mean_or_none_propagates(self):
-        assert _mean_or_none([0.25, 0.75]) == 0.5
-        assert _mean_or_none([0.25, None]) is None
+    def test_mean_report_propagates_none(self):
+        def fold(tpr):
+            return MetricsReport("x", tpr, 0.5, 0.5, 0.5, 0.5, 0.5, training_time_s=1.0)
+        assert _mean_report("x", [fold(0.25), fold(0.75)]).tpr == 0.5
+        assert _mean_report("x", [fold(0.25), fold(None)]).tpr is None
 
 
 class TestBenchmark:
@@ -332,6 +352,12 @@ class TestRendering:
         row = MetricsReport("BayesNetwork", **values, training_time_s=0.25)
         line = render_report_csv([row]).strip().split("\n")[1]
         assert line == "BayesNetwork,n/a,50.00,0.0000,n/a,n/a,0.5000,0.250000"
+
+    def test_csv_quotes_a_name_with_a_comma(self):
+        # Once written unquoted, splitting the row into nine fields.
+        row = dataclasses.replace(self.worked_row(), classifier="a,b")
+        header, fields = csv.reader(io.StringIO(render_report_csv([row])))
+        assert len(fields) == 8 and fields[0] == "a,b"
 
     def test_json_null_for_undefined(self):
         values = metrics(ConfusionCounts(tp=0, fn=5, fp=0, tn=5))
