@@ -26,13 +26,16 @@ a dict from column name, in header order, to that column's reader,
 
 ``parse_pcap`` reads a file in two passes.  The first walks the record
 headers in Python, reading only each ``incl_len``, and collects the offset
-of every whole record.  The second decodes the frames in chunks of at
-most ``_CHUNK_FRAMES``: numpy gathers read the header words and the
-Ethernet, VLAN, IPv4 and port fields of every frame of a chunk at once,
+of every whole record, 8 bytes each.  The second decodes the frames in
+chunks of at most ``_CHUNK_FRAMES``.  Each record's first 54 bytes are
+copied as one row out of a strided view of the file; only a record that
+starts within 54 bytes of the file's end is read byte by byte, clamped to
+the last byte.  Array operations then read the header words and the
+Ethernet, VLAN, IPv4 and port fields of every row of a chunk at once,
 boolean masks sort each frame into the table or a skip bucket, and the
 kept frames' fields are copied into the table's columns.  The chunk bound
-keeps the gathered temporaries under a megabyte whatever the capture's
-size.
+keeps the temporaries, about 160 bytes a frame, near 0.6 MB whatever the
+capture's size.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BadMagic,
@@ -81,13 +85,13 @@ _ETHERTYPE_IPV4 = 0x0800
 _ETHERTYPE_VLAN = 0x8100
 
 #: Frames decoded per batch of array operations; bounds the temporaries
-#: (about 0.6 KB of gathered bytes and indices per frame).
-_CHUNK_FRAMES = 1024
-#: Bytes gathered from each record's start: the 16-byte record header, then
-#: the frame's first 38 bytes, enough for Ethernet, one 802.1Q tag and a
-#: 20-byte IPv4 header.
+#: (about 160 bytes per frame: its 54-byte head row, then the fields and
+#: masks decoded from it).
+_CHUNK_FRAMES = 4096
+#: Offsets of the bytes read from each record's start as its head row: the
+#: 16-byte record header, then the frame's first 38 bytes, enough for
+#: Ethernet, one 802.1Q tag and a 20-byte IPv4 header.
 _HEAD_SPAN = np.arange(16 + 18 + 20)
-_PORT_SPAN = np.arange(4)
 
 
 class PacketRecord(NamedTuple):
@@ -186,8 +190,9 @@ class PacketTable(_Table):
         ts, protocol = self.columns[0], self.columns[5]
         if not (ts.min(initial=0.0) >= 0 and ts.max(initial=0.0) < np.inf):
             raise ValueError("packet timestamps must be finite and non-negative")
-        if not _SUPPORTED.take(protocol).all():
-            i = int(_SUPPORTED.take(protocol).argmin())
+        supported = _SUPPORTED[protocol]    # take() would copy the indices as int64
+        if not supported.all():
+            i = int(supported.argmin())
             raise ValueError(f"packet {i}: protocol {protocol.item(i)} is not TCP (6) or UDP (17)")
 
 
@@ -267,24 +272,45 @@ def parse_pcap(data: bytes) -> tuple[PacketTable, CaptureSummary]:
 def _record_starts(data: bytes, byte_order: str) -> tuple[np.ndarray, str | None]:
     """Offsets of the whole records after the global header, and
     "truncated_record" if the file ends inside one."""
-    incl_len_at = struct.Struct(byte_order + "I").unpack_from
-    starts = array("q")
-    offset, end, error = 24, len(data), None
-    while offset < end:
-        if end - offset < 16:
-            error = "truncated_record"
-            break
-        (incl_len,) = incl_len_at(data, offset + 8)
-        if end - offset - 16 < incl_len:
-            error = "truncated_record"
-            break
-        starts.append(offset)
+    incl_len_at = struct.Struct(byte_order + "8xI").unpack_from  # from a record's start
+    starts = array("q")     # a list would hold a 28-byte int per record
+    append = starts.append
+    offset, end = 24, len(data)
+    last = end - 16         # the last offset a whole record header fits at
+    while offset <= last:
+        append(offset)
+        (incl_len,) = incl_len_at(data, offset)
         offset += 16 + incl_len
-    return np.frombuffer(starts, np.int64), error
+    if offset > end:        # the last record's frame runs past the end
+        starts.pop()
+    return np.frombuffer(starts, np.int64), None if offset == end else "truncated_record"
+
+
+def _head_rows(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The ``len(_HEAD_SPAN)`` bytes from each of the ascending ``starts``,
+    one row per record.
+
+    The rows are copied whole out of a strided view of ``buf``, with no
+    index array.  Records whose row would run past the end of the buffer
+    are read by ``_gather`` instead, which clamps there; so is every record
+    of a buffer shorter than a row, of which ``sliding_window_view`` makes
+    no view at all.
+    """
+    width = len(_HEAD_SPAN)
+    whole = int(np.searchsorted(starts, len(buf) - width, "right"))
+    if whole == len(starts):
+        return sliding_window_view(buf, width)[starts]
+    rows = np.empty((len(starts), width), np.uint8)
+    rows[whole:] = _gather(buf, starts[whole:], _HEAD_SPAN)
+    if whole:
+        rows[:whole] = sliding_window_view(buf, width)[starts[:whole]]
+    return rows
 
 
 def _gather(buf: np.ndarray, at: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """``buf[at[i] + span[j]]`` as a (len(at), len(span)) uint8 array.
+    """``buf[at[i] + span[j]]`` as a (len(at), len(span)) uint8 array, read
+    one byte at a time through an int64 index of that shape; the clamped
+    path of ``_head_rows``.
 
     Indices past the end of the buffer read its last byte instead; the
     caller's length checks discard whatever they read.
@@ -300,17 +326,15 @@ def _decode_chunk(buf: np.ndarray, starts: np.ndarray, byte_order: str,
     """Decode the records starting at ``starts``: count the frames that are
     not TCP/UDP packets in ``summary``; return the packet table columns of
     the rest."""
-    head = _gather(buf, starts, _HEAD_SPAN)
+    head = _head_rows(buf, starts)
     ts_sec, ts_frac, incl_len, orig_len = head[:, :16].view(byte_order + "u4").T
-    timestamps = ts_sec.astype(np.float64) + ts_frac / ts_divisor
-    frame_len = incl_len.astype(np.int64)
 
     ethertype, _tag_control, inner_ethertype = head[:, 28:34].view(">u2").T
     tagged = ethertype == _ETHERTYPE_VLAN
     ip_start = np.where(tagged, 18, 14)
     ip = np.where(tagged[:, None], head[:, 34:54], head[:, 30:50])
-    ip_len = frame_len - ip_start
-    version, ihl = ip[:, 0] >> 4, (ip[:, 0] & 0x0F).astype(np.int64) * 4
+    ip_len = incl_len - ip_start
+    version, ihl = ip[:, 0] >> 4, (ip[:, 0] & 0x0F) * 4
     frag_offset = ip[:, 6:8].view(">u2")[:, 0] & 0x1FFF
     protocol = ip[:, 9]
 
@@ -327,10 +351,13 @@ def _decode_chunk(buf: np.ndarray, starts: np.ndarray, byte_order: str,
     summary.packets_skipped_unsupported_protocol += int(np.count_nonzero(unsupported))
 
     kept = ~(non_ip | unsupported)
-    ports = _gather(buf, starts[kept] + 16 + ip_start[kept] + ihl[kept], _PORT_SPAN)
+    # A kept frame holds its ports, so no port row runs past the buffer.
+    ports = sliding_window_view(buf, 4)[starts[kept] + 16 + ip_start[kept] + ihl[kept]]
     src_port, dst_port = ports.view(">u2").T
     src_addr, dst_addr = ip[kept, 12:20].view(">u4").T
-    return (timestamps[kept], src_addr, src_port, dst_addr, dst_port,
+    timestamps = ts_frac[kept] / ts_divisor
+    timestamps += ts_sec[kept]
+    return (timestamps, src_addr, src_port, dst_addr, dst_port,
             protocol[kept], orig_len[kept])
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import socket
 import struct
 import time
+import tracemalloc
 import warnings
 from ipaddress import AddressValueError, IPv4Address
 from unittest import mock
@@ -185,6 +186,27 @@ class TestParsePcap:
         records, summary = parse_pcap(whole[:-10])
         assert len(records) == 1
         assert summary.error == "truncated_record"
+
+    def test_peak_memory_is_the_table_and_the_offsets(self):
+        """Beyond the table's columns and 8 bytes of offset a record, a
+        parse holds one chunk's temporaries (0.7 MiB here), never a copy of
+        the file or a Python int a record.  At 200k records a list of
+        offsets reads 2.9 MiB over the bound, and a padded copy of the file
+        11 MiB; at 20k a list stays under the chunk's temporaries."""
+        pair = b"".join(record_header("<", 1, 0, len(frame), len(frame)) + frame
+                        for frame in (tcp_udp_frame("10.0.0.1", "10.0.0.2", TCP, 1000, 80, extra=0),
+                                      tcp_udp_frame("10.0.0.2", "10.0.0.1", UDP, 53, 53,
+                                                    extra=0, vlan_tags=1)))
+        data = global_header("<") + pair * 100_000
+        tracemalloc.start()
+        try:
+            table, summary = parse_pcap(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.packets_read == len(table) == 200_000
+        columns = sum(column.nbytes for column in table.columns)
+        assert peak - columns - 8 * len(table) <= 2**20
 
 
 class TestSkipBuckets:
@@ -411,6 +433,26 @@ class TestDecoderMatchesReference:
         for chunk in (1, 3, capture._CHUNK_FRAMES):
             with mock.patch.object(capture, "_CHUNK_FRAMES", chunk):
                 assert parse_pcap(data) == want
+
+    @pytest.mark.parametrize("order", ["<", ">"])
+    def test_every_prefix_across_the_head_row(self, order):
+        """Every prefix, from the bare global header up, of a capture of
+        one plain frame, one VLAN frame, one runt, and all three plus an
+        empty frame.  A head row is 54 bytes: the short prefixes leave no
+        whole row in the file, and the tails of the longest put rows read
+        whole and rows read clamped in one chunk."""
+        plain = tcp_udp_frame("1.2.3.4", "5.6.7.8", TCP, 80, 443, extra=2)
+        vlan = tcp_udp_frame("1.2.3.4", "5.6.7.8", UDP, 53, 53, extra=2, vlan_tags=1)
+        runt = b"\x00" * 10
+        for frames in ([plain], [vlan], [runt], [plain, vlan, runt, b""]):
+            data = global_header(order) + b"".join(
+                record_header(order, 7, i, len(frame), len(frame)) + frame
+                for i, frame in enumerate(frames))
+            for n in range(24, len(data) + 1):
+                want = reference_parse(data[:n])
+                for chunk in (1, 3, capture._CHUNK_FRAMES):
+                    with mock.patch.object(capture, "_CHUNK_FRAMES", chunk):
+                        assert parse_pcap(data[:n]) == want, (frames, n, chunk)
 
     def test_golden_frames_match(self):
         frames = [
