@@ -272,7 +272,7 @@ def parse_pcap(data: bytes) -> tuple[PacketTable, CaptureSummary]:
 def _record_starts(data: bytes, byte_order: str) -> tuple[np.ndarray, str | None]:
     """Offsets of the whole records after the global header, and
     "truncated_record" if the file ends inside one."""
-    incl_len_at = struct.Struct(byte_order + "8xI").unpack_from  # from a record's start
+    incl_len_at = struct.Struct(byte_order + "8xI").unpack_from   # 8 bytes into a record
     starts = array("q")     # a list would hold a 28-byte int per record
     append = starts.append
     offset, end = 24, len(data)
