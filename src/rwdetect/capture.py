@@ -34,7 +34,7 @@ the last byte.  Array operations then read the header words and the
 Ethernet, VLAN, IPv4 and port fields of every row of a chunk at once,
 boolean masks sort each frame into the table or a skip bucket, and the
 kept frames' fields are copied into the table's columns.  The chunk bound
-keeps the temporaries, about 160 bytes a frame, near 0.6 MB whatever the
+keeps the temporaries, about 150 bytes a frame, near 0.6 MB whatever the
 capture's size.
 """
 
@@ -85,7 +85,7 @@ _ETHERTYPE_IPV4 = 0x0800
 _ETHERTYPE_VLAN = 0x8100
 
 #: Frames decoded per batch of array operations; bounds the temporaries
-#: (about 160 bytes per frame: its 54-byte head row, then the fields and
+#: (about 150 bytes per frame: its 54-byte head row, then the fields and
 #: masks decoded from it).
 _CHUNK_FRAMES = 4096
 #: Offsets of the bytes read from each record's start as its head row: the
@@ -331,7 +331,7 @@ def _decode_chunk(buf: np.ndarray, starts: np.ndarray, byte_order: str,
 
     ethertype, _tag_control, inner_ethertype = head[:, 28:34].view(">u2").T
     tagged = ethertype == _ETHERTYPE_VLAN
-    ip_start = np.where(tagged, 18, 14)
+    ip_start = np.where(tagged, np.int8(18), np.int8(14))   # int8; incl_len - ip_start is int64
     ip = np.where(tagged[:, None], head[:, 34:54], head[:, 30:50])
     ip_len = incl_len - ip_start
     version, ihl = ip[:, 0] >> 4, (ip[:, 0] & 0x0F) * 4

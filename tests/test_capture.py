@@ -189,7 +189,7 @@ class TestParsePcap:
 
     def test_peak_memory_is_the_table_and_the_offsets(self):
         """Beyond the table's columns and 8 bytes of offset a record, a
-        parse holds one chunk's temporaries (0.7 MiB here), never a copy of
+        parse holds one chunk's temporaries (0.6 MiB here), never a copy of
         the file or a Python int a record.  At 200k records a list of
         offsets reads 2.9 MiB over the bound, and a padded copy of the file
         11 MiB; at 20k a list stays under the chunk's temporaries."""
