@@ -331,7 +331,8 @@ def _decode_chunk(buf: np.ndarray, starts: np.ndarray, byte_order: str,
 
     ethertype, _tag_control, inner_ethertype = head[:, 28:34].view(">u2").T
     tagged = ethertype == _ETHERTYPE_VLAN
-    ip_start = np.where(tagged, np.int8(18), np.int8(14))   # int8; incl_len - ip_start is int64
+    # One byte a frame; ``incl_len - ip_start`` below is still int64.
+    ip_start = np.where(tagged, np.int8(18), np.int8(14))
     ip = np.where(tagged[:, None], head[:, 34:54], head[:, 30:50])
     ip_len = incl_len - ip_start
     version, ihl = ip[:, 0] >> 4, (ip[:, 0] & 0x0F) * 4

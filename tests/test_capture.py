@@ -438,9 +438,9 @@ class TestDecoderMatchesReference:
     def test_every_prefix_across_the_head_row(self, order):
         """Every prefix, from the bare global header up, of a capture of
         one plain frame, one VLAN frame, one runt, and all three plus an
-        empty frame.  A head row is 54 bytes: the short prefixes leave no
-        whole row in the file, and the tails of the longest put rows read
-        whole and rows read clamped in one chunk."""
+        empty frame.  A head row is 54 bytes: the short prefixes hold no
+        whole row, and the prefixes of the four-record capture put rows
+        read whole and rows read clamped into one chunk."""
         plain = tcp_udp_frame("1.2.3.4", "5.6.7.8", TCP, 80, 443, extra=2)
         vlan = tcp_udp_frame("1.2.3.4", "5.6.7.8", UDP, 53, 53, extra=2, vlan_tags=1)
         runt = b"\x00" * 10
