@@ -28,9 +28,11 @@ a dict from column name, in header order, to that column's reader,
 headers in Python, reading only each ``incl_len``, and collects the offset
 of every whole record, 8 bytes each.  The second decodes the frames in
 chunks of at most ``_CHUNK_FRAMES``.  Each record's first 54 bytes are
-copied as one row out of a strided view of the file; only a record that
-starts within 54 bytes of the file's end is read byte by byte, clamped to
-the last byte.  Array operations then read the header words and the
+copied as one row out of a strided view of a buffer that holds the whole
+row: the file itself, or, for the few records that start within 54 bytes
+of its end, a zero-padded copy of its last bytes, decoded as one more
+batch.  Bytes past the file's end read as zeros, and the length checks
+throw them away.  Array operations then read the header words and the
 Ethernet, VLAN, IPv4 and port fields of every row of a chunk at once,
 boolean masks sort each frame into the table or a skip bucket, and the
 kept frames' fields are copied into the table's columns.  The chunk bound
@@ -88,10 +90,12 @@ _ETHERTYPE_VLAN = 0x8100
 #: (about 150 bytes per frame: its 54-byte head row, then the fields and
 #: masks decoded from it).
 _CHUNK_FRAMES = 4096
-#: Offsets of the bytes read from each record's start as its head row: the
-#: 16-byte record header, then the frame's first 38 bytes, enough for
-#: Ethernet, one 802.1Q tag and a 20-byte IPv4 header.
-_HEAD_SPAN = np.arange(16 + 18 + 20)
+#: Bytes read from each record's start as its head row: the 16-byte record
+#: header, then the frame's first 38 bytes, enough for Ethernet, one 802.1Q
+#: tag and a 20-byte IPv4 header.  The buffer a row is read from holds the
+#: whole row; bytes past the file's end read as zeros, and the length
+#: checks throw them away.
+_HEAD_BYTES = 16 + 18 + 20
 
 
 class PacketRecord(NamedTuple):
@@ -257,11 +261,20 @@ def parse_pcap(data: bytes) -> tuple[PacketTable, CaptureSummary]:
 
     starts, summary.error = _record_starts(data, byte_order)
     buf = np.frombuffer(data, np.uint8)
+    # Head rows that fit in the file are read from it, chunk by chunk; the
+    # few past its end, from one zero-padded copy of its last bytes.
+    whole = int(np.searchsorted(starts, len(data) - _HEAD_BYTES, "right"))
+    fits, near_end = starts[:whole], starts[whole:]
+    batches = [(buf, fits[lo:lo + _CHUNK_FRAMES]) for lo in range(0, whole, _CHUNK_FRAMES)]
+    if len(near_end):
+        base = int(near_end[0])
+        tail = np.zeros(len(data) - base + _HEAD_BYTES, np.uint8)
+        tail[:len(data) - base] = buf[base:]
+        batches.append((tail, near_end - base))
     columns = [np.empty(len(starts), dtype) for dtype in PacketTable._dtypes]
     kept = 0
-    for lo in range(0, len(starts), _CHUNK_FRAMES):
-        chunk = _decode_chunk(buf, starts[lo:lo + _CHUNK_FRAMES],
-                              byte_order, ts_divisor, summary)
+    for source, at in batches:
+        chunk = _decode_chunk(source, at, byte_order, ts_divisor, summary)
         for column, values in zip(columns, chunk):
             column[kept:kept + len(values)] = values
         kept += len(chunk[0])
@@ -286,47 +299,14 @@ def _record_starts(data: bytes, byte_order: str) -> tuple[np.ndarray, str | None
     return np.frombuffer(starts, np.int64), None if offset == end else "truncated_record"
 
 
-def _head_rows(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The ``len(_HEAD_SPAN)`` bytes from each of the ascending ``starts``,
-    one row per record.
-
-    The rows are copied whole out of a strided view of ``buf``, with no
-    index array.  Records whose row would run past the end of the buffer
-    are read by ``_gather`` instead, which clamps there; so is every record
-    of a buffer shorter than a row, of which ``sliding_window_view`` makes
-    no view at all.
-    """
-    width = len(_HEAD_SPAN)
-    whole = int(np.searchsorted(starts, len(buf) - width, "right"))
-    if whole == len(starts):
-        return sliding_window_view(buf, width)[starts]
-    rows = np.empty((len(starts), width), np.uint8)
-    rows[whole:] = _gather(buf, starts[whole:], _HEAD_SPAN)
-    if whole:
-        rows[:whole] = sliding_window_view(buf, width)[starts[:whole]]
-    return rows
-
-
-def _gather(buf: np.ndarray, at: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """``buf[at[i] + span[j]]`` as a (len(at), len(span)) uint8 array, read
-    one byte at a time through an int64 index of that shape; the clamped
-    path of ``_head_rows``.
-
-    Indices past the end of the buffer read its last byte instead; the
-    caller's length checks discard whatever they read.
-    """
-    index = at[:, None] + span
-    np.minimum(index, len(buf) - 1, out=index)
-    return buf[index]
-
-
-def _decode_chunk(buf: np.ndarray, starts: np.ndarray, byte_order: str,
+def _decode_chunk(source: np.ndarray, starts: np.ndarray, byte_order: str,
                   ts_divisor: float, summary: CaptureSummary,
                   ) -> tuple[np.ndarray, ...]:
     """Decode the records starting at ``starts``: count the frames that are
     not TCP/UDP packets in ``summary``; return the packet table columns of
-    the rest."""
-    head = _head_rows(buf, starts)
+    the rest.  ``source`` holds each record's whole head row; bytes past
+    the file's end read as zeros, and the length checks throw them away."""
+    head = sliding_window_view(source, _HEAD_BYTES)[starts]
     ts_sec, ts_frac, incl_len, orig_len = head[:, :16].view(byte_order + "u4").T
 
     ethertype, _tag_control, inner_ethertype = head[:, 28:34].view(">u2").T
@@ -353,7 +333,7 @@ def _decode_chunk(buf: np.ndarray, starts: np.ndarray, byte_order: str,
 
     kept = ~(non_ip | unsupported)
     # A kept frame holds its ports, so no port row runs past the buffer.
-    ports = sliding_window_view(buf, 4)[starts[kept] + 16 + ip_start[kept] + ihl[kept]]
+    ports = sliding_window_view(source, 4)[starts[kept] + 16 + ip_start[kept] + ihl[kept]]
     src_port, dst_port = ports.view(">u2").T
     src_addr, dst_addr = ip[kept, 12:20].view(">u4").T
     timestamps = ts_frac[kept] / ts_divisor

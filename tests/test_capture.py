@@ -192,12 +192,16 @@ class TestParsePcap:
         parse holds one chunk's temporaries (0.6 MiB here), never a copy of
         the file or a Python int a record.  At 200k records a list of
         offsets reads 2.9 MiB over the bound, and a padded copy of the file
-        11 MiB; at 20k a list stays under the chunk's temporaries."""
-        pair = b"".join(record_header("<", 1, 0, len(frame), len(frame)) + frame
-                        for frame in (tcp_udp_frame("10.0.0.1", "10.0.0.2", TCP, 1000, 80, extra=0),
-                                      tcp_udp_frame("10.0.0.2", "10.0.0.1", UDP, 53, 53,
-                                                    extra=0, vlan_tags=1)))
-        data = global_header("<") + pair * 100_000
+        11 MiB; at 20k a list stays under the chunk's temporaries.  The
+        capture ends in a runt and two empty frames, so the bound covers
+        the batch read from the padded tail too."""
+        def records(*frames):
+            return b"".join(record_header("<", 1, 0, len(frame), len(frame)) + frame
+                            for frame in frames)
+
+        pair = records(tcp_udp_frame("10.0.0.1", "10.0.0.2", TCP, 1000, 80, extra=0),
+                       tcp_udp_frame("10.0.0.2", "10.0.0.1", UDP, 53, 53, extra=0, vlan_tags=1))
+        data = global_header("<") + pair * 100_000 + records(b"\x00" * 10, b"", b"")
         tracemalloc.start()
         try:
             table, summary = parse_pcap(data)
@@ -437,14 +441,16 @@ class TestDecoderMatchesReference:
     @pytest.mark.parametrize("order", ["<", ">"])
     def test_every_prefix_across_the_head_row(self, order):
         """Every prefix, from the bare global header up, of a capture of
-        one plain frame, one VLAN frame, one runt, and all three plus an
-        empty frame.  A head row is 54 bytes: the short prefixes hold no
-        whole row, and the prefixes of the four-record capture put rows
-        read whole and rows read clamped into one chunk."""
+        one plain frame, one VLAN frame, one runt, all three plus an empty
+        frame, and three empty frames.  A head row is 54 bytes: the short
+        prefixes hold no whole row, the prefixes of the four-record capture
+        read some rows from the file and the rest from its padded tail, and
+        every record of the three empty frames is read from a tail holding
+        several of them."""
         plain = tcp_udp_frame("1.2.3.4", "5.6.7.8", TCP, 80, 443, extra=2)
         vlan = tcp_udp_frame("1.2.3.4", "5.6.7.8", UDP, 53, 53, extra=2, vlan_tags=1)
         runt = b"\x00" * 10
-        for frames in ([plain], [vlan], [runt], [plain, vlan, runt, b""]):
+        for frames in ([plain], [vlan], [runt], [plain, vlan, runt, b""], [b"", b"", b""]):
             data = global_header(order) + b"".join(
                 record_header(order, 7, i, len(frame), len(frame)) + frame
                 for i, frame in enumerate(frames))
